@@ -10,8 +10,9 @@ It measures, on a packed filter (gatekeeper-gpu):
 * ``FilterEngine.filter_encoded`` wall clock for the ``serial``, ``threads``
   and ``processes`` backends at 1/2/4 workers (the processes backend ships
   the encoded batch through one shared-memory segment per fan-out), and
-* ``StreamingPipeline`` wall clock with the prefetching producer/consumer
-  off vs on (chunk ``N + 1`` parsed+encoded while chunk ``N`` filters),
+* a streamed pairs-TSV workload's wall clock with the prefetching
+  producer/consumer off vs on (chunk ``N + 1`` parsed+encoded while chunk
+  ``N`` filters),
 
 verifying along the way that every backend produces decisions — and, via the
 Session front door, canonical Result JSON — byte-identical to serial
@@ -32,6 +33,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -42,7 +44,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.api import SCHEMA_VERSION, Session, Workload  # noqa: E402
 from repro.engine import FilterEngine  # noqa: E402
 from repro.exec import create_executor  # noqa: E402
-from repro.runtime import StreamingPipeline  # noqa: E402
 from repro.simulate.datasets import build_dataset  # noqa: E402
 
 N_PAIRS = int(os.environ.get("REPRO_BENCH_PARALLEL_PAIRS", "150000"))
@@ -100,21 +101,28 @@ def _engine_row(wall_s, serial_s):
 
 
 def bench_streaming_prefetch(dataset):
-    def run(prefetch):
-        return StreamingPipeline(
-            FILTER,
-            chunk_size=CHUNK_SIZE,
-            error_threshold=ERROR_THRESHOLD,
-            collect_decisions=True,
-            prefetch=prefetch,
-        ).run_dataset(dataset, verify=False)
+    with tempfile.TemporaryDirectory() as tmp, Session() as session:
+        path = Path(tmp) / "pairs.tsv"
+        path.write_text(
+            "".join(f"{r}\t{s}\n" for r, s in zip(dataset.reads, dataset.segments))
+        )
 
-    off_report, off_s = timed(lambda: run(False))
-    on_report, on_s = timed(lambda: run(True))
-    if json.dumps(off_report.as_dict(), sort_keys=True) != json.dumps(
-        on_report.as_dict(), sort_keys=True
-    ):
-        raise SystemExit("prefetch changed the streaming report")
+        def run(prefetch):
+            return session.run(
+                Workload.from_dict(
+                    {
+                        "input": {"kind": "tsv", "path": str(path)},
+                        "filter": {"filter": FILTER, "error_threshold": ERROR_THRESHOLD},
+                        "execution": {"chunk_size": CHUNK_SIZE, "prefetch": prefetch,
+                                      "verify": False},
+                    }
+                )
+            )
+
+        off_result, off_s = timed(lambda: run(False))
+        on_result, on_s = timed(lambda: run(True))
+    if off_result.to_json() != on_result.to_json():
+        raise SystemExit("prefetch changed the streamed result")
     return {
         "chunk_size": CHUNK_SIZE,
         "prefetch_off_reads_per_s": round(N_PAIRS / off_s, 1),

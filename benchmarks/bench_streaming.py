@@ -5,12 +5,12 @@ is a plain script so CI can run it without extra dependencies:
 
     PYTHONPATH=src python benchmarks/bench_streaming.py
 
-It filters the same candidate pool three ways — fully materialised
-(``FilteringPipeline``), streamed in chunks (``StreamingPipeline``, 1
+It runs the same candidate pool through one warm ``Session`` three ways — in
+memory mode (one chunk), in streaming mode (``chunk_size`` chunks, 1
 device), and streamed across 4 simulated devices — and writes
 ``BENCH_streaming.json`` with measured reads/s plus the modelled
-serial-vs-overlapped stream times, so the perf trajectory of the streaming
-path is tracked from the first PR that introduced it.
+serial-vs-overlapped stream times.  The pool is built and encoded once,
+outside the timed runs.
 
 Environment knobs: ``REPRO_BENCH_STREAM_PAIRS`` (default 20,000) and
 ``REPRO_BENCH_STREAM_CHUNK`` (default 4,000).
@@ -26,11 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.api import SCHEMA_VERSION  # noqa: E402
-from repro.core.pipeline import FilteringPipeline  # noqa: E402
-from repro.engine import FilterEngine  # noqa: E402
-from repro.runtime import StreamingPipeline  # noqa: E402
-from repro.simulate.datasets import build_dataset  # noqa: E402
+from repro.api import SCHEMA_VERSION, Session, Workload  # noqa: E402
 
 N_PAIRS = int(os.environ.get("REPRO_BENCH_STREAM_PAIRS", "20000"))
 CHUNK_SIZE = int(os.environ.get("REPRO_BENCH_STREAM_CHUNK", "4000"))
@@ -45,32 +41,29 @@ def timed(fn):
     return result, time.perf_counter() - start
 
 
-def main() -> int:
-    dataset = build_dataset("Set 1", n_pairs=N_PAIRS, seed=42)
+def workload(mode: str, n_devices: int = 1) -> Workload:
+    return Workload.from_dict(
+        {
+            "input": {"kind": "dataset", "dataset": "Set 1", "n_pairs": N_PAIRS, "seed": 42},
+            "filter": {"filter": FILTER_NAME, "error_threshold": ERROR_THRESHOLD},
+            "execution": {
+                "mode": mode,
+                "chunk_size": CHUNK_SIZE,
+                "n_devices": n_devices,
+                "verify": False,
+            },
+        }
+    )
 
-    in_memory, t_memory = timed(
-        lambda: FilteringPipeline(FILTER_NAME, error_threshold=ERROR_THRESHOLD).run(
-            dataset, verify=False
-        )
-    )
-    streamed, t_stream = timed(
-        lambda: StreamingPipeline(
-            FILTER_NAME, chunk_size=CHUNK_SIZE, error_threshold=ERROR_THRESHOLD
-        ).run_dataset(dataset, verify=False)
-    )
-    multi, t_multi = timed(
-        lambda: StreamingPipeline(
-            FilterEngine(
-                FILTER_NAME,
-                read_length=dataset.read_length,
-                error_threshold=ERROR_THRESHOLD,
-                n_devices=4,
-            ),
-            chunk_size=CHUNK_SIZE,
-        ).run_dataset(dataset, verify=False)
-    )
-    if streamed.n_accepted != in_memory.filter_result.n_accepted:
-        raise SystemExit("streaming/in-memory decision mismatch — benchmark aborted")
+
+def main() -> int:
+    with Session() as session:
+        session.dataset_for(workload("memory"))  # build + encode outside the timings
+        in_memory, t_memory = timed(lambda: session.run(workload("memory")))
+        streamed, t_stream = timed(lambda: session.run(workload("streaming")))
+        multi, t_multi = timed(lambda: session.run(workload("streaming", n_devices=4)))
+    if streamed.summary != in_memory.summary:
+        raise SystemExit("streaming/in-memory totals mismatch — benchmark aborted")
 
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -89,14 +82,14 @@ def main() -> int:
             "streaming_4gpu": round(t_multi, 4),
         },
         "modelled": {
-            "streaming_1gpu_serial_s": streamed.serial_time_s,
-            "streaming_1gpu_overlapped_s": streamed.overlapped_time_s,
-            "streaming_4gpu_serial_s": multi.serial_time_s,
-            "streaming_4gpu_overlapped_s": multi.overlapped_time_s,
-            "streaming_4gpu_overlap_speedup": round(multi.overlap_speedup, 3),
+            "streaming_1gpu_serial_s": streamed.streaming["serial_time_s"],
+            "streaming_1gpu_overlapped_s": streamed.streaming["overlapped_time_s"],
+            "streaming_4gpu_serial_s": multi.streaming["serial_time_s"],
+            "streaming_4gpu_overlapped_s": multi.streaming["overlapped_time_s"],
+            "streaming_4gpu_overlap_speedup": multi.streaming["overlap_speedup"],
         },
-        "n_chunks": streamed.n_chunks,
-        "reduction_pct": round(100.0 * streamed.reduction, 2),
+        "n_chunks": streamed.streaming["n_chunks"],
+        "reduction_pct": streamed.summary["reduction_pct"],
     }
     OUTPUT.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(json.dumps(payload, indent=2, sort_keys=True))

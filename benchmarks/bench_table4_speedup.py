@@ -3,19 +3,23 @@
 import pytest
 
 from repro.analysis import experiments
-from repro.core import FilteringPipeline, GateKeeperGPU
+from repro.api import Session, Workload
 from _bench_helpers import emit
 
 
-def test_measured_reduction_drives_speedup(benchmark, dataset_100bp):
-    """Run filter+verification on the pool and check the speedup accounting."""
-    gatekeeper = GateKeeperGPU(read_length=100, error_threshold=5)
-    pipeline = FilteringPipeline(gatekeeper)
-    report = benchmark.pedantic(
-        pipeline.run, args=(dataset_100bp.subset(600),), kwargs=dict(verify=True), rounds=1, iterations=1
+def test_measured_reduction_drives_speedup(benchmark):
+    """Run filter+verification on a scaled Set 3 pool and check the speedup accounting."""
+    workload = Workload.from_dict(
+        {
+            "input": {"kind": "dataset", "dataset": "Set 3", "n_pairs": 600, "seed": 100},
+            "filter": {"filter": "gatekeeper-gpu", "error_threshold": 5},
+            "execution": {"mode": "memory", "verify": True},
+        }
     )
-    emit("Table 4 input — measured pipeline reduction (scaled pool)", [report.summary()])
-    assert report.theoretical_speedup >= report.verification_speedup > 1.0
+    result = benchmark.pedantic(Session().run, args=(workload,), rounds=1, iterations=1)
+    emit("Table 4 input — measured filter + verify reduction (scaled pool)", [result.summary])
+    summary = result.summary
+    assert summary["theoretical_speedup"] >= summary["verification_speedup"] > 1.0
 
 
 def test_reproduce_table4(benchmark):

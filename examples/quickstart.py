@@ -4,49 +4,44 @@ Run with::
 
     python examples/quickstart.py
 
-The example builds a small synthetic candidate pool (the scaled analogue of
-the paper's Set 3), filters it with the GateKeeper-GPU pipeline, verifies the
-survivors with the exact edit-distance verifier, and prints how much
-verification work the filter saved.
+The example declares a workload over a small synthetic candidate pool (the
+scaled analogue of the paper's Set 3), runs it on a ``Session`` — filter with
+GateKeeper-GPU, verify the survivors with the exact edit-distance verifier —
+and prints how much verification work the filter saved.
 """
 
 from __future__ import annotations
 
 from repro.analysis import format_table
-from repro.core import EncodingActor, FilteringPipeline, GateKeeperGPU
-from repro.simulate import build_dataset
+from repro.api import Session, Workload
 
 
 def main() -> None:
-    error_threshold = 5
-
-    # 1. A candidate pool: 2,000 read / reference-segment pairs of 100 bp,
-    #    mimicking what mrFAST's seeding stage hands to verification.
-    dataset = build_dataset("Set 3", n_pairs=2_000, seed=42)
-    print(f"Candidate pool: {dataset.n_pairs} pairs of {dataset.read_length} bp "
-          f"({dataset.n_undefined} undefined pairs containing 'N')")
-
-    # 2. The GateKeeper-GPU filter (device-side encoding, single simulated GPU).
-    gatekeeper = GateKeeperGPU(
-        read_length=dataset.read_length,
-        error_threshold=error_threshold,
-        encoding=EncodingActor.DEVICE,
+    # A candidate pool of 2,000 read / reference-segment pairs of 100 bp,
+    # mimicking what mrFAST's seeding stage hands to verification, filtered
+    # by GateKeeper-GPU (device-side encoding, one simulated GPU) and
+    # verified.
+    workload = Workload.from_dict(
+        {
+            "input": {"kind": "dataset", "dataset": "Set 3", "n_pairs": 2_000, "seed": 42},
+            "filter": {"filter": "gatekeeper-gpu", "error_threshold": 5},
+            "execution": {"encoding": "device", "verify": True},
+        }
     )
+    result = Session().run(workload)
+    summary = result.summary
 
-    # 3. Filter + verify the survivors.
-    pipeline = FilteringPipeline(gatekeeper)
-    report = pipeline.run(dataset)
-
+    print(format_table([summary], title=f"{result.filter} filtering report"))
     print()
-    print(format_table([report.summary()], title="GateKeeper-GPU filtering report"))
-    print()
-    print(f"The filter rejected {report.rejected_pairs} of {report.n_pairs} candidate pairs "
-          f"({100 * report.reduction:.1f}% of the verification work) and the verifier confirmed "
-          f"{report.verified_accepts} genuine mappings among the survivors.")
-    print(f"Simulated kernel time: {report.filter_result.kernel_time_s * 1e3:.3f} ms, "
-          f"filter time: {report.filter_result.filter_time_s * 1e3:.3f} ms "
+    print(f"The filter rejected {summary['n_rejected']} of {summary['n_pairs']} candidate "
+          f"pairs ({summary['reduction_pct']:.1f}% of the verification work; "
+          f"{summary['n_undefined']} undefined pairs containing 'N' passed directly) and "
+          f"the verifier confirmed {summary['verified_accepts']} genuine mappings among "
+          f"the survivors.")
+    print(f"Simulated kernel time: {summary['kernel_time_s'] * 1e3:.3f} ms, "
+          f"filter time: {summary['filter_time_s'] * 1e3:.3f} ms "
           f"(analytic GTX 1080 Ti model); Python wall clock: "
-          f"{report.filter_result.wall_clock_s * 1e3:.1f} ms.")
+          f"{result.wall_clock_s * 1e3:.1f} ms.")
 
 
 if __name__ == "__main__":

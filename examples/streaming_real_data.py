@@ -2,7 +2,7 @@
 
 This example builds a small "real" dataset on disk (a FASTA reference and a
 FASTQ read set, exactly the files a sequencer + assembler would hand you),
-then filters the candidate pairs with the chunked streaming runtime:
+then declares a ``reads`` workload over them and runs it chunk by chunk:
 
 * reads are streamed from the FASTQ (never materialised as a list),
 * the mapper index proposes candidate locations per read,
@@ -24,9 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.analysis import format_table
-from repro.engine import FilterEngine
+from repro.api import Session, Workload
 from repro.genomics import Sequence, write_fasta, write_fastq
-from repro.runtime import StreamingPipeline
 from repro.simulate.genome import GenomeProfile, generate_reference
 from repro.simulate.reads import simulate_reads
 
@@ -44,22 +43,26 @@ def main() -> None:
     write_fastq(fastq, simulate_reads(reference, n_reads=300, read_length=100, seed=2))
 
     # 2. Stream the FASTQ against the reference: chunked, 2 devices.
-    pipeline = StreamingPipeline(
-        FilterEngine("gatekeeper-gpu", read_length=100, error_threshold=5, n_devices=2),
-        chunk_size=200,
+    workload = Workload.from_dict(
+        {
+            "input": {"kind": "reads", "path": str(fastq), "reference": str(fasta)},
+            "filter": {"filter": "gatekeeper-gpu", "error_threshold": 5},
+            "execution": {"mode": "streaming", "chunk_size": 200, "n_devices": 2},
+        }
     )
-    report = pipeline.run_file(fastq, reference=fasta)
+    result = Session().run(workload)
+    streaming = result.streaming
 
-    print(format_table([report.summary()], title=f"{report.filter_name} (streamed)"))
+    print(format_table([result.summary], title=f"{result.filter} (streamed)"))
     print()
-    print(format_table([report.streaming_summary()], title="Streaming execution"))
+    print(format_table([streaming], title="Streaming execution"))
     print()
-    print(format_table([c.summary() for c in report.chunks], title="Per-chunk accounting"))
+    print(format_table(result.chunks, title="Per-chunk accounting"))
     print()
     print(
-        f"Overlapped streams finish in {report.overlapped_time_s * 1e3:.3f} ms vs "
-        f"{report.serial_time_s * 1e3:.3f} ms serial "
-        f"({report.overlap_speedup:.2f}x modelled)."
+        f"Overlapped streams finish in {streaming['overlapped_time_s'] * 1e3:.3f} ms vs "
+        f"{streaming['serial_time_s'] * 1e3:.3f} ms serial "
+        f"({streaming['overlap_speedup']:.2f}x modelled)."
     )
     print()
     print("CLI equivalent:")

@@ -2,6 +2,7 @@
 installs work offline without a wheel of the build backend)."""
 
 import os
+import re
 
 from setuptools import find_packages, setup
 
@@ -10,9 +11,14 @@ _readme = os.path.join(_here, "README.md")
 with open(_readme) as fh:
     _long_description = fh.read()
 
+# The version's single source is repro.__version__, read as text so building
+# never imports the package (or its numpy dependency).
+with open(os.path.join(_here, "src", "repro", "__init__.py")) as fh:
+    _version = re.search(r'^__version__ = "([^"]+)"', fh.read(), re.MULTILINE).group(1)
+
 setup(
     name="repro-gatekeeper-gpu",
-    version="1.5.0",
+    version=_version,
     description=(
         "From-scratch Python reproduction of GateKeeper-GPU: fast and "
         "accurate pre-alignment filtering in short read mapping"

@@ -29,8 +29,9 @@ Package map
 ``repro.core``      The GateKeeper-GPU system pipeline (config, buffers, word-array
                     kernel) and the :class:`GateKeeperGPU` façade.
 ``repro.mapper``    mrFAST-like seed-and-extend mapper with pluggable filtering.
-``repro.runtime``   Chunked streaming pipeline over real FASTQ/FASTA inputs:
-                    bounded memory, multi-device sharding, stream-overlap model.
+``repro.runtime``   The one chunk runner behind every filtering run, plus the
+                    FASTQ/FASTA/TSV pair sources: bounded memory, multi-device
+                    sharding, stream-overlap model.
 ``repro.analysis``  Accuracy/throughput/speedup metrics and experiment drivers.
 
 Quickstart
@@ -43,9 +44,9 @@ Quickstart
 >>> result = Session().run(workload)                       # doctest: +SKIP
 >>> result.summary["n_rejected"]                           # doctest: +SKIP
 
-The lower-level layers remain available (``FilterEngine``, ``FilterCascade``,
-``FilteringPipeline``, ``StreamingPipeline``) as the machinery behind the
-session — and as deprecated direct entry points for existing code.
+``Session`` runs every filtering workload through one chunk loop; the
+filter engines below it (``FilterEngine``, ``FilterCascade``) remain
+available for direct, batch-at-a-time use.
 """
 
 from .api import Result, Session, Workload
@@ -66,11 +67,8 @@ from .filters import (
     ShoujiFilter,
     SneakySnakeFilter,
 )
-# Public compatibility re-export, not an internal call site: external users
-# still spell `from repro import StreamingPipeline`.
-from .runtime import StreamingPipeline, StreamingReport  # reprolint: disable=deprecated-facade-imports
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Result",
@@ -89,7 +87,5 @@ __all__ = [
     "SHDFilter",
     "ShoujiFilter",
     "SneakySnakeFilter",
-    "StreamingPipeline",
-    "StreamingReport",
     "__version__",
 ]

@@ -1,12 +1,5 @@
-"""Analysis and experiment drivers: accuracy, throughput, speedup and tables.
+"""Analysis and experiment drivers: accuracy, throughput, speedup and tables."""
 
-Report dictionaries flowing through this package follow the canonical
-:mod:`repro.api.result` schema; :func:`normalize_summary` /
-:func:`legacy_summary` (re-exported here) bridge the pre-schema key
-spellings that older tables and ``BENCH_*.json`` files used.
-"""
-
-from ..api.result import legacy_summary, normalize_summary
 from .accuracy import AccuracySummary, evaluate_decisions, labels_from_distances
 from .speedup import SpeedupReport, compute_speedup
 from .tables import format_series, format_table, print_table
@@ -34,6 +27,4 @@ __all__ = [
     "millions_per_second",
     "pairs_per_second",
     "experiments",
-    "normalize_summary",
-    "legacy_summary",
 ]

@@ -2,9 +2,8 @@
 
 The engineered contracts of this codebase — encode-exactly-once per ingest,
 partition-invariant reduction, the POSIX shared-memory lifecycle, determinism
-of every :class:`~repro.api.result.Result`, one spelling authority for the
-report schema, and the deprecation of the pre-``repro.api`` façades — used to
-live only in docstrings and regression tests.  This module turns them into
+of every :class:`~repro.api.result.Result`, and one spelling authority for
+the report schema — used to live only in docstrings and regression tests.  This module turns them into
 machine-checked static analysis: each contract is a :class:`Rule` that walks
 a file's AST and emits :class:`Violation` findings, and :func:`lint_paths`
 drives the rules over a source tree.

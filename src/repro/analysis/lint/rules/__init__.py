@@ -10,7 +10,6 @@ from __future__ import annotations
 from ..engine import Rule
 from .determinism import DeterminismHazardsRule
 from .encode_once import EncodeOnceRule
-from .facade_imports import DeprecatedFacadeImportsRule
 from .native_parity import NativeKernelParityRule
 from .planner_pinned import PlannerPinnedBeforeFanoutRule
 from .reduction import PartitionInvariantReductionRule
@@ -25,7 +24,6 @@ __all__ = [
     "ShmLifecycleRule",
     "DeterminismHazardsRule",
     "ResultSchemaKeysRule",
-    "DeprecatedFacadeImportsRule",
     "NativeKernelParityRule",
     "PlannerPinnedBeforeFanoutRule",
 ]
@@ -37,7 +35,6 @@ ALL_RULES: "tuple[Rule, ...]" = (
     ShmLifecycleRule(),
     DeterminismHazardsRule(),
     ResultSchemaKeysRule(),
-    DeprecatedFacadeImportsRule(),
     NativeKernelParityRule(),
     PlannerPinnedBeforeFanoutRule(),
 )

@@ -1,11 +1,7 @@
 """The one front door: declarative workloads, a resident session, one report.
 
-After three PRs of organic growth this repository had three overlapping entry
-layers — :class:`repro.core.pipeline.FilteringPipeline`,
-:class:`repro.engine.FilterEngine` / :class:`repro.engine.FilterCascade`, and
-:class:`repro.runtime.StreamingPipeline` — each with its own constructor
-signature, CLI and report shape.  This package unifies them behind three
-types:
+This package is the entry point for every filtering and mapping run, behind
+three types:
 
 :class:`Workload`
     A typed, validated, declarative description of one job: input source
@@ -24,8 +20,7 @@ types:
 :class:`Result`
     The single versioned report schema (``schema_version``) every front end
     emits: canonical summary keys, cascade stage accounting, streaming
-    extras, per-chunk rows.  :func:`normalize_summary` / :func:`legacy_summary`
-    bridge the pre-schema key spellings.
+    extras, per-chunk rows.
 
 >>> from repro.api import Session, Workload
 >>> workload = Workload.from_dict({
@@ -35,20 +30,11 @@ types:
 >>> result = Session().run(workload)          # doctest: +SKIP
 >>> print(result.to_json())                   # doctest: +SKIP
 
-The legacy entry points (``FilteringPipeline``, ``StreamingPipeline``,
-``GateKeeperGPU``, the ``repro-*`` CLIs) remain importable as deprecated
-façades over the same machinery; new code should program against this
-package.
+The ``repro-*`` CLIs are flag-to-workload adapters over the same session.
 """
 
 from . import defaults
-from .result import (
-    LEGACY_KEY_ALIASES,
-    SCHEMA_VERSION,
-    Result,
-    legacy_summary,
-    normalize_summary,
-)
+from .result import SCHEMA_VERSION, Result
 from .session import Session
 from .workload import (
     EXECUTION_MODES,
@@ -64,10 +50,7 @@ from .workload import (
 __all__ = [
     "defaults",
     "SCHEMA_VERSION",
-    "LEGACY_KEY_ALIASES",
     "Result",
-    "legacy_summary",
-    "normalize_summary",
     "Session",
     "Workload",
     "InputSpec",

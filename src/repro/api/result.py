@@ -1,20 +1,13 @@
 """The one versioned report schema every front end emits.
 
-Before this module, each layer reported through its own dictionary shape:
-``FilterRunResult.summary()`` said ``n_accepted``/``rejection_rate``,
-``PipelineReport.summary()`` said ``verification_pairs``/``reduction_pct``,
-the mapper said ``undefined_pairs``, and the ``BENCH_*.json`` payloads mixed
-all three.  :class:`Result` normalises them into a single canonical key set,
-carries ``schema_version`` so downstream consumers can detect format changes,
-and keeps per-stage cascade accounting, streaming extras and per-chunk rows
-as structured sections.
+:class:`Result` carries one canonical key set for every run — filtering or
+mapping, in memory or streamed — plus ``schema_version`` so downstream
+consumers can detect format changes, and keeps per-stage cascade accounting,
+streaming extras and per-chunk rows as structured sections.
 
 The canonical key spellings live once, in :mod:`repro._schema`; every summary
 this module builds uses those constants (the ``result-schema-keys`` lint rule
-refuses string literals here).  :func:`normalize_summary` upgrades a
-legacy-keyed summary dictionary to the canonical spellings, and
-:func:`legacy_summary` is the compatibility shim producing the old spellings
-for consumers that still expect them.
+refuses string literals here).
 """
 
 from __future__ import annotations
@@ -29,57 +22,10 @@ from .. import _schema as K
 if TYPE_CHECKING:
     from .workload import Workload
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "Result",
-    "LEGACY_KEY_ALIASES",
-    "normalize_summary",
-    "legacy_summary",
-]
+__all__ = ["SCHEMA_VERSION", "Result"]
 
 #: Version of the canonical report schema.  Bump on any key change.
 SCHEMA_VERSION = 1
-
-#: Legacy summary spellings -> canonical keys (the report-key drift that grew
-#: across ``repro-stream --json``, ``FilteringPipeline`` rows and the
-#: ``BENCH_*.json`` payloads).
-LEGACY_KEY_ALIASES: dict[str, str] = {
-    "verification_pairs": K.N_ACCEPTED,
-    "rejected_pairs": K.N_REJECTED,
-    "undefined_pairs": K.N_UNDEFINED,
-    "dataset_name": "dataset",
-    "filter_name": "filter",
-}
-
-
-def normalize_summary(summary: dict[str, Any]) -> dict[str, Any]:
-    """Upgrade a legacy summary dict to the canonical key spellings.
-
-    Aliased keys are renamed; ``rejection_rate`` (a 0-1 fraction) is converted
-    to the canonical ``reduction_pct``; canonical keys pass through untouched.
-    """
-    out: dict[str, Any] = {}
-    for key, value in summary.items():
-        if key == "rejection_rate":
-            out[K.REDUCTION_PCT] = round(100.0 * float(value), 2)
-        else:
-            out[LEGACY_KEY_ALIASES.get(key, key)] = value
-    return out
-
-
-#: Canonical -> legacy spellings emitted by :func:`legacy_summary`.  Only the
-#: count keys are re-spelt: ``dataset``/``filter`` were already the legacy
-#: summary spellings (``dataset_name``/``filter_name`` are attribute names).
-_CANONICAL_TO_LEGACY = {
-    K.N_ACCEPTED: "verification_pairs",
-    K.N_REJECTED: "rejected_pairs",
-    K.N_UNDEFINED: "undefined_pairs",
-}
-
-
-def legacy_summary(summary: dict[str, Any]) -> dict[str, Any]:
-    """Compatibility shim: re-spell a canonical summary with the legacy keys."""
-    return {_CANONICAL_TO_LEGACY.get(key, key): value for key, value in summary.items()}
 
 
 def _json_safe(value: Any) -> Any:
@@ -108,8 +54,8 @@ class Result:
     dataset / filter:
         Run label and filter display name.
     summary:
-        Canonical totals (see :data:`LEGACY_KEY_ALIASES` for the spelling
-        contract); JSON-equal across the in-memory and streaming paths.
+        Canonical totals; JSON-equal across the in-memory and streaming
+        execution modes.
     streaming:
         Chunking/device/overlap extras for streamed runs, else ``None``.
     stages:
@@ -125,8 +71,9 @@ class Result:
         timing triples ``repro merge`` replays.  ``None`` (and absent from
         :meth:`as_dict`) on unsharded and merged results.
     raw:
-        The underlying report object (``PipelineReport``, ``StreamingReport``
-        or ``WholeGenomeRun``) for programmatic consumers; never serialised.
+        The underlying report object (the run's ``StreamingReport`` in both
+        execution modes, or a ``WholeGenomeRun``) for programmatic
+        consumers; never serialised.
     wall_clock_s:
         Measured wall-clock of the run; excluded from :meth:`as_dict` so the
         serialised report is byte-reproducible.
@@ -168,20 +115,15 @@ class Result:
     # ------------------------------------------------------------------ #
     # Serialisation
     # ------------------------------------------------------------------ #
-    def as_dict(self, legacy_keys: bool = False) -> dict[str, Any]:
-        """JSON-ready canonical view (deterministic for a deterministic run).
-
-        ``legacy_keys=True`` re-spells the summary section with the pre-schema
-        key names via :func:`legacy_summary` for old consumers.
-        """
-        summary = legacy_summary(self.summary) if legacy_keys else dict(self.summary)
+    def as_dict(self) -> dict[str, Any]:
+        """JSON-ready canonical view (deterministic for a deterministic run)."""
         out: dict[str, Any] = {
             "schema_version": self.schema_version,
             "kind": self.kind,
             "dataset": self.dataset,
             "filter": self.filter,
             "workload": self.workload,
-            "summary": summary,
+            "summary": dict(self.summary),
             "streaming": self.streaming,
             "stages": self.stages,
         }
@@ -196,102 +138,79 @@ class Result:
         safe: dict[str, Any] = _json_safe(out)
         return safe
 
-    def to_json(self, indent: int = 2, legacy_keys: bool = False) -> str:
+    def to_json(self, indent: int = 2) -> str:
         """The canonical JSON serialisation (sorted keys, trailing newline)."""
-        return (
-            json.dumps(self.as_dict(legacy_keys=legacy_keys), indent=indent, sort_keys=True)
-            + "\n"
-        )
+        return json.dumps(self.as_dict(), indent=indent, sort_keys=True) + "\n"
 
     # ------------------------------------------------------------------ #
     # Builders
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_pipeline_report(
-        cls, report: Any, workload: "Workload", read_length: int, filter_name: str
+    def from_report(
+        cls,
+        report: Any,
+        workload: "Workload",
+        filter_name: str,
+        stages: list[dict[str, Any]],
     ) -> "Result":
-        """Build from an in-memory :class:`~repro.core.pipeline.PipelineReport`."""
-        fr = report.filter_result
+        """Build from a :class:`~repro.runtime.streaming.StreamingReport`.
+
+        One builder for both execution modes: the mode only decides whether
+        the streaming and per-chunk sections are present.
+        """
+        n_pairs, n_accepted = report.n_pairs, report.n_accepted
+        n_rejected = n_pairs - n_accepted
+        kernel_s = report.timing.kernel_s
+        denominator = kernel_s + report.verification_time_s
         summary = {
-            K.ERROR_THRESHOLD: report.error_threshold,
-            K.READ_LENGTH: int(read_length),
-            K.N_PAIRS: report.n_pairs,
-            K.N_ACCEPTED: fr.n_accepted,
-            K.N_REJECTED: fr.n_rejected,
-            K.N_UNDEFINED: fr.n_undefined,
-            K.REDUCTION_PCT: round(100.0 * report.reduction, 2),
-            K.KERNEL_TIME_S: fr.kernel_time_s,
-            K.FILTER_TIME_S: fr.filter_time_s,
+            K.ERROR_THRESHOLD: workload.filter.error_threshold,
+            K.READ_LENGTH: report.read_length,
+            K.N_PAIRS: n_pairs,
+            K.N_ACCEPTED: n_accepted,
+            K.N_REJECTED: n_rejected,
+            K.N_UNDEFINED: report.n_undefined,
+            K.REDUCTION_PCT: round(100.0 * (n_rejected / n_pairs if n_pairs else 0.0), 2),
+            K.KERNEL_TIME_S: kernel_s,
+            K.FILTER_TIME_S: report.timing.filter_s,
             K.VERIFICATION_TIME_S: report.verification_time_s,
             K.NO_FILTER_VERIFICATION_TIME_S: report.no_filter_verification_time_s,
-            K.VERIFICATION_SPEEDUP: round(report.verification_speedup, 3),
-            K.THEORETICAL_SPEEDUP: round(report.theoretical_speedup, 3),
+            K.VERIFICATION_SPEEDUP: round(
+                report.no_filter_verification_time_s / denominator
+                if denominator
+                else float("inf"),
+                3,
+            ),
+            K.THEORETICAL_SPEEDUP: round(
+                n_pairs / n_accepted if n_accepted else float("inf"), 3
+            ),
             K.VERIFIED_ACCEPTS: report.verified_accepts,
             K.VERIFIED_REJECTS: report.verified_rejects,
         }
-        # Measured wall clock is run-dependent; the canonical report keeps
-        # only the deterministic counts and modelled times (raw has the rest).
-        stages = [
-            {key: value for key, value in s.items() if key != K.WALL_CLOCK_S}
-            for s in getattr(fr, "stage_summaries", lambda: [])()
-        ]
+        streaming: dict[str, Any] | None = None
+        chunks: list[dict[str, Any]] | None = None
+        if workload.resolved_mode() == "streaming":
+            overlapped = report.overlapped_time_s
+            streaming = {
+                K.CHUNK_SIZE: workload.execution.chunk_size,
+                K.N_CHUNKS: report.n_chunks,
+                K.N_BATCHES: report.n_batches,
+                K.N_DEVICES: workload.execution.n_devices,
+                K.SERIAL_TIME_S: report.serial_time_s,
+                K.OVERLAPPED_TIME_S: overlapped,
+                K.OVERLAP_SPEEDUP: round(
+                    report.serial_time_s / overlapped if overlapped else 1.0, 3
+                ),
+            }
+            if workload.output.include_chunks:
+                chunks = [chunk.summary() for chunk in report.chunks]
         return cls(
             kind="filter",
             workload=workload.to_dict(),
             dataset=report.dataset_name,
             filter=filter_name,
             summary=summary,
-            streaming=None,
-            stages=stages,
-            raw=report,
-            wall_clock_s=fr.wall_clock_s + report.verification_wall_clock_s,
-        )
-
-    @classmethod
-    def from_streaming_report(
-        cls,
-        report: Any,
-        workload: "Workload",
-        stages: list[dict[str, Any]] | None = None,
-    ) -> "Result":
-        """Build from a :class:`~repro.runtime.streaming.StreamingReport`."""
-        summary = {
-            K.ERROR_THRESHOLD: report.error_threshold,
-            K.READ_LENGTH: report.read_length,
-            K.N_PAIRS: report.n_pairs,
-            K.N_ACCEPTED: report.n_accepted,
-            K.N_REJECTED: report.n_rejected,
-            K.N_UNDEFINED: report.n_undefined,
-            K.REDUCTION_PCT: round(100.0 * report.reduction, 2),
-            K.KERNEL_TIME_S: report.kernel_time_s,
-            K.FILTER_TIME_S: report.filter_time_s,
-            K.VERIFICATION_TIME_S: report.verification_time_s,
-            K.NO_FILTER_VERIFICATION_TIME_S: report.no_filter_verification_time_s,
-            K.VERIFICATION_SPEEDUP: round(report.verification_speedup, 3),
-            K.THEORETICAL_SPEEDUP: round(report.theoretical_speedup, 3),
-            K.VERIFIED_ACCEPTS: report.verified_accepts,
-            K.VERIFIED_REJECTS: report.verified_rejects,
-        }
-        streaming = {
-            K.CHUNK_SIZE: report.chunk_size,
-            K.N_CHUNKS: report.n_chunks,
-            K.N_BATCHES: report.n_batches,
-            K.N_DEVICES: report.n_devices,
-            K.SERIAL_TIME_S: report.serial_time_s,
-            K.OVERLAPPED_TIME_S: report.overlapped_time_s,
-            K.OVERLAP_SPEEDUP: round(report.overlap_speedup, 3),
-        }
-        chunks = None
-        if workload.output.include_chunks:
-            chunks = [dict(chunk.summary()) for chunk in report.chunks]
-        return cls(
-            kind="filter",
-            workload=workload.to_dict(),
-            dataset=report.dataset_name,
-            filter=report.filter_name,
-            summary=summary,
             streaming=streaming,
-            stages=list(stages or []),
+            stages=stages,
             chunks=chunks,
             raw=report,
             wall_clock_s=report.wall_clock_s,

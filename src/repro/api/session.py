@@ -23,6 +23,7 @@ hammered by ``tests/test_serve_concurrency.py``.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -53,32 +54,6 @@ def _shard_payload(shard: Any) -> "dict[str, Any]":
         K.SHARD_STOP: shard.stop,
         K.SHARD_TOTAL: shard.total,
     }
-
-
-def _shard_dataset(dataset: Any, shard: Any) -> Any:
-    """The ``[start, stop)`` slice of an in-memory dataset, name preserved.
-
-    A fresh :class:`PairDataset` (never a mutation of the session-cached
-    one); the original name is kept so per-shard reports carry the same run
-    label the merged report will.
-    """
-    n = len(dataset)
-    if shard.total != n:
-        raise ValueError(
-            f"workload.execution.shard.total: the shard plan assumed "
-            f"{shard.total} pairs but the input produced {n}"
-        )
-    from ..simulate.pairs import PairDataset
-
-    planned = list(dataset.planned_edits or [])
-    return PairDataset(
-        name=dataset.name,
-        reads=list(dataset.reads[shard.start : shard.stop]),
-        segments=list(dataset.segments[shard.start : shard.stop]),
-        read_length=dataset.read_length,
-        profile=getattr(dataset, "profile", None),
-        planned_edits=planned[shard.start : shard.stop] if planned else [],
-    )
 
 
 class Session:
@@ -231,14 +206,11 @@ class Session:
         """The first ``min(n, total)`` pairs of the workload's input.
 
         This is the planner's probe prefix: both execution modes consume the
-        same underlying pair order (the streaming source iterator *is* the
-        in-memory dataset order for ``dataset``/``pairs`` inputs), so the
-        probe — and with it the plan — is independent of how the run will
-        later execute.
+        input in this one order (a dataset's pair iterator is its cached
+        batch's row order), so the probe — and with it the plan — is
+        independent of how the run will later execute.
         """
-        import itertools
-
-        pairs, _name = self._streaming_pairs(workload)
+        pairs, _name = self._input_pairs(workload)
         return list(itertools.islice(pairs, int(n)))
 
     def close(self) -> None:
@@ -289,62 +261,17 @@ class Session:
             from ..planner import resolve_workload
 
             workload = resolve_workload(self, workload)
-        kind = workload.input.kind
-        if kind == "mapping":
+        if workload.input.kind == "mapping":
             return self._run_mapping(workload)
-        if workload.resolved_mode() == "memory":
-            return self._run_memory(workload)
-        return self._run_streaming(workload)
+        return self._run_filter(workload)
 
     def run_all(self, workloads: Iterable[Workload]) -> list[Result]:
         """Execute several workloads on the same resident state."""
         return [self.run(workload) for workload in workloads]
 
-    # -- in-memory path -------------------------------------------------- #
-    def _memory_dataset(self, workload: Workload) -> Any:
-        spec = workload.input
-        if spec.kind == "dataset":
-            return self.dataset_for(workload)
-        if spec.kind == "pairs":
-            from ..simulate.pairs import PairDataset
-
-            pairs = list(spec.pairs or ())
-            return PairDataset(
-                name=spec.display_name(),
-                reads=[p[0] for p in pairs],
-                segments=[p[1] for p in pairs],
-                read_length=len(pairs[0][0]),
-            )
-        raise ValueError(
-            f"workload.execution.mode: 'memory' does not support file-backed "
-            f"input kind {spec.kind!r}; use mode 'streaming' (or 'auto')"
-        )
-
-    def _run_memory(self, workload: Workload) -> Result:
-        from ..core.pipeline import FilteringPipeline
-
-        dataset = self._memory_dataset(workload)
-        shard = workload.execution.shard
-        if shard is not None:
-            dataset = _shard_dataset(dataset, shard)
-        engine = self.engine_for(workload, dataset.read_length)
-        pipeline = FilteringPipeline(
-            engine,
-            verification_cost_per_pair_s=self.verification_cost_per_pair_s,
-            executor=self.executor_for(workload),
-        )
-        report = pipeline.run(dataset, verify=workload.execution.verify)
-        result = Result.from_pipeline_report(
-            report, workload, read_length=dataset.read_length, filter_name=engine.name
-        )
-        result.kernel_tier = getattr(engine, "active_kernel_tier", None)
-        if shard is not None:
-            result.shard = _shard_payload(shard)
-        return result
-
-    # -- streaming path -------------------------------------------------- #
-    def _streaming_pairs(self, workload: Workload) -> tuple[Iterator[tuple[str, str]], str]:
-        """The pair iterator + run name for a streaming workload."""
+    # -- filtering path ------------------------------------------------- #
+    def _input_pairs(self, workload: Workload) -> tuple[Iterator[tuple[str, str]], str]:
+        """The pair iterator + run name of a filtering workload's input."""
         from ..runtime.sources import (
             ensure_pairs_path,
             pairs_from_dataset,
@@ -374,55 +301,92 @@ class Session:
             spec.display_name(),
         )
 
-    def _run_streaming(self, workload: Workload) -> Result:
-        pipeline = _session_streaming_pipeline(self, workload)
-        pairs, name = self._streaming_pairs(workload)
-        shard = workload.execution.shard
-        if shard is not None:
-            import itertools
+    def _run_filter(self, workload: Workload) -> Result:
+        """Run a filtering workload through the one chunk loop.
 
-            pairs = itertools.islice(pairs, shard.start, shard.stop)
-        report = pipeline.run_pairs(pairs, name=name, verify=workload.execution.verify)
+        ``execution.mode`` decides only the chunk size (the whole input in
+        memory mode) and whether the Result carries its streaming and
+        per-chunk sections.  Dataset inputs arrive as row-slice views of the
+        session-cached encoded batch, so warm runs never re-encode; every
+        other input is parsed, chunked and encoded as it streams in.
+        """
+        from ..engine.registry import get_filter_class
+        from ..exec.reduce import streaming_stage_rows
+        from ..runtime.streaming import StreamingPipeline
+
+        spec, ex, output = workload.input, workload.execution, workload.output
+        memory = workload.resolved_mode() == "memory"
+        shard = ex.shard
+        dataset = self.dataset_for(workload) if spec.kind == "dataset" else None
+        # Memory mode runs the whole input (or shard) as one chunk, so it needs
+        # the size up front — which only dataset and pairs inputs know.
+        total = len(dataset) if dataset is not None else len(spec.pairs or ())
+        start, stop = (shard.start, shard.stop) if shard is not None else (0, None)
+        if shard is not None:
+            if spec.kind in ("dataset", "pairs") and shard.total != total:
+                raise ValueError(
+                    f"workload.execution.shard.total: the shard plan assumed "
+                    f"{shard.total} pairs but the input produced {total}"
+                )
+            total = shard.n_pairs
+        pipeline = StreamingPipeline(
+            lambda read_length: self.engine_for(workload, read_length),
+            chunk_size=total if memory else ex.chunk_size,
+            verification_cost_per_pair_s=self.verification_cost_per_pair_s,
+            collect_decisions=output.collect_decisions,
+            max_chunk_reports=0 if memory or not output.include_chunks else output.max_chunk_rows,
+            # Streamed shards record per-chunk device timings so `repro merge`
+            # can replay the stream-overlap accumulation in single-run order.
+            collect_chunk_timings=shard is not None and not memory,
+            executor=self.executor_for(workload),
+            prefetch=ex.prefetch,
+        )
+        if dataset is not None:
+            batch, reads, segments = dataset.encoded(), dataset.reads, dataset.segments
+            if shard is not None:
+                batch, reads, segments = batch[start:stop], reads[start:stop], segments[start:stop]
+            report = pipeline.run_encoded(
+                batch,
+                reads,
+                segments,
+                # Memory mode labels the run with the dataset's own name.
+                name=dataset.name if memory else spec.display_name(),
+                verify=ex.verify,
+            )
+        else:
+            pairs, name = self._input_pairs(workload)
+            report = pipeline.run_pairs(
+                itertools.islice(pairs, start, stop), name=name, verify=ex.verify
+            )
         if shard is not None and report.n_pairs != shard.n_pairs:
             raise ValueError(
                 f"workload.execution.shard: slice [{shard.start}, {shard.stop}) "
                 f"produced {report.n_pairs} pairs (expected {shard.n_pairs}); "
                 f"the input is shorter than the shard plan assumed"
             )
-        stages = self._streaming_stage_rows(pipeline.engine, report)
-        result = Result.from_streaming_report(report, workload, stages=stages)
-        # The engine is built lazily on the first chunk; an empty input never
-        # builds one, in which case no kernel ran at all.
-        result.kernel_tier = getattr(pipeline.engine, "active_kernel_tier", None)
+
+        # An empty input never resolves an engine, in which case no kernel ran.
+        engine = pipeline.engine
+        stages = getattr(engine, "stages", None)
+        result = Result.from_report(
+            report,
+            workload,
+            filter_name=" -> ".join(
+                get_filter_class(key).name for key in workload.filter.filters
+            ),
+            stages=(
+                streaming_stage_rows(stages, report.stage_inputs, report.n_accepted)
+                if stages
+                else []
+            ),
+        )
+        result.kernel_tier = getattr(engine, "active_kernel_tier", None)
         if shard is not None:
             payload = _shard_payload(shard)
-            payload[K.CHUNK_DEVICE_TIMINGS] = list(
-                report.metadata.get("chunk_device_timings", [])
-            )
+            if report.chunk_device_timings is not None:
+                payload[K.CHUNK_DEVICE_TIMINGS] = report.chunk_device_timings
             result.shard = payload
         return result
-
-    @staticmethod
-    def _streaming_stage_rows(engine: Any, report: Any) -> "list[dict[str, Any]]":
-        """Cascade stage accounting reconstructed from the streamed totals.
-
-        Rows carry the same keys as the in-memory cascade accounts and —
-        per the streaming/in-memory equivalence contract — the same values:
-        stage survivors are the next stage's total input (the final stage's
-        survivors are the run's accepted total), and the per-stage modelled
-        times are the timing model evaluated on the stage's total input,
-        exactly the call ``FilterEngine.filter_encoded`` makes in memory.
-        The reconstruction itself is the shared
-        :func:`repro.exec.reduce.streaming_stage_rows`, also used by the
-        cluster shard merge.
-        """
-        from ..exec.reduce import streaming_stage_rows
-
-        stage_engines = getattr(engine, "stages", None)
-        if not stage_engines:
-            return []
-        stage_inputs = report.metadata.get("stage_inputs", {})
-        return streaming_stage_rows(stage_engines, stage_inputs, report.n_accepted)
 
     # -- mapping path ---------------------------------------------------- #
     def _run_mapping(self, workload: Workload) -> Result:
@@ -446,40 +410,3 @@ class Session:
             rows = rows[:1]  # just the NoFilter row
         return Result.from_mapping_run(run, workload, rows)
 
-
-def _session_streaming_pipeline(session: Session, workload: Workload) -> Any:
-    """A :class:`StreamingPipeline` whose engines come from the session cache.
-
-    The pipeline builds its engine lazily when the first chunk fixes the read
-    length; binding that resolution to :meth:`Session.engine_for` lets
-    repeated streaming workloads reuse one constructed engine/cascade.
-    """
-    from ..runtime.streaming import StreamingPipeline
-
-    class _Bound(StreamingPipeline):
-        def _engine_for(self, read_length: int) -> Any:
-            if self.engine is None or self.engine.read_length != read_length:
-                self.engine = session.engine_for(workload, read_length)
-            return self.engine
-
-    output = workload.output
-    return _Bound(
-        list(workload.filter.filters)
-        if workload.filter.is_cascade
-        else workload.filter.filters[0],
-        chunk_size=workload.execution.chunk_size,
-        error_threshold=workload.filter.error_threshold,
-        verification_cost_per_pair_s=session.verification_cost_per_pair_s,
-        collect_decisions=output.collect_decisions,
-        collect_chunk_reports=output.include_chunks and output.max_chunk_rows > 0,
-        max_chunk_reports=output.max_chunk_rows or None,
-        # Sharded runs record per-chunk device timings so `repro merge` can
-        # replay the stream-overlap accumulation in single-run order.
-        collect_chunk_timings=workload.execution.shard is not None,
-        executor=session.executor_for(workload),
-        prefetch=workload.execution.prefetch,
-        # The engine itself comes from the session cache (see _engine_for
-        # above), but the pipeline still reads engine_kwargs to report the
-        # configured device count when the input turns out to be empty.
-        engine_kwargs=dict(n_devices=workload.execution.n_devices),
-    )

@@ -138,15 +138,15 @@ def _print_filter_tables(result: Result) -> int:
 
 
 def _print_stream_tables(result: Result) -> int:
-    report = result.raw  # StreamingReport
     print(format_table([result.summary], title=f"{result.filter} on {result.dataset}"))
     print()
-    print(format_table([report.streaming_summary()], title="Streaming execution"))
-    if report.chunks:
+    print(format_table([result.streaming], title="Streaming execution"))
+    if result.chunks:
         print()
-        print(format_table([c.summary() for c in report.chunks], title="Per-chunk accounting"))
-        if report.n_chunks > len(report.chunks):
-            print(f"... showing first {len(report.chunks)} of {report.n_chunks} chunks")
+        print(format_table(result.chunks, title="Per-chunk accounting"))
+        n_chunks = result.streaming["n_chunks"]
+        if n_chunks > len(result.chunks):
+            print(f"... showing first {len(result.chunks)} of {n_chunks} chunks")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""GateKeeper-GPU core: configuration, buffers, preprocessing, kernel and pipeline."""
+"""GateKeeper-GPU core: configuration, buffers, preprocessing and kernel."""
 
 from .buffers import BufferPlan, FiltrationBuffers, plan_buffers
 from .config import EncodingActor, SystemConfiguration
@@ -11,9 +11,6 @@ from .kernel import (
     shift_words_right,
     xor_words,
 )
-# Public compatibility re-export of the package's own defining module, not a
-# new internal call site on the deprecated façade.
-from .pipeline import FilteringPipeline, PipelineReport  # reprolint: disable=deprecated-facade-imports
 from .preprocess import PreparedBatch, encode_pair_arrays, prepare_batches
 from .results import FilterRunResult
 
@@ -30,8 +27,6 @@ __all__ = [
     "shift_words_left",
     "shift_words_right",
     "xor_words",
-    "FilteringPipeline",
-    "PipelineReport",
     "PreparedBatch",
     "encode_pair_arrays",
     "prepare_batches",

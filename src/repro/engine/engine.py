@@ -226,9 +226,8 @@ class FilterEngine:
         splitting and no timing model, just batching and the kernel on an
         already-encoded :class:`~repro.genomics.encoding.EncodedPairBatch`.
         Returns ``(estimated_edits, accepted, undefined, n_batches)``; an
-        empty share yields empty arrays.  :class:`repro.runtime` uses this to
-        shard streamed chunks across devices with
-        :class:`~repro.gpusim.multi_gpu.MultiGpuDispatcher`.
+        empty share yields empty arrays.  Executor workers
+        (:mod:`repro.exec.tasks`) run their shares through this too.
         """
         self._check_length(pairs)
         n = pairs.n_pairs
@@ -244,14 +243,6 @@ class FilterEngine:
             undefined[batch.start : hi] = batch_undefined
             n_batches += 1
         return estimates, accepted, undefined, n_batches
-
-    def filter_share(
-        self, reads: Sequence[str], segments: Sequence[str]
-    ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], int]":
-        """String-list adapter over :meth:`filter_encoded_share` (encodes once)."""
-        if len(reads) != len(segments):
-            raise ValueError("reads and segments must have the same length")
-        return self.filter_encoded_share(EncodedPairBatch.from_lists(reads, segments))
 
     def filter_encoded(
         self, pairs: EncodedPairBatch, executor: Any = None

@@ -19,11 +19,12 @@ Layering
   across backends and worker counts.
 
 Entry points above this package: ``FilterEngine.filter_encoded(...,
-executor=...)``, ``FilterCascade.filter_encoded(..., executor=...)``,
-``StreamingPipeline(..., executor=..., prefetch=...)`` and — the front door —
-``ExecutionSpec.executor`` / ``workers`` on a :class:`repro.api.Workload`,
-executed by a :class:`repro.api.Session` that caches one pool per backend
-configuration and shuts it down on :meth:`Session.close`.
+executor=...)`` and ``FilterCascade.filter_encoded(..., executor=...)``, which
+the one chunk runner (:mod:`repro.runtime.streaming`) calls for every chunk
+of every run — driven by ``ExecutionSpec.executor`` / ``workers`` on a
+:class:`repro.api.Workload` and executed by a :class:`repro.api.Session`
+that caches one pool per backend configuration and shuts it down on
+:meth:`Session.close`.
 """
 
 from .executor import (
@@ -32,7 +33,6 @@ from .executor import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    accepts_executor,
     create_executor,
     wants_word_arrays,
 )
@@ -53,7 +53,6 @@ __all__ = [
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",
-    "accepts_executor",
     "create_executor",
     "wants_word_arrays",
     "ShareOutcome",

@@ -51,7 +51,6 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "create_executor",
-    "accepts_executor",
     "wants_word_arrays",
 ]
 
@@ -255,20 +254,6 @@ class ProcessExecutor(Executor):
             self._pool = None
         self._finalizer()  # releases any leftover segments; idempotent
         super().close()
-
-
-def accepts_executor(method: Any) -> bool:
-    """Whether a filtering entry point takes an ``executor=`` argument.
-
-    The pipelines use this to keep custom engines working: anything
-    implementing only the plain protocol simply runs its chunks serially.
-    """
-    import inspect
-
-    try:
-        return "executor" in inspect.signature(method).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        return False
 
 
 def wants_word_arrays(engine: Any) -> bool:

@@ -66,10 +66,10 @@ def total_timing(
 ) -> FilterTiming:
     """Evaluate the analytic model on final totals (engine or cascade).
 
-    These are exactly the calls the in-memory path makes
-    (``FilterEngine.filter_lists`` once, or ``FilterCascade`` once per stage
-    on that stage's total input), which is what makes streamed — and merged —
-    totals byte-identical to the in-memory report.
+    These are exactly the calls an unchunked ``filter_encoded`` makes
+    (``FilterEngine`` once, or ``FilterCascade`` once per stage on that
+    stage's total input), which is what makes streamed — and merged —
+    totals byte-identical to a single-chunk memory-mode run.
     """
     if engine is None or n_pairs == 0:
         return FilterTiming(encode_s=0.0, host_prep_s=0.0, transfer_s=0.0, kernel_s=0.0)
@@ -199,8 +199,8 @@ def modelled_verification_times(
 ) -> "tuple[float, float]":
     """Model-scale verification times on the final totals.
 
-    Identical arithmetic — count times per-pair cost, then the quadratic
-    read-length factor, in that order — to the in-memory pipeline.  Returns
+    Count times per-pair cost, then the quadratic read-length factor, in
+    that order, whatever the chunking.  Returns
     ``(verification_time_s, no_filter_verification_time_s)``.
     """
     verification_time = n_accepted * cost_per_pair_s

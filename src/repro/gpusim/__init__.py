@@ -20,7 +20,7 @@ from .memory import (
     UnifiedBuffer,
     UnifiedMemoryManager,
 )
-from .multi_gpu import DeviceShare, MultiGpuDispatcher, split_evenly
+from .multi_gpu import MultiGpuDispatcher, split_evenly
 from .occupancy import OccupancyResult, occupancy_table, theoretical_occupancy
 from .power import PowerModel, PowerSample
 from .profiler import KernelProfiler, ProfileReport
@@ -46,7 +46,6 @@ __all__ = [
     "OutOfMemoryError",
     "UnifiedBuffer",
     "UnifiedMemoryManager",
-    "DeviceShare",
     "MultiGpuDispatcher",
     "split_evenly",
     "OccupancyResult",

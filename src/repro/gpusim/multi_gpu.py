@@ -1,25 +1,22 @@
-"""Multi-GPU dispatch of filtering batches (paper Sections 3.1 and 5.2).
+"""Multi-GPU timing of filtering batches (paper Sections 3.1 and 5.2).
 
 In the multi-GPU model every device receives an equal share of the batch so
 the workload is fair; the reported kernel time is the time of the slowest
-device.  The dispatcher splits a work list into per-device chunks, runs a
-caller-supplied kernel callable on each chunk (functionally, on the CPU) and
-combines the analytic per-device timings.
+device.  :func:`split_evenly` is that split, and :class:`MultiGpuDispatcher`
+evaluates and combines the analytic per-device timings of it (the filter
+engines run the shares functionally, on the CPU).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .device import DeviceSpec
 from .timing import FilterTiming, TimingModel
 
-__all__ = ["DeviceShare", "MultiGpuDispatcher", "split_evenly"]
-
-T = TypeVar("T")
+__all__ = ["MultiGpuDispatcher", "split_evenly"]
 
 
 def split_evenly(n_items: int, n_devices: int) -> list[slice]:
@@ -30,19 +27,8 @@ def split_evenly(n_items: int, n_devices: int) -> list[slice]:
     return [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(n_devices)]
 
 
-@dataclass(frozen=True)
-class DeviceShare:
-    """Work assigned to (and results produced by) one device."""
-
-    device_index: int
-    item_slice: slice
-    n_items: int
-    result: object
-    timing: FilterTiming
-
-
 class MultiGpuDispatcher:
-    """Fans a batch of filtrations out over several identical devices."""
+    """Per-device timings of a batch split over several identical devices."""
 
     def __init__(self, devices: Sequence[DeviceSpec], timing_model: TimingModel | None = None):
         if not devices:
@@ -54,47 +40,6 @@ class MultiGpuDispatcher:
     def n_devices(self) -> int:
         return len(self.devices)
 
-    def dispatch(
-        self,
-        n_items: int,
-        run_chunk: Callable[[slice, int], T],
-        read_length: int,
-        error_threshold: int,
-        encode_on_device: bool = True,
-    ) -> list[DeviceShare]:
-        """Split ``n_items`` across the devices and run ``run_chunk`` per device.
-
-        ``run_chunk(item_slice, device_index)`` performs the functional work
-        for that share and returns its result object.  The per-device analytic
-        timing assumes the equal split the paper uses.
-
-        The calls run serially in the caller: this is the compatibility path
-        for engines outside the encoded protocol, whose share methods carry
-        no thread-safety guarantee.  Multi-core execution of the built-in
-        engines goes through :mod:`repro.exec.fanout` instead, which shares
-        this class's :meth:`share_timings` so every execution strategy
-        reports identical per-device timings.
-        """
-        slices = split_evenly(n_items, self.n_devices)
-        results = [
-            run_chunk(item_slice, index) for index, item_slice in enumerate(slices)
-        ]
-        timings = self.share_timings(
-            n_items, read_length, error_threshold, encode_on_device=encode_on_device
-        )
-        return [
-            DeviceShare(
-                device_index=index,
-                item_slice=item_slice,
-                n_items=item_slice.stop - item_slice.start,
-                result=result,
-                timing=timing,
-            )
-            for index, (item_slice, result, timing) in enumerate(
-                zip(slices, results, timings)
-            )
-        ]
-
     def share_timings(
         self,
         n_items: int,
@@ -104,9 +49,8 @@ class MultiGpuDispatcher:
     ) -> list[FilterTiming]:
         """Per-device analytic timings for an equal split of ``n_items``.
 
-        A pure function of the totals — the single source for both
-        :meth:`dispatch` and the executor fan-out path of the streaming
-        runtime, so every execution strategy reports identical device timings.
+        A pure function of the totals, so every execution strategy (serial
+        or any executor fan-out) reports identical device timings.
         """
         return [
             self.timing_model.filter_timing(
@@ -118,20 +62,6 @@ class MultiGpuDispatcher:
             )
             for item_slice in split_evenly(n_items, self.n_devices)
         ]
-
-    @staticmethod
-    def combined_kernel_time(shares: Sequence[DeviceShare]) -> float:
-        """Multi-GPU kernel time = the slowest device's kernel time."""
-        return MultiGpuDispatcher.combined_kernel_time_from_timings(
-            [s.timing for s in shares]
-        )
-
-    @staticmethod
-    def combined_filter_time(shares: Sequence[DeviceShare]) -> float:
-        """Host-perspective filter time: host phases serialise, kernels overlap."""
-        return MultiGpuDispatcher.combined_filter_time_from_timings(
-            [s.timing for s in shares]
-        )
 
     @staticmethod
     def combined_kernel_time_from_timings(timings: Sequence[FilterTiming]) -> float:

@@ -1,19 +1,23 @@
-"""Streaming runtime: chunked, bounded-memory filtering over real inputs.
+"""Runtime: the chunk loop every filtering run goes through, and its sources.
 
-This package wires the previously isolated pieces — the FASTQ/FASTA readers
-of :mod:`repro.genomics`, the :class:`~repro.gpusim.multi_gpu.MultiGpuDispatcher`
-and the :class:`~repro.gpusim.stream.CudaStream` overlap model — into one
-end-to-end runtime:
+:mod:`repro.runtime.streaming` holds the one chunk runner,
+:class:`~repro.runtime.streaming.StreamingPipeline`, which
+:class:`repro.api.Session` constructs for every filtering workload (one chunk
+in memory mode, ``chunk_size`` chunks in streaming mode).  This package
+exports the candidate-pair sources it consumes: FASTQ/FASTA readers, pairs
+TSVs and the mapper-index seeding source.  To run a file, declare it as a
+workload:
 
->>> from repro.runtime import StreamingPipeline
->>> pipeline = StreamingPipeline("shouji", chunk_size=10_000, error_threshold=5)
->>> report = pipeline.run_file("reads.fastq", reference="ref.fasta")  # doctest: +SKIP
->>> report.summary()                                                  # doctest: +SKIP
+>>> from repro.api import Session, Workload
+>>> workload = Workload.from_dict({
+...     "input": {"kind": "reads", "path": "reads.fastq", "reference": "ref.fasta"},
+...     "filter": {"filter": "shouji", "error_threshold": 5},
+...     "execution": {"chunk_size": 10_000},
+... })
+>>> Session().run(workload).summary                # doctest: +SKIP
 
-The report totals are byte-identical to the in-memory
-:class:`~repro.core.pipeline.FilteringPipeline` on the same data; peak memory
-is O(chunk_size) regardless of the input size.  ``repro-stream`` is the CLI
-front end.
+Peak memory is O(chunk_size) regardless of the input size; ``repro run``
+and ``repro-stream`` are the CLI front ends.
 """
 
 from .sources import (
@@ -23,12 +27,8 @@ from .sources import (
     pairs_from_tsv,
     seeded_pairs,
 )
-from .streaming import ChunkReport, StreamingPipeline, StreamingReport
 
 __all__ = [
-    "ChunkReport",
-    "StreamingPipeline",
-    "StreamingReport",
     "iter_reads",
     "load_reference",
     "pairs_from_dataset",

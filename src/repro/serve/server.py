@@ -253,6 +253,12 @@ class ReproServer:
         # than leaving its client hanging.
         self._flush_queue()
         if self._listener is not None:
+            # On Linux close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the accept thread exits now.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover - close is best-effort

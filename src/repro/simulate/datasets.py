@@ -10,10 +10,9 @@ benchmark accepts an ``n_pairs`` override.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .._defaults import DEFAULT_N_PAIRS as _DEFAULT_N_PAIRS
+from .._defaults import DEFAULT_N_PAIRS
 from .pairs import (
     PairDataset,
     PairProfile,
@@ -23,22 +22,7 @@ from .pairs import (
     mrfast_like_profile,
 )
 
-__all__ = ["DatasetSpec", "PAPER_DATASETS", "build_dataset", "DEFAULT_N_PAIRS"]
-
-
-def __getattr__(name: str):
-    # The default pool size used to be defined here; its single source of
-    # truth is now repro.api.defaults (repro.simulate re-exports it quietly
-    # for back-compat, this module-level spelling warns).
-    if name == "DEFAULT_N_PAIRS":
-        warnings.warn(
-            "repro.simulate.datasets.DEFAULT_N_PAIRS is deprecated; use "
-            "repro.api.defaults.DEFAULT_N_PAIRS instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _DEFAULT_N_PAIRS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["DatasetSpec", "PAPER_DATASETS", "build_dataset"]
 
 
 @dataclass(frozen=True)
@@ -83,7 +67,7 @@ PAPER_DATASETS: dict[str, DatasetSpec] = {
 
 def build_dataset(
     name: str,
-    n_pairs: int = _DEFAULT_N_PAIRS,
+    n_pairs: int = DEFAULT_N_PAIRS,
     seed: int = 0,
 ) -> PairDataset:
     """Build a scaled-down analogue of one of the paper's data sets."""

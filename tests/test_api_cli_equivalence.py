@@ -169,24 +169,29 @@ class TestByteIdenticalFrontDoors:
         )
 
 
-class TestLegacyFacadesStillWork:
-    """The deprecated entry points stay importable and functional."""
+class TestOneFrontDoor:
+    """Session is the only run driver; the engines stay usable directly."""
 
-    def test_legacy_imports(self):
-        from repro.core import FilteringPipeline, GateKeeperGPU  # noqa: F401
-        from repro.core.pipeline import FilteringPipeline as FP  # noqa: F401
-        from repro.runtime import StreamingPipeline  # noqa: F401
-        from repro.engine import FilterCascade, FilterEngine  # noqa: F401
+    def test_removed_drivers_are_gone(self):
+        import repro
+        import repro.runtime
 
-    def test_legacy_pipeline_matches_session_decisions(self):
-        from repro.core.pipeline import FilteringPipeline
+        for module in (repro, repro.runtime):
+            assert not hasattr(module, "StreamingPipeline")
+        with pytest.raises(ModuleNotFoundError):
+            import repro.core.pipeline  # noqa: F401
+
+    def test_session_matches_engine_decisions(self):
+        from repro.engine import FilterEngine
         from repro.simulate.datasets import build_dataset
 
         dataset = build_dataset("Set 1", n_pairs=150, seed=0)
-        legacy = FilteringPipeline("shouji", error_threshold=4).run(dataset, verify=False)
+        direct = FilterEngine("shouji", read_length=100, error_threshold=4).filter_dataset(
+            dataset
+        )
         result = Session().run(Workload.from_toml(FILTER_TOML))
-        assert result.summary["n_accepted"] == legacy.filter_result.n_accepted
-        assert result.summary["n_rejected"] == legacy.filter_result.n_rejected
+        assert result.summary["n_accepted"] == direct.n_accepted
+        assert result.summary["n_rejected"] == direct.n_rejected
 
     def test_stream_cli_table_output_still_prints(self, capsys):
         out = cli_stdout(

@@ -5,15 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import (
-    LEGACY_KEY_ALIASES,
-    SCHEMA_VERSION,
-    InputSpec,
-    Session,
-    Workload,
-    legacy_summary,
-    normalize_summary,
-)
+from repro.api import SCHEMA_VERSION, InputSpec, Session, Workload
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_FIXTURE = json.loads((DATA / "golden_expected.json").read_text())["fixture"]
@@ -127,8 +119,8 @@ class TestResultSchema:
             "verification_speedup",
         ):
             assert key in payload["summary"], key
-        # No legacy spellings in the canonical summary.
-        assert not set(LEGACY_KEY_ALIASES) & set(payload["summary"])
+        # No pre-schema spellings in the canonical summary.
+        assert not {"verification_pairs", "rejected_pairs"} & set(payload["summary"])
 
     def test_to_json_is_deterministic_and_strict(self):
         result = Session().run(dataset_workload())
@@ -278,6 +270,13 @@ class TestResultSchema:
                 }
             )
 
+    def test_raw_is_one_report_type_in_both_modes(self):
+        memory = Session().run(dataset_workload())
+        streamed = Session().run(reads_workload())
+        assert type(memory.raw) is type(streamed.raw)
+        # Per-pair vectors only with output.collect_decisions, in either mode.
+        assert memory.raw.accepted is None
+
     def test_collect_decisions_exposes_per_pair_vectors(self):
         workload = reads_workload()
         off = Session().run(workload)
@@ -300,26 +299,3 @@ class TestResultSchema:
         # In-memory pairs serialise as their count, not their contents.
         assert result.workload["input"] == {"kind": "pairs", "name": "inline", "n_pairs": 2}
 
-
-class TestCompatShim:
-    def test_normalize_then_legacy_round_trips(self):
-        legacy = {
-            "dataset": "Set 1",
-            "verification_pairs": 10,
-            "rejected_pairs": 5,
-            "kernel_time_s": 0.25,
-        }
-        canonical = normalize_summary(legacy)
-        assert canonical["n_accepted"] == 10
-        assert canonical["n_rejected"] == 5
-        assert "verification_pairs" not in canonical
-        assert legacy_summary(canonical) == legacy
-
-    def test_rejection_rate_becomes_reduction_pct(self):
-        assert normalize_summary({"rejection_rate": 0.4567})["reduction_pct"] == 45.67
-
-    def test_result_as_dict_legacy_keys(self):
-        result = Session().run(dataset_workload())
-        legacy = result.as_dict(legacy_keys=True)["summary"]
-        assert "verification_pairs" in legacy
-        assert legacy["verification_pairs"] == result.summary["n_accepted"]

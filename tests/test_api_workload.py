@@ -252,17 +252,6 @@ class TestDefaultsSingleSource:
         config = SystemConfiguration(read_length=100, error_threshold=5)
         assert config.max_reads_per_batch == defaults.DEFAULT_BATCH_SIZE
 
-    def test_legacy_constants_warn_and_point_at_api(self):
-        import repro.core.pipeline as pipeline_module
-        import repro.simulate.datasets as datasets_module
-
-        with pytest.warns(DeprecationWarning, match="repro.api.defaults"):
-            value = pipeline_module.VERIFICATION_COST_PER_PAIR_S
-        assert value == defaults.VERIFICATION_COST_PER_PAIR_S
-        with pytest.warns(DeprecationWarning, match="repro.api.defaults"):
-            value = datasets_module.DEFAULT_N_PAIRS
-        assert value == defaults.DEFAULT_N_PAIRS
-
     def test_quiet_reexports_do_not_warn(self):
         import warnings
 

@@ -1,7 +1,13 @@
 """CLI smoke tests and end-to-end integration tests across the packages."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.align import edit_distance
 from repro.cli import experiment_main, filter_main, map_main
@@ -20,6 +26,14 @@ from repro.simulate import (
 
 
 class TestCli:
+    def test_setup_py_ships_the_package_version(self):
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=root, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.strip().splitlines()[-1] == repro.__version__
+
     def test_filter_main(self, capsys):
         assert filter_main(["--dataset", "Set 1", "--pairs", "120", "--error-threshold", "4"]) == 0
         out = capsys.readouterr().out

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api import Session
 from repro.api.workload import ShardSpec, Workload
 from repro.cluster import (
     ShardPlanError,
@@ -89,6 +90,55 @@ class TestShardSpec:
         }
         with pytest.raises(ValueError, match="chunk boundary"):
             Workload.from_dict(data)
+
+
+# --------------------------------------------------------------------------- #
+# Run-time shard checks (what workload validation cannot see)
+# --------------------------------------------------------------------------- #
+class TestSessionShardChecks:
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_dataset_total_mismatch_is_a_clear_error(self, mode, monkeypatch):
+        from repro.simulate import datasets
+
+        build_dataset = datasets.build_dataset
+        # The input produces fewer pairs than the plan's total said it would.
+        monkeypatch.setattr(
+            datasets,
+            "build_dataset",
+            lambda name, n_pairs, seed: build_dataset(name, n_pairs=n_pairs - 8, seed=seed),
+        )
+        data = (memory_workload if mode == "memory" else streaming_workload)(n_pairs=64)
+        data["execution"]["shard"] = {
+            "index": 0, "n_shards": 2, "start": 0, "stop": 32, "total": 64,
+        }
+        with pytest.raises(
+            ValueError, match=r"shard\.total: the shard plan assumed 64 pairs but the input produced 56"
+        ):
+            Session().run(Workload.from_dict(data))
+
+    @pytest.mark.parametrize(
+        "start, stop, produced",
+        [(8, 16, 2), (16, 24, 0)],
+        ids=["runs-past-the-end", "starts-past-the-end"],
+    )
+    def test_input_shorter_than_plan_is_a_clear_error(self, start, stop, produced, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("ACGTACGT\tACGTACGT\n" * 10)
+        data = {
+            "input": {"kind": "tsv", "path": str(path)},
+            "filter": {"filter": "gatekeeper-gpu", "error_threshold": 2},
+            "execution": {
+                "mode": "streaming",
+                "chunk_size": 8,
+                "shard": {"index": 1, "n_shards": 2, "start": start, "stop": stop, "total": stop},
+            },
+        }
+        with pytest.raises(
+            ValueError,
+            match=rf"slice \[{start}, {stop}\) produced {produced} pairs \(expected 8\); "
+            r"the input is shorter than the shard plan assumed",
+        ):
+            Session().run(Workload.from_dict(data))
 
 
 # --------------------------------------------------------------------------- #

@@ -1,10 +1,11 @@
-"""Tests for the GateKeeperGPU public API and the filtering pipeline."""
+"""Tests for the GateKeeperGPU public API and the filter + verify run."""
 
 import numpy as np
 import pytest
 
 from repro.align import edit_distance
-from repro.core import EncodingActor, FilteringPipeline, GateKeeperGPU
+from repro.api import Session, Workload
+from repro.core import EncodingActor, GateKeeperGPU
 from repro.filters import GateKeeperGPUFilter
 from repro.gpusim import SETUP_1, SETUP_2
 from repro.simulate import build_dataset
@@ -105,31 +106,42 @@ class TestGateKeeperGPUFilterRuns:
             assert key in summary
 
 
-class TestFilteringPipeline:
-    def test_pipeline_report_consistency(self, dataset):
-        gk = GateKeeperGPU(read_length=100, error_threshold=5)
-        pipeline = FilteringPipeline(gk)
-        report = pipeline.run(dataset.subset(150))
-        assert report.n_pairs == 150
-        assert report.pairs_entering_verification + report.rejected_pairs == 150
-        assert report.verified_accepts + report.verified_rejects == report.pairs_entering_verification
-        assert 0.0 <= report.reduction <= 1.0
-        assert report.no_filter_verification_time_s > report.verification_time_s
-        assert report.theoretical_speedup >= report.verification_speedup * 0.0
-        summary = report.summary()
+def run_set3(n_pairs, verify=True):
+    """GateKeeper-GPU filter + verify over a Set 3 pool via the front door."""
+    return Session().run(
+        Workload.from_dict(
+            {
+                "input": {"kind": "dataset", "dataset": "Set 3", "n_pairs": n_pairs,
+                          "seed": 11},
+                "filter": {"filter": "gatekeeper-gpu", "error_threshold": 5},
+                "execution": {"verify": verify},
+                "output": {"collect_decisions": True},
+            }
+        )
+    )
+
+
+class TestFilterVerifyRun:
+    def test_report_consistency(self):
+        summary = run_set3(150).summary
         assert summary["n_pairs"] == 150
+        assert summary["n_accepted"] + summary["n_rejected"] == 150
+        assert (
+            summary["verified_accepts"] + summary["verified_rejects"]
+            == summary["n_accepted"]
+        )
+        assert 0.0 <= summary["reduction_pct"] <= 100.0
+        assert summary["no_filter_verification_time_s"] > summary["verification_time_s"]
+        assert summary["theoretical_speedup"] >= 1.0
 
-    def test_pipeline_without_verification_loop(self, dataset):
-        gk = GateKeeperGPU(read_length=100, error_threshold=5)
-        report = FilteringPipeline(gk).run(dataset.subset(100), verify=False)
-        assert report.verified_accepts == 0 and report.verified_rejects == 0
-        assert report.verification_time_s > 0  # still modelled
+    def test_without_verification_loop(self):
+        summary = run_set3(100, verify=False).summary
+        assert summary["verified_accepts"] == 0 and summary["verified_rejects"] == 0
+        assert summary["verification_time_s"] > 0  # still modelled
 
-    def test_filter_never_rejects_what_verification_accepts(self, dataset):
+    def test_filter_never_rejects_what_verification_accepts(self):
         # No mapping can be lost: every pair the verifier would accept passes the filter.
-        gk = GateKeeperGPU(read_length=100, error_threshold=5)
-        report = FilteringPipeline(gk).run(dataset.subset(200))
-        result = report.filter_result
-        for i in np.flatnonzero(~result.accepted):
-            read, segment = dataset.reads[int(i)], dataset.segments[int(i)]
-            assert edit_distance(read, segment) > 5
+        result = run_set3(200)
+        pool = build_dataset("Set 3", n_pairs=200, seed=11)
+        for i in np.flatnonzero(~result.raw.accepted):
+            assert edit_distance(pool.reads[int(i)], pool.segments[int(i)]) > 5

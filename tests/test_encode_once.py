@@ -1,8 +1,8 @@
 """Regression tests for the encode-once data flow.
 
-Every layer of the stack — engine, cascade, streaming runtime, mapper batch —
-must encode each pair's strings exactly once, no matter how many devices,
-batches or cascade stages the work passes through.  Encoding is counted by
+Every layer of the stack — engine, cascade, the session's chunk runner,
+mapper batch — must encode each pair's strings exactly once, no matter how
+many devices, batches, chunks or cascade stages the work passes through.  Encoding is counted by
 monkeypatching :func:`repro.genomics.encoding.encode_batch_codes`, the single
 funnel every string-to-codes conversion goes through.
 """
@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import repro.genomics.encoding as encoding_module
+from repro.api import Session, Workload
 from repro.engine import FilterCascade, FilterEngine
 from repro.genomics.encoding import EncodedPairBatch
-from repro.runtime import StreamingPipeline
 from repro.simulate.datasets import build_dataset
 
 
@@ -75,18 +75,6 @@ class TestEncodeOnce:
         assert np.array_equal(via_lists.accepted, via_encoded.accepted)
         assert np.array_equal(via_lists.estimated_edits, via_encoded.estimated_edits)
 
-    def test_streaming_encodes_once_per_chunk(self, dataset, count_encodes):
-        pipeline = StreamingPipeline(
-            ["gatekeeper-gpu", "shouji"], chunk_size=100, error_threshold=5,
-            engine_kwargs={"n_devices": 2},
-        )
-        report = pipeline.run_dataset(dataset, verify=False)
-        assert report.n_chunks == 6
-        # Two encode calls (reads + segments) per chunk, across all cascade
-        # stages and device shares.
-        assert count_encodes["calls"] == 2 * report.n_chunks
-        assert count_encodes["sequences"] == 2 * len(dataset)
-
     def test_dataset_encoded_batch_is_cached(self, dataset, count_encodes):
         first = dataset.encoded()
         second = dataset.encoded()
@@ -111,6 +99,52 @@ class TestEncodeOnce:
         # Cached words propagate through slicing and index selection.
         assert np.array_equal(picked.read_words, pairs.read_words[10:200][indices])
         assert count_encodes["calls"] == 2
+
+
+def filter_workload(input_section, **execution):
+    return Workload.from_dict(
+        {
+            "input": input_section,
+            "filter": {"cascade": ["gatekeeper-gpu", "shouji"], "error_threshold": 5},
+            "execution": {"chunk_size": 100, "n_devices": 2, "verify": False, **execution},
+        }
+    )
+
+
+class TestWarmSessionEncodeCount:
+    """Encode calls on a warm session's second run, for every input path."""
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["whole", "shard"])
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_dataset_input_encodes_nothing_when_warm(self, count_encodes, mode, sharded):
+        # Dataset inputs run as row-slice views of the session-cached batch.
+        shard = {"index": 1, "n_shards": 3, "start": 200, "stop": 400, "total": 600}
+        workload = filter_workload(
+            {"kind": "dataset", "dataset": "Set 1", "n_pairs": 600, "seed": 11},
+            mode=mode,
+            **({"shard": shard} if sharded else {}),
+        )
+        session = Session()
+        first = session.run(workload).to_json()
+        count_encodes["calls"] = 0
+        assert session.run(workload).to_json() == first
+        assert count_encodes["calls"] == 0
+
+    def test_tsv_input_encodes_twice_per_chunk(self, dataset, count_encodes, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text(
+            "".join(f"{r}\t{s}\n" for r, s in zip(dataset.reads, dataset.segments))
+        )
+        workload = filter_workload({"kind": "tsv", "path": str(path)})
+        session = Session()
+        session.run(workload)
+        count_encodes.update(calls=0, sequences=0)
+        result = session.run(workload)
+        assert result.streaming["n_chunks"] == 6
+        # Two encode calls (reads + segments) per chunk, across all cascade
+        # stages and device shares.
+        assert count_encodes["calls"] == 2 * result.streaming["n_chunks"]
+        assert count_encodes["sequences"] == 2 * len(dataset)
 
 
 class TestEncodedBatchSemantics:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.align import edit_distance
-from repro.core import FilteringPipeline, GateKeeperGPU
+from repro.api import Session, Workload
+from repro.core import GateKeeperGPU
 from repro.engine import (
     FilterCascade,
     FilterEngine,
@@ -284,47 +285,62 @@ class TestFilterCascade:
             )
 
 
-class TestPipelineWithAnyFilter:
-    def test_pipeline_with_non_gatekeeper_engine(self, dataset_1k):
-        engine = FilterEngine("shouji", read_length=100, error_threshold=5)
-        report = FilteringPipeline(engine).run(dataset_1k.subset(200))
-        assert report.n_pairs == 200
-        assert report.pairs_entering_verification + report.rejected_pairs == 200
-        assert report.error_threshold == 5
-
-    def test_pipeline_with_bare_filter_instance(self, dataset_1k):
-        report = FilteringPipeline(SneakySnakeFilter(5)).run(dataset_1k.subset(150))
-        assert report.n_pairs == 150
-        assert report.reduction > 0
-
-    def test_pipeline_with_registry_name(self, dataset_1k):
-        report = FilteringPipeline("magnet", error_threshold=5).run(dataset_1k.subset(100))
-        assert report.n_pairs == 100
-
-    def test_lazy_pipeline_rebuilds_for_new_read_length(self, dataset_1k):
-        """A name-spec pipeline must not silently reuse a stale read length."""
-        pipeline = FilteringPipeline("gatekeeper-gpu", error_threshold=5)
-        pipeline.run(dataset_1k.subset(50), verify=False)
-        assert pipeline.engine.read_length == 100
-        ds_150 = build_dataset("Set 6", n_pairs=50, seed=8)
-        assert ds_150.read_length == 150
-        report = pipeline.run(ds_150, verify=False)
-        assert pipeline.engine.read_length == 150
-        # Decisions match a correctly-sized engine, not a truncated one.
-        fresh = FilterEngine("gatekeeper-gpu", 150, 5).filter_dataset(ds_150)
-        assert np.array_equal(report.filter_result.accepted, fresh.accepted)
-
-    def test_pipeline_name_without_threshold_raises(self):
-        with pytest.raises(ValueError):
-            FilteringPipeline("magnet")
-
-    def test_pipeline_with_cascade(self, dataset_1k):
-        cascade = FilterCascade.from_names(
-            ["gatekeeper-gpu", "sneakysnake"], read_length=100, error_threshold=5
+def run_filter(filters, n_pairs, dataset="Set 1", seed=0, verify=True):
+    """One filtering workload on a fresh session, decision vectors kept."""
+    return Session().run(
+        Workload.from_dict(
+            {
+                "input": {"kind": "dataset", "dataset": dataset, "n_pairs": n_pairs,
+                          "seed": seed},
+                "filter": {"filters": filters, "error_threshold": 5},
+                "execution": {"verify": verify},
+                "output": {"collect_decisions": True},
+            }
         )
-        report = FilteringPipeline(cascade).run(dataset_1k.subset(200))
-        assert report.n_pairs == 200
-        assert report.filter_result.stage_accounts
+    )
+
+
+class TestSessionWithAnyFilter:
+    def test_session_with_non_gatekeeper_filter(self):
+        result = run_filter(["shouji"], 200)
+        summary = result.summary
+        assert summary["n_pairs"] == 200
+        assert summary["n_accepted"] + summary["n_rejected"] == 200
+        assert summary["error_threshold"] == 5
+        assert result.filter == "Shouji"
+
+    def test_session_with_sneakysnake(self):
+        result = run_filter(["sneakysnake"], 150)
+        assert result.summary["n_pairs"] == 150
+        assert result.summary["reduction_pct"] > 0
+
+    def test_session_with_magnet(self):
+        assert run_filter(["magnet"], 100).summary["n_pairs"] == 100
+
+    def test_engines_are_sized_per_read_length(self):
+        """One filter spec at two read lengths never reuses a stale engine."""
+        session = Session()
+        for dataset, read_length in (("Set 1", 100), ("Set 6", 150)):
+            workload = Workload.from_dict(
+                {
+                    "input": {"kind": "dataset", "dataset": dataset, "n_pairs": 50, "seed": 8},
+                    "filter": {"filter": "gatekeeper-gpu", "error_threshold": 5},
+                    "execution": {"verify": False},
+                    "output": {"collect_decisions": True},
+                }
+            )
+            result = session.run(workload)
+            assert result.summary["read_length"] == read_length
+            assert session.engine_for(workload, read_length).read_length == read_length
+        # Decisions match a correctly-sized engine, not a truncated one.
+        ds_150 = build_dataset("Set 6", n_pairs=50, seed=8)
+        fresh = FilterEngine("gatekeeper-gpu", 150, 5).filter_dataset(ds_150)
+        assert np.array_equal(result.raw.accepted, fresh.accepted)
+
+    def test_session_with_cascade(self):
+        result = run_filter(["gatekeeper-gpu", "sneakysnake"], 200)
+        assert result.summary["n_pairs"] == 200
+        assert [stage["stage"] for stage in result.stages] == [0, 1]
 
 
 class TestMapperWithRegistry:

@@ -202,20 +202,13 @@ class TestMultiGpuDispatcher:
         with pytest.raises(ValueError):
             split_evenly(10, 0)
 
-    def test_dispatch_runs_every_chunk(self):
+    def test_share_timings_cover_every_device(self):
         dispatcher = MultiGpuDispatcher([GTX_1080_TI] * 4)
-        seen = []
-
-        def run_chunk(item_slice, device_index):
-            seen.append((item_slice.start, item_slice.stop, device_index))
-            return item_slice.stop - item_slice.start
-
-        shares = dispatcher.dispatch(1000, run_chunk, read_length=100, error_threshold=2)
-        assert len(shares) == 4
-        assert sum(s.n_items for s in shares) == 1000
-        assert dispatcher.combined_kernel_time(shares) > 0
-        assert dispatcher.combined_filter_time(shares) > dispatcher.combined_kernel_time(shares)
-        assert len(seen) == 4
+        timings = dispatcher.share_timings(1000, read_length=100, error_threshold=2)
+        assert len(timings) == 4
+        kernel = dispatcher.combined_kernel_time_from_timings(timings)
+        assert kernel == max(t.kernel_s for t in timings) > 0
+        assert dispatcher.combined_filter_time_from_timings(timings) > kernel
 
     def test_requires_devices(self):
         with pytest.raises(ValueError):

@@ -138,18 +138,6 @@ FIXTURES = [
         "row[K.KERNEL_TIME_S] = 0.5\n",
     ),
     (
-        "deprecated-facade-imports",
-        "src/repro/exec/glue.py",
-        "from repro.core.pipeline import FilteringPipeline\n",
-        "from repro.api import Session, Workload\n",
-    ),
-    (
-        "deprecated-facade-imports",
-        "src/repro/mapper/glue.py",
-        "from ..runtime import StreamingPipeline\n",
-        "from ..api import Session\n",
-    ),
-    (
         "native-kernel-parity",
         "src/repro/filters/native/_register.py",
         'register_fallback("popcount", _packed.count_set_bits)\n',
@@ -242,12 +230,6 @@ class TestScoping:
         source = "summary = {'n_accepted': 3}\n"
         assert "result-schema-keys" in rules_hit(source, "src/repro/api/x.py")
         assert "result-schema-keys" not in rules_hit(source, "src/repro/exec/x.py")
-
-    def test_facade_import_allowed_in_api(self):
-        source = "from repro.core.pipeline import FilteringPipeline\n"
-        assert "deprecated-facade-imports" not in rules_hit(
-            source, "src/repro/api/session.py"
-        )
 
     def test_numba_import_allowed_in_native_package(self):
         source = "from numba import njit\n"

@@ -1,11 +1,13 @@
-"""Property / equivalence tests for the streaming runtime.
+"""Property / equivalence tests for the one chunk runner.
 
-The core invariant: for any dataset, any registered filter and any chunk
-size, :class:`repro.runtime.StreamingPipeline` produces accept/reject
-vectors, aggregate counts and modelled-time totals identical to the
-in-memory :class:`repro.core.pipeline.FilteringPipeline` — including the
-single-read and empty-input edge cases, any device count, and pairs sourced
-from files instead of memory.
+The core invariant: for any input, any registered filter and any chunk
+size, a streamed run (``execution.mode = "streaming"``) produces
+accept/reject vectors, aggregate counts and modelled-time totals identical
+to the single-chunk memory-mode run — including the single-pair and
+empty-input edge cases, any device count, and pairs sourced from files
+instead of memory.  Both entry points of the runner are covered: in-memory
+pairs are chunked and encoded as they stream in, and simulated datasets run
+as row-slice views of their cached encoded batch.
 """
 
 from __future__ import annotations
@@ -15,15 +17,18 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.pipeline import FilteringPipeline
-from repro.engine import FilterCascade, FilterEngine, available_filters
-from repro.gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
-from repro.runtime import (
-    StreamingPipeline,
-    iter_reads,
-    pairs_from_dataset,
-    pairs_from_tsv,
+from repro.api import (
+    ExecutionSpec,
+    FilterSpec,
+    InputSpec,
+    OutputSpec,
+    Session,
+    Workload,
 )
+from repro.engine import available_filters
+from repro.gpusim.device import GTX_1080_TI
+from repro.gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
+from repro.runtime import iter_reads, pairs_from_dataset, pairs_from_tsv
 from repro.simulate.pairs import PairProfile, generate_pair_dataset
 
 ERROR_THRESHOLD = 4
@@ -38,197 +43,184 @@ def dataset():
     return generate_pair_dataset(N_PAIRS, profile, seed=17, name="prop")
 
 
-def assert_stream_equals_memory(stream_report, memory_report):
-    assert json.dumps(stream_report.summary(), sort_keys=True) == json.dumps(
-        memory_report.summary(), sort_keys=True
+@pytest.fixture(scope="module")
+def session():
+    with Session() as shared:
+        yield shared
+
+
+def workload_for(
+    source,
+    filters=("shouji",),
+    error_threshold=ERROR_THRESHOLD,
+    mode="streaming",
+    chunk_size=16,
+    n_devices=1,
+    verify=True,
+    **output,
+):
+    """A filtering workload over a dataset's pairs (or an explicit input spec)."""
+    if not isinstance(source, InputSpec):
+        source = InputSpec(
+            kind="pairs", pairs=list(pairs_from_dataset(source)), name=source.name
+        )
+    return Workload(
+        input=source,
+        filter=FilterSpec(filters=tuple(filters), error_threshold=error_threshold),
+        execution=ExecutionSpec(
+            mode=mode, chunk_size=chunk_size, n_devices=n_devices, verify=verify
+        ),
+        output=OutputSpec(**{"collect_decisions": True, **output}),
     )
-    assert np.array_equal(
-        stream_report.accepted, memory_report.filter_result.accepted
+
+
+def assert_same_run(streamed, memory):
+    assert json.dumps(streamed.summary, sort_keys=True) == json.dumps(
+        memory.summary, sort_keys=True
     )
-    assert np.array_equal(
-        stream_report.estimated_edits, memory_report.filter_result.estimated_edits
-    )
-    assert np.array_equal(
-        stream_report.undefined, memory_report.filter_result.undefined
-    )
-    assert stream_report.verified_accepts == memory_report.verified_accepts
-    assert stream_report.verified_rejects == memory_report.verified_rejects
+    assert streamed.stages == memory.stages
+    for vector in ("accepted", "estimated_edits", "undefined"):
+        assert np.array_equal(getattr(streamed.raw, vector), getattr(memory.raw, vector))
 
 
 class TestChunkSizeEquivalence:
     @pytest.mark.parametrize("filter_name", available_filters())
     @pytest.mark.parametrize("chunk_size", [1, 7, N_PAIRS, N_PAIRS + 13])
-    def test_every_filter_every_chunk_size(self, dataset, filter_name, chunk_size):
-        memory = FilteringPipeline(filter_name, error_threshold=ERROR_THRESHOLD).run(
-            dataset
+    def test_every_filter_every_chunk_size(self, session, dataset, filter_name, chunk_size):
+        memory = session.run(workload_for(dataset, [filter_name], mode="memory"))
+        streamed = session.run(
+            workload_for(dataset, [filter_name], chunk_size=chunk_size)
         )
-        stream = StreamingPipeline(
-            filter_name, chunk_size=chunk_size, error_threshold=ERROR_THRESHOLD
-        ).run_dataset(dataset)
-        assert_stream_equals_memory(stream, memory)
+        assert_same_run(streamed, memory)
+        assert memory.streaming is None and streamed.streaming is not None
 
     @pytest.mark.parametrize("chunk_size", [1, 7, N_PAIRS, N_PAIRS + 13])
-    def test_cascade_every_chunk_size(self, dataset, chunk_size):
+    def test_cascade_every_chunk_size(self, session, dataset, chunk_size):
         names = ["gatekeeper-gpu", "magnet"]
-        cascade = FilterCascade.from_names(
-            names, read_length=READ_LENGTH, error_threshold=ERROR_THRESHOLD
-        )
-        memory = FilteringPipeline(cascade).run(dataset)
-        stream = StreamingPipeline(
-            names, chunk_size=chunk_size, error_threshold=ERROR_THRESHOLD
-        ).run_dataset(dataset)
-        assert_stream_equals_memory(stream, memory)
+        memory = session.run(workload_for(dataset, names, mode="memory"))
+        streamed = session.run(workload_for(dataset, names, chunk_size=chunk_size))
+        assert_same_run(streamed, memory)
+        assert [s["filter"] for s in streamed.stages] == ["GateKeeper-GPU", "MAGNET"]
 
     @pytest.mark.parametrize("seed", [0, 5])
-    def test_randomized_datasets(self, seed):
+    def test_randomized_datasets(self, session, seed):
         local = generate_pair_dataset(
             23, PairProfile(read_length=28), seed=seed, name=f"rand{seed}"
         )
-        memory = FilteringPipeline("shouji", error_threshold=3).run(local)
-        stream = StreamingPipeline(
-            "shouji", chunk_size=5, error_threshold=3
-        ).run_dataset(local)
-        assert_stream_equals_memory(stream, memory)
+        memory = session.run(workload_for(local, error_threshold=3, mode="memory"))
+        streamed = session.run(workload_for(local, error_threshold=3, chunk_size=5))
+        assert_same_run(streamed, memory)
+
+    @pytest.mark.parametrize("chunk_size", [64, 1000])
+    def test_cached_batch_views_equal_encoded_chunks(self, session, chunk_size):
+        """A dataset's row-slice views and its pairs encoded per chunk agree."""
+        spec = InputSpec(kind="dataset", dataset="Set 4", n_pairs=300, seed=4)
+        cascade = ["gatekeeper-gpu", "sneakysnake"]
+        views = session.run(workload_for(spec, cascade, chunk_size=chunk_size))
+        encoded = session.run(
+            workload_for(session.dataset_for(Workload(input=spec)), cascade,
+                         chunk_size=chunk_size)
+        )
+        assert_same_run(views, encoded)
+        assert views.streaming == encoded.streaming
+        assert views.chunks == encoded.chunks
 
 
 class TestEdgeCases:
-    def test_empty_input_yields_zero_report(self):
-        report = StreamingPipeline("shouji", error_threshold=3).run_pairs(
-            iter([]), name="empty"
+    def test_empty_input_yields_zero_result(self, session, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        result = session.run(
+            workload_for(InputSpec(kind="tsv", path=str(empty)), error_threshold=3)
         )
-        assert report.filter_name == "Shouji"
-        assert report.n_devices == 1
-        assert report.n_pairs == 0
-        assert report.n_chunks == 0
-        assert report.n_accepted == 0
-        assert report.kernel_time_s == 0.0
-        assert report.filter_time_s == 0.0
-        assert report.serial_time_s == 0.0
-        assert report.overlapped_time_s == 0.0
-        assert report.accepted is not None and report.accepted.size == 0
-        summary = report.summary()
-        assert summary["n_pairs"] == 0
-        assert summary["verification_pairs"] == 0
+        assert result.filter == "Shouji"
+        assert result.kernel_tier is None  # no engine was ever built
+        assert result.summary["n_pairs"] == 0
+        assert result.summary["n_accepted"] == 0
+        assert result.summary["kernel_time_s"] == 0.0
+        assert result.summary["filter_time_s"] == 0.0
+        assert result.streaming["n_chunks"] == 0
+        assert result.streaming["n_devices"] == 1
+        assert result.streaming["serial_time_s"] == 0.0
+        assert result.streaming["overlapped_time_s"] == 0.0
+        assert result.raw.accepted is not None and result.raw.accepted.size == 0
+
+    def test_empty_input_is_strict_json_despite_infinite_speedups(self, session, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        result = session.run(workload_for(InputSpec(kind="tsv", path=str(empty))))
+        assert result.summary["verification_speedup"] == float("inf")
+        payload = json.loads(result.to_json())
+        # allow_nan=False raises on inf/nan, so this proves RFC-8259 output.
+        json.dumps(payload, allow_nan=False)
+        assert payload["summary"]["verification_speedup"] is None
 
     @pytest.mark.parametrize("chunk_size", [1, 4])
-    def test_single_pair(self, chunk_size):
+    def test_single_pair(self, session, chunk_size):
         single = generate_pair_dataset(
             1, PairProfile(read_length=24), seed=2, name="single"
         )
-        memory = FilteringPipeline("gatekeeper-gpu", error_threshold=2).run(single)
-        stream = StreamingPipeline(
-            "gatekeeper-gpu", chunk_size=chunk_size, error_threshold=2
-        ).run_dataset(single)
-        assert_stream_equals_memory(stream, memory)
-        assert stream.n_chunks == 1
+        kwargs = dict(filters=["gatekeeper-gpu"], error_threshold=2)
+        memory = session.run(workload_for(single, mode="memory", **kwargs))
+        streamed = session.run(workload_for(single, chunk_size=chunk_size, **kwargs))
+        assert_same_run(streamed, memory)
+        assert streamed.streaming["n_chunks"] == 1
 
     def test_chunk_size_must_be_positive(self):
-        with pytest.raises(ValueError):
-            StreamingPipeline("shouji", chunk_size=0, error_threshold=3)
+        with pytest.raises(ValueError, match="execution.chunk_size"):
+            ExecutionSpec(chunk_size=0)
 
-    def test_threshold_required_for_name_specs(self):
-        with pytest.raises(ValueError):
-            StreamingPipeline("shouji")
-
-    def test_verify_false_skips_verification_but_keeps_model_times(self, dataset):
-        memory = FilteringPipeline("sneakysnake", error_threshold=ERROR_THRESHOLD).run(
-            dataset, verify=False
-        )
-        stream = StreamingPipeline(
-            "sneakysnake", chunk_size=16, error_threshold=ERROR_THRESHOLD
-        ).run_dataset(dataset, verify=False)
-        assert stream.verified_accepts == 0 == memory.verified_accepts
-        assert json.dumps(stream.summary(), sort_keys=True) == json.dumps(
-            memory.summary(), sort_keys=True
-        )
-        assert stream.verification_time_s > 0.0
+    def test_verify_false_skips_verification_but_keeps_model_times(self, session, dataset):
+        kwargs = dict(filters=["sneakysnake"], verify=False)
+        memory = session.run(workload_for(dataset, mode="memory", **kwargs))
+        streamed = session.run(workload_for(dataset, **kwargs))
+        assert streamed.summary["verified_accepts"] == 0 == memory.summary["verified_accepts"]
+        assert_same_run(streamed, memory)
+        assert streamed.summary["verification_time_s"] > 0.0
 
 
 class TestMultiGpuInvariance:
     @pytest.mark.parametrize("n_devices", [1, 2, 3])
-    def test_decisions_independent_of_devices(self, dataset, n_devices):
-        baseline = StreamingPipeline(
-            FilterEngine(
-                "gatekeeper-gpu",
-                read_length=READ_LENGTH,
-                error_threshold=ERROR_THRESHOLD,
-                n_devices=1,
-            ),
-            chunk_size=16,
-        ).run_dataset(dataset)
-        report = StreamingPipeline(
-            FilterEngine(
-                "gatekeeper-gpu",
-                read_length=READ_LENGTH,
-                error_threshold=ERROR_THRESHOLD,
-                n_devices=n_devices,
-            ),
-            chunk_size=16,
-        ).run_dataset(dataset)
-        assert np.array_equal(report.accepted, baseline.accepted)
-        assert np.array_equal(report.estimated_edits, baseline.estimated_edits)
-        assert report.n_accepted == baseline.n_accepted
-        assert report.verified_accepts == baseline.verified_accepts
-        assert report.n_devices == n_devices
+    def test_decisions_independent_of_devices(self, session, dataset, n_devices):
+        kwargs = dict(filters=["gatekeeper-gpu"])
+        baseline = session.run(workload_for(dataset, n_devices=1, **kwargs))
+        result = session.run(workload_for(dataset, n_devices=n_devices, **kwargs))
+        assert np.array_equal(result.raw.accepted, baseline.raw.accepted)
+        assert np.array_equal(result.raw.estimated_edits, baseline.raw.estimated_edits)
+        assert result.summary["n_accepted"] == baseline.summary["n_accepted"]
+        assert result.summary["verified_accepts"] == baseline.summary["verified_accepts"]
+        assert result.streaming["n_devices"] == n_devices
 
     @pytest.mark.parametrize("n_devices", [1, 2, 3])
-    def test_equivalence_holds_per_device_count(self, dataset, n_devices):
-        engine_kwargs = dict(
-            read_length=READ_LENGTH,
-            error_threshold=ERROR_THRESHOLD,
-            n_devices=n_devices,
-        )
-        memory = FilteringPipeline(FilterEngine("shd", **engine_kwargs)).run(dataset)
-        stream = StreamingPipeline(
-            FilterEngine("shd", **engine_kwargs), chunk_size=16
-        ).run_dataset(dataset)
-        assert_stream_equals_memory(stream, memory)
+    def test_equivalence_holds_per_device_count(self, session, dataset, n_devices):
+        kwargs = dict(filters=["shd"], n_devices=n_devices)
+        memory = session.run(workload_for(dataset, mode="memory", **kwargs))
+        streamed = session.run(workload_for(dataset, **kwargs))
+        assert_same_run(streamed, memory)
 
     @pytest.mark.parametrize("n_devices", [1, 2, 3, 5])
-    def test_overlapped_wall_time_at_most_serial(self, dataset, n_devices):
-        report = StreamingPipeline(
-            FilterEngine(
-                "gatekeeper-gpu",
-                read_length=READ_LENGTH,
-                error_threshold=ERROR_THRESHOLD,
-                n_devices=n_devices,
-            ),
-            chunk_size=16,
-        ).run_dataset(dataset)
-        assert report.overlapped_time_s <= report.serial_time_s + 1e-18
+    def test_overlapped_wall_time_at_most_serial(self, session, dataset, n_devices):
+        streaming = session.run(
+            workload_for(dataset, ["gatekeeper-gpu"], n_devices=n_devices)
+        ).streaming
+        assert streaming["overlapped_time_s"] <= streaming["serial_time_s"] + 1e-18
         if n_devices > 1:
-            assert report.overlapped_time_s < report.serial_time_s
-            assert report.overlap_speedup > 1.0
+            assert streaming["overlapped_time_s"] < streaming["serial_time_s"]
+            assert streaming["overlap_speedup"] > 1.0
 
-    def test_more_devices_than_pairs_in_a_chunk(self):
-        tiny = generate_pair_dataset(
-            2, PairProfile(read_length=24), seed=9, name="tiny"
-        )
-        report = StreamingPipeline(
-            FilterEngine(
-                "gatekeeper-gpu", read_length=24, error_threshold=2, n_devices=5
-            ),
-            chunk_size=8,
-        ).run_dataset(tiny)
-        assert report.n_pairs == 2
-        memory = FilteringPipeline(
-            FilterEngine("gatekeeper-gpu", read_length=24, error_threshold=2, n_devices=5)
-        ).run(tiny)
-        assert json.dumps(report.summary(), sort_keys=True) == json.dumps(
-            memory.summary(), sort_keys=True
-        )
+    def test_more_devices_than_pairs_in_a_chunk(self, session):
+        tiny = generate_pair_dataset(2, PairProfile(read_length=24), seed=9, name="tiny")
+        kwargs = dict(filters=["gatekeeper-gpu"], error_threshold=2, n_devices=5)
+        streamed = session.run(workload_for(tiny, chunk_size=8, **kwargs))
+        assert streamed.summary["n_pairs"] == 2
+        assert_same_run(streamed, session.run(workload_for(tiny, mode="memory", **kwargs)))
 
-    def test_chunk_modelled_kernel_is_slowest_device_not_sum(self, dataset):
+    def test_chunk_modelled_kernel_is_slowest_device_not_sum(self, session, dataset):
         """Per-chunk kernel time follows the multi-GPU convention (max)."""
-        engine = FilterEngine(
-            "gatekeeper-gpu",
-            read_length=READ_LENGTH,
-            error_threshold=ERROR_THRESHOLD,
-            n_devices=2,
-        )
-        report = StreamingPipeline(engine, chunk_size=16).run_dataset(dataset)
-        for chunk in report.chunks:
-            shares = split_evenly(chunk.n_pairs, 2)
+        workload = workload_for(dataset, ["gatekeeper-gpu"], n_devices=2)
+        result = session.run(workload)
+        engine = session.engine_for(workload, READ_LENGTH)
+        for chunk in result.chunks:
             expected = max(
                 engine.timing_model.filter_timing(
                     s.stop - s.start,
@@ -237,52 +229,40 @@ class TestMultiGpuInvariance:
                     encode_on_device=True,
                     n_devices=1,
                 ).kernel_s
-                for s in shares
+                for s in split_evenly(chunk["n_pairs"], 2)
             )
-            assert chunk.modelled_kernel_s == pytest.approx(expected)
+            assert chunk["modelled_kernel_s"] == pytest.approx(expected)
 
-    def test_empty_input_reports_configured_engine_metadata(self):
-        engine = FilterEngine(
-            "gatekeeper-gpu", read_length=24, error_threshold=2, n_devices=4
+    def test_empty_input_reports_configured_filter_and_devices(self, session, tmp_path):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        result = session.run(
+            workload_for(
+                InputSpec(kind="tsv", path=str(empty)),
+                ["gatekeeper-gpu", "sneakysnake"],
+                error_threshold=2,
+                n_devices=3,
+            )
         )
-        report = StreamingPipeline(engine).run_pairs(iter([]), name="empty")
-        assert report.filter_name == "GateKeeper-GPU"
-        assert report.n_devices == 4
-        lazy = StreamingPipeline(
-            ["gatekeeper-gpu", "sneakysnake"],
-            error_threshold=2,
-            engine_kwargs=dict(n_devices=3),
-        ).run_pairs(iter([]), name="empty")
-        assert lazy.filter_name == "GateKeeper-GPU -> SneakySnake"
-        assert lazy.n_devices == 3
+        assert result.filter == "GateKeeper-GPU -> SneakySnake"
+        assert result.streaming["n_devices"] == 3
+        assert result.stages == []
 
-    def test_max_chunk_reports_caps_rows_but_counts_all_chunks(self, dataset):
-        report = StreamingPipeline(
-            "shouji",
-            chunk_size=8,
-            error_threshold=ERROR_THRESHOLD,
-            max_chunk_reports=2,
-        ).run_dataset(dataset)
-        assert len(report.chunks) == 2
-        assert report.n_chunks == -(-N_PAIRS // 8)
-        assert report.n_chunks > len(report.chunks)
+    def test_max_chunk_rows_caps_rows_but_counts_all_chunks(self, session, dataset):
+        result = session.run(workload_for(dataset, chunk_size=8, max_chunk_rows=2))
+        assert len(result.chunks) == 2
+        assert result.streaming["n_chunks"] == -(-N_PAIRS // 8)
+        assert result.streaming["n_chunks"] > len(result.chunks)
 
-    def test_collect_chunk_reports_false_keeps_totals(self, dataset):
-        default = StreamingPipeline(
-            "shouji", chunk_size=16, error_threshold=ERROR_THRESHOLD
-        ).run_dataset(dataset)
-        bounded = StreamingPipeline(
-            "shouji",
-            chunk_size=16,
-            error_threshold=ERROR_THRESHOLD,
-            collect_decisions=False,
-            collect_chunk_reports=False,
-        ).run_dataset(dataset)
-        assert bounded.chunks == []
-        assert bounded.n_chunks == default.n_chunks > 0
-        assert bounded.summary() == default.summary()
-        assert bounded.serial_time_s == default.serial_time_s
-        assert bounded.overlapped_time_s == default.overlapped_time_s
+    def test_bounded_output_keeps_totals(self, session, dataset):
+        default = session.run(workload_for(dataset))
+        bounded = session.run(
+            workload_for(dataset, collect_decisions=False, include_chunks=False)
+        )
+        assert bounded.chunks is None and bounded.raw.chunks == []
+        assert bounded.raw.accepted is None
+        assert bounded.streaming == default.streaming
+        assert bounded.summary == default.summary
 
     def test_split_evenly_with_fewer_items_than_devices(self):
         slices = split_evenly(2, 5)
@@ -294,15 +274,11 @@ class TestMultiGpuInvariance:
         covered = [i for s in slices for i in range(s.start, s.stop)]
         assert covered == [0, 1]
 
-    def test_dispatcher_handles_empty_shares(self):
-        engine = FilterEngine("gatekeeper-gpu", read_length=24, error_threshold=2)
-        dispatcher = MultiGpuDispatcher([engine.config.primary_device] * 4)
-        seen = []
-        shares = dispatcher.dispatch(
-            2, lambda sl, idx: seen.append((sl.stop - sl.start, idx)), 24, 2
-        )
-        assert len(shares) == 4
-        assert sum(s.n_items for s in shares) == 2
+    def test_share_timings_of_empty_shares_are_zero(self):
+        timings = MultiGpuDispatcher([GTX_1080_TI] * 4).share_timings(2, 24, 2)
+        assert len(timings) == 4
+        assert sum(1 for t in timings if t.kernel_s > 0) == 2
+        assert all(t.filter_s == 0.0 for t in timings if t.kernel_s == 0.0)
 
 
 class TestFileSources:
@@ -321,23 +297,13 @@ class TestFileSources:
         with pytest.raises(ValueError, match=r"bad\.tsv.*line 2"):
             list(pairs_from_tsv(path))
 
-    def test_run_file_read_suffix_without_reference_is_a_clear_error(self, tmp_path):
+    def test_read_file_as_tsv_input_is_a_clear_error(self, session, tmp_path):
         from repro.genomics import Read, write_fastq
 
         path = tmp_path / "reads.fastq"
         write_fastq(path, [Read(name="a", bases="ACGT")])
         with pytest.raises(ValueError, match="reference FASTA"):
-            StreamingPipeline("shouji", error_threshold=3).run_file(path)
-
-    def test_as_dict_is_strict_json_even_with_infinite_speedups(self):
-        report = StreamingPipeline("shouji", error_threshold=3).run_pairs(
-            iter([]), name="empty"
-        )
-        assert report.summary()["verification_speedup"] == float("inf")
-        payload = report.as_dict()
-        # allow_nan=False raises on inf/nan, so this proves RFC-8259 output.
-        json.dumps(payload, allow_nan=False)
-        assert payload["summary"]["verification_speedup"] is None
+            session.run(workload_for(InputSpec(kind="tsv", path=str(path))))
 
     def test_iter_reads_detects_fastq_and_fasta(self, tmp_path):
         from repro.genomics import Read, Sequence, write_fasta, write_fastq
@@ -351,38 +317,20 @@ class TestFileSources:
         with pytest.raises(ValueError, match="unrecognised"):
             list(iter_reads(tmp_path / "r.bam"))
 
-    def test_filtering_pipeline_accepts_path_and_iterator(self, dataset, tmp_path):
+    def test_tsv_file_matches_in_memory_pairs(self, session, dataset, tmp_path):
         path = tmp_path / "pairs.tsv"
         with open(path, "w") as fh:
             for read, segment in pairs_from_dataset(dataset):
                 fh.write(f"{read}\t{segment}\n")
-        pipeline = FilteringPipeline("shouji", error_threshold=ERROR_THRESHOLD)
-        in_memory = pipeline.run(dataset)
-        from_path = FilteringPipeline("shouji", error_threshold=ERROR_THRESHOLD).run(
-            str(path), chunk_size=16
+        in_memory = session.run(workload_for(dataset, mode="memory"))
+        from_file = session.run(workload_for(InputSpec(kind="tsv", path=str(path))))
+        assert from_file.dataset == "pairs.tsv"  # named after the file
+        assert_same_run(from_file, in_memory)
+        bounded = session.run(
+            workload_for(InputSpec(kind="tsv", path=str(path)), collect_decisions=False)
         )
-        from_iterator = FilteringPipeline("shouji", error_threshold=ERROR_THRESHOLD).run(
-            pairs_from_dataset(dataset), chunk_size=16
-        )
-        bounded = FilteringPipeline("shouji", error_threshold=ERROR_THRESHOLD).run(
-            str(path), chunk_size=16, collect_decisions=False
-        )
-        assert bounded.accepted is None
-        assert bounded.n_pairs == dataset.n_pairs
-        for streamed in (from_path, from_iterator):
-            assert streamed.n_pairs == dataset.n_pairs
-            assert np.array_equal(
-                streamed.accepted, in_memory.filter_result.accepted
-            )
-            memory_summary = {
-                k: v for k, v in in_memory.summary().items() if k != "dataset"
-            }
-            stream_summary = {
-                k: v for k, v in streamed.summary().items() if k != "dataset"
-            }
-            assert json.dumps(stream_summary, sort_keys=True) == json.dumps(
-                memory_summary, sort_keys=True
-            )
+        assert bounded.raw.accepted is None
+        assert bounded.summary == from_file.summary
 
     def test_mapper_accepts_fastq_path(self, tmp_path):
         from repro.genomics import write_fastq

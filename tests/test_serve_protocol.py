@@ -289,6 +289,13 @@ class TestGracefulDrain:
         server.stop()
         server.stop()
 
+    def test_idle_stop_is_prompt_and_ends_the_accept_thread(self):
+        server = ReproServer(port=0).start()
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not server._accept_thread.is_alive()
+
 
 class TestSigtermEndToEnd:
     """A real ``repro serve`` process: SIGTERM drains, answers, exits 0."""

@@ -1,12 +1,12 @@
-"""Golden regression harness for the streaming runtime.
+"""Golden regression harness for streamed runs.
 
 The FASTQ/FASTA fixture pair under ``tests/data/`` and the committed
-``golden_expected.json`` pin the exact behaviour of the streaming pipeline on
-a real (checked-in) input: seeded candidate-pair counts, per-filter
-StreamingReport totals (decisions *and* modelled times), fig5-style
-false-accept rows, and the byte-identity between the streaming and in-memory
-pipelines.  Any refactor that silently changes a decision, a count or a
-modelled time fails here first.
+``golden_expected.json`` pin the exact behaviour of a streamed ``reads``
+workload on a real (checked-in) input: seeded candidate-pair counts,
+per-filter totals (decisions *and* modelled times), fig5-style false-accept
+rows, and the byte-identity between streaming and memory mode.  Any refactor
+that silently changes a decision, a count or a modelled time fails here
+first.
 
 Regenerate the expectations after an intentional behaviour change with
 ``PYTHONPATH=src python tests/data/regenerate_golden.py``.
@@ -15,31 +15,30 @@ Regenerate the expectations after an intentional behaviour change with
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis import experiments
-from repro.core.pipeline import FilteringPipeline
-from repro.engine import FilterCascade
-from repro.runtime import StreamingPipeline, load_reference, seeded_pairs
+from repro.api import ExecutionSpec, InputSpec, OutputSpec, Session
+from repro.runtime import load_reference, seeded_pairs
 from repro.simulate.pairs import PairDataset
 
 DATA = Path(__file__).resolve().parent / "data"
+sys.path.insert(0, str(DATA))
+
+from regenerate_golden import FILTER_SPECS, golden_layout, golden_workload  # noqa: E402
+
 GOLDEN = json.loads((DATA / "golden_expected.json").read_text())
 FIXTURE = GOLDEN["fixture"]
 
-FILTER_SPECS = {
-    "gatekeeper-gpu": "gatekeeper-gpu",
-    "sneakysnake": "sneakysnake",
-    "cascade:gatekeeper-gpu+sneakysnake": ["gatekeeper-gpu", "sneakysnake"],
-}
 
-
-def _json_roundtrip(obj):
-    """Normalise through JSON so the comparison is exactly what the file stores."""
-    return json.loads(json.dumps(obj))
+@pytest.fixture(scope="module")
+def session():
+    with Session() as shared:
+        yield shared
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +61,22 @@ def golden_dataset() -> PairDataset:
     )
 
 
+def memory_run(session, golden_dataset, label):
+    """The same pairs as one in-memory chunk, decision vectors kept."""
+    streamed = golden_workload(label)
+    return session.run(
+        streamed.replace(
+            input=InputSpec(
+                kind="pairs",
+                pairs=list(zip(golden_dataset.reads, golden_dataset.segments)),
+                name="golden",
+            ),
+            execution=ExecutionSpec(mode="memory"),
+            output=OutputSpec(collect_decisions=True),
+        )
+    )
+
+
 class TestGoldenFixture:
     def test_seeded_pair_pool_matches_golden(self, golden_dataset):
         assert golden_dataset.n_pairs == FIXTURE["n_pairs"]
@@ -69,15 +84,9 @@ class TestGoldenFixture:
         assert all(len(r) == FIXTURE["read_length"] for r in golden_dataset.reads)
 
     @pytest.mark.parametrize("label", sorted(FILTER_SPECS))
-    def test_streaming_report_matches_golden(self, golden_dataset, label):
-        report = StreamingPipeline(
-            FILTER_SPECS[label],
-            chunk_size=FIXTURE["chunk_size"],
-            error_threshold=FIXTURE["error_threshold"],
-        ).run_dataset(golden_dataset)
-        assert _json_roundtrip(report.as_dict(include_chunks=False)) == (
-            GOLDEN["streaming"][label]
-        )
+    def test_streamed_result_matches_golden(self, session, label):
+        result = session.run(golden_workload(label))
+        assert golden_layout(result) == GOLDEN["streaming"][label]
 
     def test_fig5_rows_match_golden(self, golden_dataset):
         rows = experiments.filter_comparison_rows(
@@ -85,108 +94,64 @@ class TestGoldenFixture:
             thresholds=(2, FIXTURE["error_threshold"]),
             max_pairs=None,
         )
-        assert _json_roundtrip(rows) == GOLDEN["fig5_rows"]
+        assert json.loads(json.dumps(rows)) == GOLDEN["fig5_rows"]
 
 
-class TestStreamingInMemoryByteIdentity:
-    """The ISSUE's acceptance criterion: streaming totals are JSON-equal to
-    ``FilteringPipeline.run`` on the fully materialised same data, for two
-    filters and a cascade."""
+class TestStreamingMemoryByteIdentity:
+    """Streamed totals are JSON-equal to a memory-mode run of the fully
+    materialised same pairs, for two filters and a cascade."""
 
     @pytest.mark.parametrize("label", sorted(FILTER_SPECS))
-    def test_totals_byte_identical(self, golden_dataset, label):
-        spec = FILTER_SPECS[label]
-        if isinstance(spec, list):
-            engine = FilterCascade.from_names(
-                spec,
-                read_length=golden_dataset.read_length,
-                error_threshold=FIXTURE["error_threshold"],
-            )
-            in_memory = FilteringPipeline(engine).run(golden_dataset)
-        else:
-            in_memory = FilteringPipeline(
-                spec, error_threshold=FIXTURE["error_threshold"]
-            ).run(golden_dataset)
-        streamed = StreamingPipeline(
-            spec,
-            chunk_size=FIXTURE["chunk_size"],
-            error_threshold=FIXTURE["error_threshold"],
-        ).run_dataset(golden_dataset)
-        assert json.dumps(streamed.summary(), sort_keys=True) == json.dumps(
-            in_memory.summary(), sort_keys=True
+    def test_totals_byte_identical(self, session, golden_dataset, label):
+        in_memory = memory_run(session, golden_dataset, label)
+        streamed = session.run(golden_workload(label, collect_decisions=True))
+        assert json.dumps(streamed.summary, sort_keys=True) == json.dumps(
+            in_memory.summary, sort_keys=True
         )
-        assert np.array_equal(streamed.accepted, in_memory.filter_result.accepted)
-        assert np.array_equal(
-            streamed.estimated_edits, in_memory.filter_result.estimated_edits
-        )
-        assert streamed.verified_accepts == in_memory.verified_accepts
-        assert streamed.verified_rejects == in_memory.verified_rejects
+        assert streamed.stages == in_memory.stages
+        assert np.array_equal(streamed.raw.accepted, in_memory.raw.accepted)
+        assert np.array_equal(streamed.raw.estimated_edits, in_memory.raw.estimated_edits)
 
-    def test_bounded_memory_mode_keeps_no_vectors(self, golden_dataset):
-        report = StreamingPipeline(
-            "gatekeeper-gpu",
-            chunk_size=FIXTURE["chunk_size"],
-            error_threshold=FIXTURE["error_threshold"],
-            collect_decisions=False,
-        ).run_dataset(golden_dataset)
-        assert report.accepted is None
-        assert report.estimated_edits is None
-        assert report.n_pairs == FIXTURE["n_pairs"]
+    def test_bounded_memory_mode_keeps_no_vectors(self, session):
+        result = session.run(golden_workload("gatekeeper-gpu"))
+        assert result.raw.accepted is None
+        assert result.raw.estimated_edits is None
+        assert result.summary["n_pairs"] == FIXTURE["n_pairs"]
         assert (
-            report.summary()
-            == GOLDEN["streaming"]["gatekeeper-gpu"]["summary"]
-            or _json_roundtrip(report.summary())
+            golden_layout(result)["summary"]
             == GOLDEN["streaming"]["gatekeeper-gpu"]["summary"]
         )
 
-    def test_chunking_covers_all_pairs(self, golden_dataset):
+    def test_chunking_covers_all_pairs(self, session, golden_dataset):
         chunk = FIXTURE["chunk_size"]
-        report = StreamingPipeline(
-            "gatekeeper-gpu", chunk_size=chunk, error_threshold=FIXTURE["error_threshold"]
-        ).run_dataset(golden_dataset)
-        assert report.n_chunks == -(-golden_dataset.n_pairs // chunk)
-        assert sum(c.n_pairs for c in report.chunks) == golden_dataset.n_pairs
-        assert max(c.n_pairs for c in report.chunks) <= chunk
+        result = session.run(golden_workload("gatekeeper-gpu"))
+        assert result.streaming["n_chunks"] == -(-golden_dataset.n_pairs // chunk)
+        assert sum(c["n_pairs"] for c in result.chunks) == golden_dataset.n_pairs
+        assert max(c["n_pairs"] for c in result.chunks) <= chunk
 
 
 class TestGoldenExecutorInvariance:
     """The execution backend must never change a golden number: the exact
-    same streaming report (decisions, counts, modelled times) for
+    same streamed totals (decisions, counts, modelled times) for
     ``{serial, threads, processes} x workers {1, 2, 4}``, prefetch on."""
-
-    @pytest.fixture(scope="class")
-    def executor_pool(self):
-        from repro.exec import create_executor
-
-        pool = {}
-        yield lambda kind, workers: pool.setdefault(
-            (kind, workers), create_executor(kind, workers)
-        )
-        for executor in pool.values():
-            executor.close()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("kind", ["serial", "threads", "processes"])
     @pytest.mark.parametrize("label", sorted(FILTER_SPECS))
-    def test_streaming_report_matches_golden_on_every_backend(
-        self, golden_dataset, executor_pool, label, kind, workers
+    def test_streamed_result_matches_golden_on_every_backend(
+        self, session, label, kind, workers
     ):
-        report = StreamingPipeline(
-            FILTER_SPECS[label],
-            chunk_size=FIXTURE["chunk_size"],
-            error_threshold=FIXTURE["error_threshold"],
-            executor=executor_pool(kind, workers),
-            prefetch=True,
-        ).run_dataset(golden_dataset)
-        assert _json_roundtrip(report.as_dict(include_chunks=False)) == (
-            GOLDEN["streaming"][label]
+        result = session.run(
+            golden_workload(label, executor=kind, workers=workers, prefetch=True)
         )
+        assert golden_layout(result) == GOLDEN["streaming"][label]
 
 
 class TestStreamCli:
     """``repro-stream`` end-to-end on the checked-in fixture."""
 
-    def test_cli_json_totals_match_in_memory(self, golden_dataset, capsys):
+    def test_cli_json_totals_match_in_memory(self, session, golden_dataset, capsys):
+        from repro.api import SCHEMA_VERSION
         from repro.cli import stream_main
 
         exit_code = stream_main(
@@ -206,19 +171,12 @@ class TestStreamCli:
         )
         assert exit_code == 0
         payload = json.loads(capsys.readouterr().out)
-        in_memory = FilteringPipeline(
-            "sneakysnake", error_threshold=FIXTURE["error_threshold"]
-        ).run(golden_dataset)
-        # The CLI emits the canonical repro.api.Result schema; its summary
-        # totals must match the in-memory pipeline's (legacy-keyed) summary.
-        from repro.api import SCHEMA_VERSION, normalize_summary
-
+        # The CLI emits the canonical Result schema; its summary totals must
+        # match a memory-mode run of the same pairs.
         assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["dataset"] == "golden_reads.fastq"  # named after the file
-        expected = _json_roundtrip(normalize_summary(in_memory.summary()))
-        expected.pop("dataset")
-        for key, value in expected.items():
-            assert payload["summary"][key] == value, key
+        in_memory = memory_run(session, golden_dataset, "sneakysnake")
+        assert payload["summary"] == json.loads(in_memory.to_json())["summary"]
 
     def test_cli_cascade_table_output(self, capsys):
         from repro.cli import stream_main
