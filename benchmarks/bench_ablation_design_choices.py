@@ -14,8 +14,7 @@ import pytest
 
 from repro.analysis import evaluate_decisions, labels_from_distances
 from repro.analysis.experiments import ground_truth_for_dataset
-from repro.filters import EdgePolicy, estimate_edits_batch
-from repro.genomics import encode_batch_codes
+from repro.filters import GateKeeperFilter, GateKeeperGPUFilter
 from _bench_helpers import emit
 
 THRESHOLD = 5
@@ -24,27 +23,22 @@ THRESHOLD = 5
 @pytest.fixture(scope="module")
 def pool(dataset_100bp):
     dataset = dataset_100bp.subset(600)
-    read_codes, read_undef = encode_batch_codes(dataset.reads)
-    ref_codes, ref_undef = encode_batch_codes(dataset.segments)
+    pairs = dataset.encoded()
     distances, _ = ground_truth_for_dataset(dataset)
-    undefined = read_undef | ref_undef
-    truth = labels_from_distances(distances, THRESHOLD, undefined)
-    return read_codes, ref_codes, undefined, truth
+    truth = labels_from_distances(distances, THRESHOLD, pairs.undefined)
+    return pairs, truth
 
 
-def _accuracy(read_codes, ref_codes, undefined, truth, **kwargs):
-    estimates = estimate_edits_batch(read_codes, ref_codes, THRESHOLD, **kwargs)
-    accepts = undefined | (estimates <= THRESHOLD)
+def _accuracy(pairs, truth, filter_cls=GateKeeperGPUFilter, **kwargs):
+    _, accepts = filter_cls(THRESHOLD, **kwargs).filter_batch(pairs)
     return evaluate_decisions(accepts, truth)
 
 
 def test_ablation_edge_policy(benchmark, pool):
     """The leading/trailing amendment only removes false accepts, never adds false rejects."""
-    read_codes, ref_codes, undefined, truth = pool
-    improved = benchmark(
-        _accuracy, read_codes, ref_codes, undefined, truth, edge_policy=EdgePolicy.ONE
-    )
-    legacy = _accuracy(read_codes, ref_codes, undefined, truth, edge_policy=EdgePolicy.ZERO)
+    pairs, truth = pool
+    improved = benchmark(_accuracy, pairs, truth, filter_cls=GateKeeperGPUFilter)
+    legacy = _accuracy(pairs, truth, filter_cls=GateKeeperFilter)
     emit(
         "Ablation — edge policy (GateKeeper-GPU improvement)",
         [
@@ -60,29 +54,23 @@ def test_ablation_edge_policy(benchmark, pool):
 @pytest.mark.parametrize("window", [2, 4, 8])
 def test_ablation_count_window(benchmark, pool, window):
     """Narrower counting windows reject more aggressively; 4 bases keeps FR at zero."""
-    read_codes, ref_codes, undefined, truth = pool
-    summary = benchmark(
-        _accuracy, read_codes, ref_codes, undefined, truth, count_window=window
-    )
+    pairs, truth = pool
+    summary = benchmark(_accuracy, pairs, truth, count_window=window)
     emit(f"Ablation — counting window = {window} bases", [summary.as_row()])
     if window >= 4:
         assert summary.false_rejects == 0
     if window <= 4:
         # Narrow windows count more edits, so they cannot accept more pairs
         # than the default configuration does.
-        default = _accuracy(read_codes, ref_codes, undefined, truth, count_window=4)
+        default = _accuracy(pairs, truth, count_window=4)
         assert summary.false_accepts <= default.false_accepts + 1
 
 
 def test_ablation_amendment(benchmark, pool):
     """Disabling the zero-streak amendment hides errors and inflates false accepts."""
-    read_codes, ref_codes, undefined, truth = pool
-    with_amendment = benchmark(
-        _accuracy, read_codes, ref_codes, undefined, truth, max_zero_run=2
-    )
-    without_amendment = _accuracy(
-        read_codes, ref_codes, undefined, truth, max_zero_run=1
-    )
+    pairs, truth = pool
+    with_amendment = benchmark(_accuracy, pairs, truth, max_zero_run=2)
+    without_amendment = _accuracy(pairs, truth, max_zero_run=1)
     emit(
         "Ablation — zero-streak amendment",
         [

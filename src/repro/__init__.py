@@ -14,7 +14,7 @@ Package map
                     versioned :class:`Result` report schema.
 ``repro.genomics``  DNA alphabet, 2-bit encoding, sequence IO, reference genome.
 ``repro.filters``   GateKeeper, GateKeeper-GPU, SHD, MAGNET, Shouji, SneakySnake
-                    (scalar paths plus the vectorised batch protocol).
+                    (packed-word batch kernels plus the per-base reference).
 ``repro.engine``    Unified filtering API: string-keyed registry
                     (:func:`get_filter` / :func:`available_filters`),
                     :class:`FilterEngine` (any filter, batched + device-split +
@@ -26,8 +26,8 @@ Package map
 ``repro.align``     Exact edit distance (Edlib-equivalent), NW, SW, verification.
 ``repro.simulate``  Synthetic genomes, Mason-like reads, candidate-pair pools.
 ``repro.gpusim``    Simulated GPU: devices, unified memory, occupancy, timing, power.
-``repro.core``      The GateKeeper-GPU system pipeline (config, buffers, word-array
-                    kernel) and the :class:`GateKeeperGPU` façade.
+``repro.core``      The GateKeeper-GPU system pipeline (config, buffers, batch
+                    preparation) and the :class:`GateKeeperGPU` façade.
 ``repro.mapper``    mrFAST-like seed-and-extend mapper with pluggable filtering.
 ``repro.runtime``   The one chunk runner behind every filtering run, plus the
                     FASTQ/FASTA/TSV pair sources: bounded memory, multi-device
@@ -68,7 +68,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Result",

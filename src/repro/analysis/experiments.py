@@ -16,13 +16,8 @@ import numpy as np
 
 from ..align.edit_distance import edit_distance
 from ..core.config import EncodingActor
-from ..core.filter import GateKeeperGPU
 from ..engine.registry import get_filter
-from ..filters import (
-    EdgePolicy,
-    PreAlignmentFilter,
-    estimate_edits_batch,
-)
+from ..filters import GateKeeperGPUFilter, PreAlignmentFilter
 from ..genomics.alphabet import contains_unknown
 from ..genomics.encoding import words_per_read
 from ..gpusim.device import SETUP_1, SETUP_2, SystemSetup
@@ -90,17 +85,12 @@ def false_accept_rows(
     count as false accepts).
     """
     encoded = dataset.encoded()  # the dataset's cached ingest-time encode
-    read_codes = encoded.read_codes
-    ref_codes = encoded.ref_codes
     undefined = encoded.undefined
     distances, _ = ground_truth_for_dataset(dataset)
 
     rows = []
     for threshold in thresholds:
-        estimates = estimate_edits_batch(
-            read_codes, ref_codes, threshold, edge_policy=EdgePolicy.ONE
-        )
-        filter_accepts = undefined | (estimates <= threshold)
+        _, filter_accepts = GateKeeperGPUFilter(threshold).filter_batch(encoded)
         if exclude_undefined:
             truth_accepts = labels_from_distances(distances, threshold, undefined)
         else:
@@ -122,7 +112,7 @@ def filter_comparison_rows(
 
     Undefined pairs are *included* and count as false accepts for the filters
     that pass them, matching the Section 5.1.2 protocol.  Every filter runs
-    through its vectorised ``estimate_edits_batch`` protocol (decisions are
+    its batch kernel over the dataset's encoded batch (decisions are
     identical to the per-pair ``filter_pair`` path, property-tested), which
     makes this comparison roughly an order of magnitude faster than the old
     one-pair-at-a-time string loops; ``max_pairs`` still bounds the pool for
@@ -132,16 +122,13 @@ def filter_comparison_rows(
     order), so filters added via :func:`repro.engine.register_filter` join the
     comparison automatically.
     """
-    from ..core.preprocess import encode_pair_arrays
     from ..engine.registry import available_filters
 
     if max_pairs is not None and dataset.n_pairs > max_pairs:
         dataset = dataset.subset(max_pairs)
     filter_names = list(filter_names or available_filters())
     distances, undefined = ground_truth_for_dataset(dataset)
-    read_codes, ref_codes, undefined_mask = encode_pair_arrays(
-        dataset.reads, dataset.segments
-    )
+    encoded = dataset.encoded()
 
     rows = []
     for threshold in thresholds:
@@ -155,8 +142,7 @@ def filter_comparison_rows(
             # The registry accepts both display names ("GateKeeper-GPU") and
             # canonical keys ("gatekeeper-gpu").
             instance: PreAlignmentFilter = get_filter(name, threshold)
-            estimates = instance.estimate_edits_batch(read_codes, ref_codes)
-            accepts = undefined_mask | (estimates <= threshold)
+            _, accepts = instance.filter_batch(encoded)
             summary = evaluate_decisions(accepts, truth_accepts)
             row[f"{instance.name}_FA"] = summary.false_accepts
             row[f"{instance.name}_FR"] = summary.false_rejects

@@ -18,14 +18,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..genomics.encoding import EncodedPairBatch, encode_batch_codes
+from ..genomics.encoding import EncodedPairBatch
 from .config import EncodingActor, SystemConfiguration
 
 __all__ = [
     "PreparedBatch",
     "prepare_batches",
     "prepare_batches_encoded",
-    "encode_pair_arrays",
 ]
 
 
@@ -68,15 +67,6 @@ class PreparedBatch:
     @property
     def ref_words(self) -> np.ndarray:
         return self.pairs.ref_words
-
-
-def encode_pair_arrays(
-    reads: Sequence[str], segments: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode reads and segments to code arrays plus a combined undefined mask."""
-    read_codes, read_undef = encode_batch_codes(reads)
-    ref_codes, ref_undef = encode_batch_codes(segments)
-    return read_codes, ref_codes, (read_undef | ref_undef)
 
 
 def prepare_batches_encoded(

@@ -4,17 +4,16 @@
 ``GateKeeperGPU.filter_lists``: splitting the work list across the configured
 (simulated) devices, batching each share by the launch configuration,
 encoding pairs into 2-bit code/word arrays, flagging ``N``-containing pairs
-undefined, running the filter's vectorised batch kernel, and reporting the
+undefined, running the filter's packed-word batch kernel, and reporting the
 analytic timing model's decomposition.  Any filter resolvable by the
 :mod:`repro.engine.registry` — or any :class:`PreAlignmentFilter` instance —
 can be dropped in; :class:`repro.core.GateKeeperGPU` is now a thin configured
 façade over this class.
 
-Filters of the GateKeeper family (``word_kernel_compatible``) run through the
-packed word-array kernel of :mod:`repro.core.kernel`, which mirrors the CUDA
-implementation's arithmetic and keeps the host/device encoding-actor
-distinction meaningful; all other filters run their own
-``estimate_edits_batch`` over the per-base code arrays.
+Every batch runs through the filter's own
+:meth:`~repro.filters.base.PreAlignmentFilter.filter_batch`: its packed-word
+kernel (the GateKeeper family's mirrors the CUDA implementation's arithmetic)
+at the engine's ``kernel_tier``, plus the undefined/threshold decision rule.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from numpy.typing import NDArray
 
 from ..core.config import EncodingActor, SystemConfiguration
 from ..core.buffers import FiltrationBuffers
-from ..core.kernel import run_gatekeeper_kernel
 from ..core.preprocess import prepare_batches_encoded
 from ..core.results import FilterRunResult
 from ..filters.base import PreAlignmentFilter
@@ -130,11 +128,6 @@ class FilterEngine:
         return self.config.encoding
 
     @property
-    def uses_word_kernel(self) -> bool:
-        """True when the filter runs through the packed word-array kernel."""
-        return bool(getattr(self.filter, "word_kernel_compatible", False))
-
-    @property
     def active_kernel_tier(self) -> str:
         """The tier that actually runs (``"native"`` or ``"numpy"``).
 
@@ -146,9 +139,7 @@ class FilterEngine:
     @property
     def _needs_word_arrays(self) -> bool:
         """True when filtering will consume the packed word representation."""
-        return self.uses_word_kernel or callable(
-            getattr(self.filter, "estimate_edits_words", None)
-        )
+        return callable(getattr(self.filter, "estimate_edits_words", None))
 
     def allocate_buffers(self, batch_pairs: int) -> list[FiltrationBuffers]:
         """Allocate per-device unified-memory buffers for a batch (bookkeeping)."""
@@ -163,50 +154,6 @@ class FilterEngine:
     # ------------------------------------------------------------------ #
     # Filtering
     # ------------------------------------------------------------------ #
-    def _run_batch(
-        self, batch: Any
-    ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_]]":
-        """(estimates, accepted, undefined) of one :class:`PreparedBatch`."""
-        e = self.config.error_threshold
-        if self.uses_word_kernel:
-            # The word arrays are packed lazily by the parent EncodedPairBatch
-            # (at most once per pair, host- or device-billed per the timing
-            # model); the kernel itself is fully bit-parallel.
-            output = run_gatekeeper_kernel(
-                batch.read_words,
-                batch.ref_words,
-                length=self.config.read_length,
-                error_threshold=e,
-                edge_policy=self.filter.edge_policy,
-                count_window=getattr(self.filter, "count_window", 4),
-                max_zero_run=getattr(self.filter, "max_zero_run", 2),
-                undefined=batch.undefined,
-                tier=self.kernel_tier,
-            )
-            return output.estimated_edits, output.accepted, output.undefined
-        undefined = np.asarray(batch.undefined, dtype=bool)
-        packed_kernel = getattr(self.filter, "estimate_edits_words", None)
-        if callable(packed_kernel):
-            kwargs: "dict[str, Any]" = {}
-            if getattr(self.filter, "native_kernel", None):
-                # Filters with a registered kernel pair accept the tier knob.
-                kwargs["tier"] = self.kernel_tier
-            estimates = np.asarray(
-                packed_kernel(
-                    batch.read_words, batch.ref_words, self.config.read_length, **kwargs
-                ),
-                dtype=np.int32,
-            )
-        else:
-            estimates = np.asarray(
-                self.filter.estimate_edits_batch(batch.read_codes, batch.ref_codes),
-                dtype=np.int32,
-            )
-        # Undefined pairs bypass filtration with a direct pass (paper design).
-        estimates = np.where(undefined, 0, estimates).astype(np.int32)
-        accepted = undefined | (estimates <= e)
-        return estimates, accepted, undefined
-
     def _check_length(self, pairs: EncodedPairBatch) -> None:
         if pairs.n_pairs and pairs.length != self.config.read_length:
             # The read length is a compile-time constant of the simulated
@@ -236,11 +183,16 @@ class FilterEngine:
         undefined = np.zeros(n, dtype=bool)
         n_batches = 0
         for batch in prepare_batches_encoded(pairs, self.config):
-            batch_estimates, batch_accepted, batch_undefined = self._run_batch(batch)
+            # The word arrays are packed lazily by the parent EncodedPairBatch
+            # (at most once per pair, host- or device-billed per the timing
+            # model).
+            batch_estimates, batch_accepted = self.filter.filter_batch(
+                batch.pairs, tier=self.kernel_tier
+            )
             hi = batch.start + batch.n_pairs
             accepted[batch.start : hi] = batch_accepted
             estimates[batch.start : hi] = batch_estimates
-            undefined[batch.start : hi] = batch_undefined
+            undefined[batch.start : hi] = batch.undefined
             n_batches += 1
         return estimates, accepted, undefined, n_batches
 

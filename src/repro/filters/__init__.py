@@ -1,14 +1,6 @@
 """Pre-alignment filters: GateKeeper-GPU and the published comparators."""
 
 from .base import FilterDecision, FilterResult, PreAlignmentFilter
-from .batch import (
-    BatchFilterOutput,
-    amend_masks_batch,
-    estimate_edits_batch,
-    gatekeeper_batch,
-    gatekeeper_batch_from_strings,
-    shifted_mismatch_batch,
-)
 from .bitvector import (
     amend_mask,
     count_one_runs,
@@ -41,29 +33,10 @@ from .shd import SHDFilter
 from .shouji import ShoujiFilter, neighborhood_map, neighborhood_map_batch
 from .sneakysnake import SneakySnakeFilter
 
-#: All comparator filters by their display name, in the order the paper plots
-#: them.  Kept as a static display-name map for the benchmark harness; the
-#: extensible, string-keyed source of truth is :mod:`repro.engine.registry`
-#: (which cannot be imported here without a cycle).
-FILTER_REGISTRY = {
-    "GateKeeper-GPU": GateKeeperGPUFilter,
-    "GateKeeper": GateKeeperFilter,
-    "SHD": SHDFilter,
-    "MAGNET": MagnetFilter,
-    "Shouji": ShoujiFilter,
-    "SneakySnake": SneakySnakeFilter,
-}
-
 __all__ = [
     "FilterDecision",
     "FilterResult",
     "PreAlignmentFilter",
-    "BatchFilterOutput",
-    "amend_masks_batch",
-    "estimate_edits_batch",
-    "gatekeeper_batch",
-    "gatekeeper_batch_from_strings",
-    "shifted_mismatch_batch",
     "amend_mask",
     "count_one_runs",
     "count_set_windows",
@@ -97,5 +70,4 @@ __all__ = [
     "neighborhood_map",
     "neighborhood_map_batch",
     "SneakySnakeFilter",
-    "FILTER_REGISTRY",
 ]

@@ -24,8 +24,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..genomics.alphabet import contains_unknown
-from ..genomics.encoding import encode_to_codes
+from ..genomics.encoding import EncodedPairBatch, encode_to_codes, pack_codes_to_words
 from ..genomics.sequence import SequencePair
+from .native import DEFAULT_KERNEL_TIER
 
 __all__ = ["FilterDecision", "FilterResult", "PreAlignmentFilter"]
 
@@ -61,17 +62,17 @@ class PreAlignmentFilter(ABC):
 
     Subclasses implement :meth:`estimate_edits_codes`, the approximate
     edit-distance computation on a 2-bit-encoded pair that is already known to
-    be defined (no ``N``).  Filters that have a vectorised implementation
-    additionally override :meth:`estimate_edits_batch`; the base class provides
-    a per-pair fallback so every registered filter honours the batch protocol
-    used by :class:`repro.engine.FilterEngine`.
+    be defined (no ``N``).  It is the per-base reference path: the test
+    oracle, next to :mod:`repro.filters.bitvector` / :mod:`repro.filters.masks`.
 
-    Filters with a bit-parallel kernel may additionally define
+    Filters with a bit-parallel kernel also define
     ``estimate_edits_words(read_words, ref_words, length)`` operating on the
     packed ``uint64`` word arrays of an
-    :class:`~repro.genomics.encoding.EncodedPairBatch`; when present, the
-    engine prefers it over :meth:`estimate_edits_batch` (the two must produce
-    identical estimates — property-tested for the built-in filters).
+    :class:`~repro.genomics.encoding.EncodedPairBatch`.  That kernel is the
+    filter's only batch path: :meth:`filter_batch` and
+    :meth:`estimate_edits_batch` both run it, and it must reproduce
+    :meth:`estimate_edits_codes` exactly (property-tested for the built-in
+    filters).  Filters without one fall back to a per-pair loop.
     """
 
     #: Human readable name used by the analysis tables.
@@ -108,9 +109,8 @@ class PreAlignmentFilter(ABC):
     ) -> np.ndarray:
         """Approximate edit distances of a ``(n_pairs, n_bases)`` code batch.
 
-        The base implementation loops over the per-pair scalar path; filters
-        with a vectorised kernel override it.  Both paths must produce
-        identical estimates (property-tested).
+        Packs the codes into words and runs the filter's word kernel; filters
+        without one loop over the per-pair :meth:`estimate_edits_codes`.
         """
         read_codes = np.asarray(read_codes, dtype=np.uint8)
         ref_codes = np.asarray(ref_codes, dtype=np.uint8)
@@ -118,13 +118,50 @@ class PreAlignmentFilter(ABC):
             raise ValueError("read and reference code arrays must have the same shape")
         if read_codes.ndim != 2:
             raise ValueError("batch code arrays must be 2-D (n_pairs, n_bases)")
-        return np.array(
-            [
-                self.estimate_edits_codes(read_codes[i], ref_codes[i])
-                for i in range(read_codes.shape[0])
-            ],
+        words_kernel = getattr(self, "estimate_edits_words", None)
+        if words_kernel is None:
+            return np.array(
+                [
+                    self.estimate_edits_codes(read_codes[i], ref_codes[i])
+                    for i in range(read_codes.shape[0])
+                ],
+                dtype=np.int32,
+            )
+        return np.asarray(
+            words_kernel(
+                pack_codes_to_words(read_codes, word_bits=64),
+                pack_codes_to_words(ref_codes, word_bits=64),
+                read_codes.shape[1],
+            ),
             dtype=np.int32,
         )
+
+    def filter_batch(
+        self, pairs: EncodedPairBatch, tier: str = DEFAULT_KERNEL_TIER
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """``(estimated_edits, accepted)`` of an encoded pair batch.
+
+        ``pairs`` is an :class:`~repro.genomics.encoding.EncodedPairBatch` or
+        a row view of one.  The filter's word kernel runs when it has one
+        (``tier`` selects the kernel tier of filters with a ``native_kernel``),
+        else :meth:`estimate_edits_batch` on the code arrays.  Undefined
+        (``N``-containing) pairs pass with an estimate of 0 — the paper's
+        direct pass; every other pair is accepted when its estimate is within
+        the threshold.
+        """
+        if pairs.read_codes.shape != pairs.ref_codes.shape:
+            raise ValueError("read and reference code arrays must have the same shape")
+        words_kernel = getattr(self, "estimate_edits_words", None)
+        if words_kernel is None:
+            estimates = self.estimate_edits_batch(pairs.read_codes, pairs.ref_codes)
+        else:
+            kwargs = {"tier": tier} if self.native_kernel else {}
+            estimates = words_kernel(
+                pairs.read_words, pairs.ref_words, pairs.length, **kwargs
+            )
+        undefined = np.asarray(pairs.undefined, dtype=bool)
+        estimates = np.where(undefined, 0, estimates).astype(np.int32)
+        return estimates, undefined | (estimates <= self.error_threshold)
 
     def filter_pair(self, read: str, reference_segment: str) -> FilterResult:
         """Filter one pair, handling undefined (``N``-containing) pairs."""

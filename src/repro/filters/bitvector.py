@@ -3,16 +3,12 @@
 Two representations are used in this code base:
 
 * **per-base boolean masks** (NumPy ``uint8``/``bool`` arrays, one element per
-  base) — the clearest form for the scalar reference implementations and for
-  the comparator filters (SHD, MAGNET, Shouji, SneakySnake);
+  base) — this module; the clearest form, used only by the filters' scalar
+  reference paths (``estimate_edits_codes``), the test oracle;
 * **packed word arrays** (``uint64`` words, two bits per base) — the form the
-  CUDA kernel works in; those live in :mod:`repro.core.kernel` and are checked
-  against this module by property tests.
-
-This module also provides arbitrary-precision Python-int bit-vector helpers
-(the FPGA view, where a 100 bp read is a single 200-bit register) so the word
-array arithmetic with explicit carry-bit transfers can be validated against a
-carry-free implementation.
+  CUDA kernel works in and every filter's batch kernel runs on; those live in
+  :mod:`repro.filters.packed` and are checked against this module by property
+  tests.
 """
 
 from __future__ import annotations
@@ -27,9 +23,6 @@ __all__ = [
     "count_one_runs",
     "longest_zero_run",
     "zero_run_lengths",
-    "int_xor_mask",
-    "int_fold_pairs",
-    "int_popcount",
 ]
 
 # --------------------------------------------------------------------------- #
@@ -168,34 +161,3 @@ def longest_zero_run(mask: np.ndarray, start: int = 0, end: int | None = None) -
         else:
             j += 1
     return best_start, best_len
-
-
-# --------------------------------------------------------------------------- #
-# Arbitrary-precision (FPGA register view) helpers
-# --------------------------------------------------------------------------- #
-
-
-def int_xor_mask(read_bits: int, ref_bits: int, n_bases: int) -> int:
-    """XOR of two 2-bit-per-base bit-vectors limited to ``2 * n_bases`` bits."""
-    width = 2 * n_bases
-    return (read_bits ^ ref_bits) & ((1 << width) - 1)
-
-
-def int_fold_pairs(xor_bits: int, n_bases: int) -> int:
-    """OR-fold each 2-bit group of ``xor_bits`` into a single per-base bit.
-
-    Bit ``i`` (counting from the most significant base) of the result is 1 if
-    either bit of base ``i`` differs, reproducing the paper's "every two-bit
-    is combined with bitwise OR" simplification.
-    """
-    folded = 0
-    for i in range(n_bases):
-        shift = 2 * (n_bases - 1 - i)
-        pair = (xor_bits >> shift) & 0b11
-        folded = (folded << 1) | (1 if pair else 0)
-    return folded
-
-
-def int_popcount(value: int) -> int:
-    """Number of set bits in a non-negative Python integer."""
-    return bin(value).count("1")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +22,8 @@ import numpy as np
 from ..genomics.encoding import EncodedPairBatch
 from ..gpusim.device import HostSpec, XEON_GOLD_6140
 from ..gpusim.timing import CpuTimingModel
-from .batch import BatchFilterOutput, gatekeeper_batch
+from .gatekeeper import GateKeeperFilter
+from .gatekeeper_gpu import GateKeeperGPUFilter
 from .masks import EdgePolicy
 
 __all__ = ["CpuFilterResult", "GateKeeperCPU"]
@@ -32,7 +33,9 @@ __all__ = ["CpuFilterResult", "GateKeeperCPU"]
 class CpuFilterResult:
     """Decisions plus timing of a GateKeeper-CPU run."""
 
-    output: BatchFilterOutput
+    estimated_edits: np.ndarray  # (n_pairs,) int32
+    accepted: np.ndarray  # (n_pairs,) bool
+    undefined: np.ndarray  # (n_pairs,) bool
     threads: int
     chunks: int
     wall_clock_s: float
@@ -40,16 +43,8 @@ class CpuFilterResult:
     filter_time_s: float
 
     @property
-    def accepted(self) -> np.ndarray:
-        return self.output.accepted
-
-    @property
-    def estimated_edits(self) -> np.ndarray:
-        return self.output.estimated_edits
-
-    @property
     def n_rejected(self) -> int:
-        return self.output.n_rejected
+        return int(self.accepted.size - self.accepted.sum())
 
 
 class GateKeeperCPU:
@@ -92,17 +87,8 @@ class GateKeeperCPU:
         self.edge_policy = edge_policy
         self.chunk_size = int(chunk_size)
         self.timing_model = CpuTimingModel(host)
-
-    def _filter_chunk(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray, undefined: np.ndarray
-    ) -> BatchFilterOutput:
-        return gatekeeper_batch(
-            read_codes,
-            ref_codes,
-            self.error_threshold,
-            undefined=undefined,
-            edge_policy=self.edge_policy,
-        )
+        filter_cls = GateKeeperGPUFilter if edge_policy == EdgePolicy.ONE else GateKeeperFilter
+        self.filter = filter_cls(error_threshold)
 
     def filter_lists(self, reads: Sequence[str], segments: Sequence[str]) -> CpuFilterResult:
         """Filter parallel lists of reads and candidate segments."""
@@ -116,37 +102,28 @@ class GateKeeperCPU:
         # Encode once for the whole work list — no list copy is forced on the
         # caller's sequence, and worker chunks below are row-slice views.
         pairs = EncodedPairBatch.from_lists(reads, segments)
-        read_codes, ref_codes = pairs.read_codes, pairs.ref_codes
-        undefined = pairs.undefined
 
         n = len(reads)
         bounds = list(range(0, n, self.chunk_size)) + [n]
         chunks = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
 
-        def run(span: tuple[int, int]) -> tuple[int, BatchFilterOutput]:
+        def run(span: tuple[int, int]) -> "tuple[np.ndarray, np.ndarray]":
             lo, hi = span
-            return lo, self._filter_chunk(
-                read_codes[lo:hi], ref_codes[lo:hi], undefined[lo:hi]
-            )
+            return self.filter.filter_batch(pairs[lo:hi])
 
-        accepted = np.zeros(n, dtype=bool)
-        estimates = np.zeros(n, dtype=np.int32)
         if self.threads == 1 or len(chunks) == 1:
             results = [run(span) for span in chunks]
         else:
             with ThreadPoolExecutor(max_workers=self.threads) as pool:
                 results = list(pool.map(run, chunks))
-        for lo, output in results:
-            hi = lo + output.n_pairs
-            accepted[lo:hi] = output.accepted
-            estimates[lo:hi] = output.estimated_edits
+        estimates = np.concatenate([chunk_estimates for chunk_estimates, _ in results])
+        accepted = np.concatenate([chunk_accepted for _, chunk_accepted in results])
         wall_clock = time.perf_counter() - wall_start
 
-        combined = BatchFilterOutput(
-            estimated_edits=estimates, accepted=accepted, undefined=undefined
-        )
         return CpuFilterResult(
-            output=combined,
+            estimated_edits=estimates,
+            accepted=accepted,
+            undefined=pairs.undefined,
             threads=self.threads,
             chunks=len(chunks),
             wall_clock_s=wall_clock,

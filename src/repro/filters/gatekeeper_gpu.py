@@ -8,10 +8,11 @@ Figure 2).  As a result GateKeeper-GPU rejects some over-threshold pairs that
 GateKeeper falsely accepts, producing up to 52x fewer false accepts while
 never rejecting a truly similar pair.
 
-This module contains the scalar (one pair at a time) reference
-implementation.  The batched NumPy kernel that mirrors the CUDA kernel's word
-layout lives in :mod:`repro.core.kernel`; both are checked against each other
-by property tests.
+The filter shares :class:`~repro.filters.gatekeeper.GateKeeperFilter`'s
+scalar reference and its packed-word batch kernel
+(:func:`repro.filters.gatekeeper.gatekeeper_kernel`, which mirrors the CUDA
+kernel's word layout); only the edge policy differs.  Property tests check
+the two paths against each other.
 """
 
 from __future__ import annotations

@@ -11,23 +11,21 @@ edit distance much more tightly than GateKeeper's windowed count, at the cost
 of occasionally rejecting a valid pair (the greedy extraction is not optimal),
 which matches the false rejects the paper observes for MAGNET.
 
-The batch path builds all ``2e+1`` masks for the whole batch with vectorised
-array operations and runs the segment extraction *for all pairs at once*: the
-zero runs of every mask are gathered into one padded ``(n_pairs, max_runs)``
-table, and the divide-and-conquer recursion becomes a round-synchronous state
-machine — each of the at most ``e + 1`` rounds selects every pair's globally
-longest remaining segment with two ``argmax`` reductions, pops the interval
-it lived in and appends the flanking sub-intervals, all as whole-batch NumPy
-operations (:meth:`MagnetFilter._extract_batch`).  The selection order
-reproduces the scalar reference's tie-breaking exactly (first mask, then
-leftmost run, then oldest interval), so batched and scalar estimates stay
-identical; only the per-pair Python loop is gone.
-
-When the pairs arrive pre-encoded as packed words
-(:meth:`MagnetFilter.estimate_edits_words`), the masks are built bit-parallel
-from the word arrays and the zero-run boundaries are detected with packed
-shift/AND marker operations (:func:`repro.filters.packed.zero_run_markers`)
-— only the tiny start/end marker bitmaps are ever unpacked.
+The batch path (:meth:`MagnetFilter.estimate_edits_words`) works on the
+packed word arrays: the ``2e+1`` masks are built bit-parallel, the zero-run
+boundaries are detected with packed shift/AND marker operations
+(:func:`repro.filters.packed.zero_run_markers`) — only the tiny start/end
+marker bitmaps are ever unpacked — and the segment extraction runs *for all
+pairs at once*: the zero runs of every mask are gathered into one padded
+``(n_pairs, max_runs)`` table, and the divide-and-conquer recursion becomes a
+round-synchronous state machine — each of the at most ``e + 1`` rounds
+selects every pair's globally longest remaining segment with two ``argmax``
+reductions, pops the interval it lived in and appends the flanking
+sub-intervals, all as whole-batch NumPy operations
+(:meth:`MagnetFilter._extract_batch`).  The selection order reproduces the
+scalar reference's (:meth:`MagnetFilter.estimate_edits_codes`) tie-breaking
+exactly (first mask, then leftmost run, then oldest interval), so batched and
+scalar estimates stay identical; only the per-pair Python loop is gone.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import PreAlignmentFilter
-from .batch import shifted_mismatch_batch
+from .bitvector import shifted_mask
 from .native import DEFAULT_KERNEL_TIER, resolve
 from .packed import (
     lane_span_mask,
@@ -105,19 +103,6 @@ class MagnetFilter(PreAlignmentFilter):
     # ------------------------------------------------------------------ #
     # Algorithm
     # ------------------------------------------------------------------ #
-    def _build_masks_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
-    ) -> np.ndarray:
-        """``(2e+1, n_pairs, n)`` mask stack for a batch of code arrays."""
-        e = self.error_threshold
-        shifts = [0] + [s for k in range(1, e + 1) for s in (k, -k)]
-        masks = np.empty((len(shifts), read_codes.shape[0], read_codes.shape[1]), dtype=np.uint8)
-        for row, shift in enumerate(shifts):
-            # MAGNET treats vacant positions as mismatches so that edge errors
-            # are not hidden (this is one of its fixes over SHD).
-            masks[row] = shifted_mismatch_batch(read_codes, ref_codes, shift, vacant_value=1)
-        return masks
-
     @staticmethod
     def _longest_zero_segment(
         run_starts: np.ndarray, run_ends: np.ndarray, start: int, end: int
@@ -310,19 +295,15 @@ class MagnetFilter(PreAlignmentFilter):
         ends: np.ndarray,
         n_pairs: int,
         n: int,
-        counts: np.ndarray | None = None,
+        counts: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Scatter (row-sorted) runs into padded ``(n_pairs, max_runs)`` tables.
 
         ``rows`` must be non-decreasing with runs already in (mask, position)
-        order within each row — exactly what row-major ``nonzero`` produces.
-        Padding sentinels clip to lengths below any real run's.  ``counts``
-        (runs per row) may be supplied when the caller already knows it — the
-        packed path counts runs with a word popcount, which is cheaper than
-        the ``bincount`` pass here.
+        order within each row — exactly what row-major ``flatnonzero``
+        produces — and ``counts`` holds the runs per row.  Padding sentinels
+        clip to lengths below any real run's.
         """
-        if counts is None:
-            counts = np.bincount(rows, minlength=n_pairs)
         max_runs = int(counts.max()) if counts.size else 0
         # Positions fit 16 bits for any realistic read; the sentinel values
         # (+-(n + 2)) must fit too, with headroom for the clipping arithmetic.
@@ -342,47 +323,16 @@ class MagnetFilter(PreAlignmentFilter):
     def estimate_edits_codes(self, read_codes: np.ndarray, ref_codes: np.ndarray) -> int:
         read_codes = np.asarray(read_codes, dtype=np.uint8)
         ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        masks = self._build_masks_batch(read_codes[np.newaxis, :], ref_codes[np.newaxis, :])
-        return self._estimate_from_masks(masks[:, 0, :])
-
-    def estimate_edits_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
-    ) -> np.ndarray:
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        if read_codes.shape != ref_codes.shape:
-            raise ValueError("read and reference code arrays must have the same shape")
-        n_pairs = read_codes.shape[0]
-        estimates = np.empty(n_pairs, dtype=np.int32)
-        for start in range(0, n_pairs, self._EXTRACT_BLOCK):
-            block = slice(start, min(start + self._EXTRACT_BLOCK, n_pairs))
-            estimates[block] = self._estimate_codes_block(
-                read_codes[block], ref_codes[block]
-            )
-        return estimates
-
-    def _estimate_codes_block(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
-    ) -> np.ndarray:
-        n_pairs, n = read_codes.shape
-        masks = self._build_masks_batch(read_codes, ref_codes)
-        # Zero runs of every (pair, mask) row at once: the same bounded-diff
-        # trick as the scalar reference, with the pair axis leading so that
-        # row-major nonzero yields each pair's runs in (mask, position) order.
-        n_masks = masks.shape[0]
-        bounded = np.ones((n_pairs, n_masks, n + 2), dtype=np.int8)
-        bounded[:, :, 1:-1] = np.moveaxis(masks, 0, 1)
-        diff = np.diff(bounded, axis=2).reshape(n_pairs, -1)
-        span = n + 1  # positions per (mask) row of the flattened diff
-        start_rows, start_flat = np.nonzero(diff == -1)
-        end_rows, end_flat = np.nonzero(diff == 1)
-        run_starts, run_ends = self._pad_runs(
-            start_rows, start_flat % span, end_flat % span, n_pairs, n
+        e = self.error_threshold
+        shifts = [0] + [s for k in range(1, e + 1) for s in (k, -k)]
+        # MAGNET treats vacant positions as mismatches so that edge errors
+        # are not hidden (this is one of its fixes over SHD).
+        masks = np.stack(
+            [shifted_mask(read_codes, ref_codes, shift, vacant_value=1) for shift in shifts]
         )
-        del end_rows  # same rows/ordering as start_rows: one end per start
-        return self._extract_batch(run_starts, run_ends, n)
+        return self._estimate_from_masks(masks)
 
-    #: Pairs per processing block of the batch paths: keeps every temporary
+    #: Pairs per processing block of the batch path: keeps every temporary
     #: (mask stacks, marker bitmaps, padded run tables) cache-sized and the
     #: run-table padding width local to the block.
     _EXTRACT_BLOCK = 2048

@@ -13,9 +13,10 @@ The pipeline (paper Section 2.1 and 3.4) is:
 8. count the approximate number of edits in the final bit-vector.
 
 The functions here operate on per-base code arrays, which is mathematically
-identical to the packed bit-vector formulation (property tests in
-``tests/test_core_kernel.py`` verify the equivalence with the word-array
-kernel).
+identical to the packed bit-vector formulation: they are the scalar reference
+of the GateKeeper family, and property tests (``tests/test_packed_kernels.py``,
+``tests/test_filters_hypothesis.py``) verify the equivalence with the
+word-array kernel :func:`repro.filters.gatekeeper.gatekeeper_kernel`.
 """
 
 from __future__ import annotations

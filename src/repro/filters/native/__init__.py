@@ -1,9 +1,9 @@
 """The native kernel tier: Numba-compiled packed kernels behind one registry.
 
-The pure-NumPy kernels of :mod:`repro.filters.packed`, the GateKeeper word
-kernel and the MAGNET/SneakySnake packed paths are the *reference* tier:
+The pure-NumPy batch kernels of the GateKeeper family, MAGNET and
+SneakySnake (built on :mod:`repro.filters.packed`) are the *reference* tier:
 vectorised, portable, always available.  This package adds an optional
-*native* tier — the same algorithms written as tight scalar loops and
+*native* tier — the same three kernels written as tight scalar loops and
 compiled with ``numba.njit(cache=True, nogil=True)`` — and the seam through
 which the rest of the stack selects between them.
 

@@ -1,10 +1,11 @@
 """Numba-compatible kernel sources for the native tier.
 
-Every function here is the scalar-loop form of a NumPy kernel from
-:mod:`repro.filters.packed`, :mod:`repro.core.kernel`,
-:mod:`repro.filters.magnet` or :mod:`repro.filters.sneakysnake`, written in
-the restricted Python subset ``numba.njit`` compiles: explicit loops over
-typed arrays, no fancy indexing, no Python objects.  When Numba is importable
+Every public function here is the scalar-loop form of a filter's NumPy batch
+kernel (:func:`repro.filters.gatekeeper.gatekeeper_kernel`,
+:func:`repro.filters.magnet.magnet_kernel`,
+:func:`repro.filters.sneakysnake.sneakysnake_kernel`), written in the
+restricted Python subset ``numba.njit`` compiles: explicit loops over typed
+arrays, no fancy indexing, no Python objects.  When Numba is importable
 the ``_jit`` decorator below applies ``njit(cache=True, nogil=True)`` —
 ``cache=True`` persists the compiled machine code across processes and
 ``nogil=True`` releases the GIL so the ``threads`` executor backend gets real
@@ -33,13 +34,6 @@ import numpy as np
 
 __all__ = [
     "NUMBA_COMPILED",
-    "popcount",
-    "shift_words_right_bits",
-    "shift_words_left_bits",
-    "amend_lanes",
-    "count_lane_windows",
-    "neighborhood_lanes",
-    "zero_run_markers",
     "gatekeeper_kernel",
     "sneakysnake_kernel",
     "magnet_kernel",
@@ -61,80 +55,8 @@ except Exception:  # pragma: no cover - absence/breakage of an optional dep
 
     NUMBA_COMPILED = False
 
-_BASES_PER_WORD = 32
 _U64 = np.uint64
-_ONE = np.uint64(1)
 _THREE = np.uint64(3)
-# SWAR popcount constants (no final multiply: the multiply variant wraps the
-# 64-bit register, which NumPy's scalar path warns about when uncompiled).
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_M7 = np.uint64(0x7F)
-
-
-@_jit
-def _popcount_word(x):  # type: ignore[no-untyped-def]
-    """Set bits of one 64-bit word (SWAR adds and shifts, no multiply)."""
-    x = x - ((x >> _ONE) & _M1)
-    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
-    x = (x + (x >> np.uint64(4))) & _M4
-    x = x + (x >> np.uint64(8))
-    x = x + (x >> np.uint64(16))
-    x = x + (x >> np.uint64(32))
-    return x & _M7
-
-
-@_jit
-def _popcount_flat(words, out):  # type: ignore[no-untyped-def]
-    for i in range(words.shape[0]):
-        out[i] = _popcount_word(words[i])
-
-
-@_jit
-def _shift_rows_right(src, dst, word_shift, bit_shift):  # type: ignore[no-untyped-def]
-    """Per-row bit-vector right shift with carry transfer (zeros shifted in)."""
-    n_rows, n_words = src.shape
-    bs = np.uint64(bit_shift)
-    cs = np.uint64(64 - bit_shift) if bit_shift else np.uint64(0)
-    for r in range(n_rows):
-        for w in range(n_words - 1, -1, -1):
-            sw = w - word_shift
-            if sw < 0:
-                dst[r, w] = _U64(0)
-            elif bit_shift == 0:
-                dst[r, w] = src[r, sw]
-            else:
-                value = src[r, sw] >> bs
-                if sw > 0:
-                    value |= src[r, sw - 1] << cs
-                dst[r, w] = value
-
-
-@_jit
-def _shift_rows_left(src, dst, word_shift, bit_shift):  # type: ignore[no-untyped-def]
-    """Per-row bit-vector left shift with carry transfer (zeros shifted in)."""
-    n_rows, n_words = src.shape
-    bs = np.uint64(bit_shift)
-    cs = np.uint64(64 - bit_shift) if bit_shift else np.uint64(0)
-    for r in range(n_rows):
-        for w in range(n_words):
-            sw = w + word_shift
-            if sw >= n_words:
-                dst[r, w] = _U64(0)
-            elif bit_shift == 0:
-                dst[r, w] = src[r, sw]
-            else:
-                value = src[r, sw] << bs
-                if sw + 1 < n_words:
-                    value |= src[r, sw + 1] >> cs
-                dst[r, w] = value
-
-
-@_jit
-def _lane_bit(words, row, j):  # type: ignore[no-untyped-def]
-    """The mask lane bit of base ``j`` in one packed row: 0 or 1 (int)."""
-    return int((words[row, j >> 5] >> np.uint64(62 - 2 * (j & 31))) & _ONE)
 
 
 @_jit
@@ -144,107 +66,7 @@ def _code_at(words, row, j):  # type: ignore[no-untyped-def]
 
 
 @_jit
-def _set_lane(out, row, plane, j):  # type: ignore[no-untyped-def]
-    out[row, plane, j >> 5] |= _ONE << np.uint64(62 - 2 * (j & 31))
-
-
-@_jit
-def _amend_rows(masks, valid, max_zero_run, out):  # type: ignore[no-untyped-def]
-    """Flip valid zero runs of length <= ``max_zero_run`` flanked by set bits.
-
-    Replicates :func:`repro.filters.packed.amend_lanes`: run maximality and
-    the flanking test use the raw mask bits (positions outside the array are
-    zero, so runs touching either boundary are never flipped), while only
-    ``valid`` positions count as flippable zeros.
-    """
-    n_rows, n_words = masks.shape
-    n_positions = n_words * 32
-    for r in range(n_rows):
-        for w in range(n_words):
-            out[r, w] = masks[r, w]
-        j = 0
-        while j < n_positions:
-            bit = int((masks[r, j >> 5] >> np.uint64(62 - 2 * (j & 31))) & _ONE)
-            if bit:
-                j += 1
-                continue
-            run_start = j
-            while j < n_positions and not int(
-                (masks[r, j >> 5] >> np.uint64(62 - 2 * (j & 31))) & _ONE
-            ):
-                j += 1
-            # Flanked on both sides (a run at either array boundary is not).
-            if run_start > 0 and j < n_positions and j - run_start <= max_zero_run:
-                for k in range(run_start, j):
-                    if int((valid[k >> 5] >> np.uint64(62 - 2 * (k & 31))) & _ONE):
-                        out[r, k >> 5] |= _ONE << np.uint64(62 - 2 * (k & 31))
-
-
-@_jit
-def _count_windows_rows(masks, length, window, out):  # type: ignore[no-untyped-def]
-    """Non-overlapping ``window``-base windows containing a set lane, per row."""
-    n_rows = masks.shape[0]
-    for r in range(n_rows):
-        count = 0
-        j = 0
-        while j < length:
-            hi = j + window
-            if hi > length:
-                hi = length
-            hit = 0
-            for k in range(j, hi):
-                if int((masks[r, k >> 5] >> np.uint64(62 - 2 * (k & 31))) & _ONE):
-                    hit = 1
-                    break
-            count += hit
-            j += window
-        out[r] = count
-
-
-@_jit
-def _zero_run_marker_rows(masks, valid, starts, ends):  # type: ignore[no-untyped-def]
-    """Start/end lane markers of every maximal zero run of the valid span."""
-    n_rows, n_words = masks.shape
-    n_positions = n_words * 32
-    for r in range(n_rows):
-        for w in range(n_words):
-            starts[r, w] = _U64(0)
-            ends[r, w] = _U64(0)
-        prev_zero = False
-        for j in range(n_positions):
-            shift = np.uint64(62 - 2 * (j & 31))
-            is_zero = (
-                int((valid[j >> 5] >> shift) & _ONE) == 1
-                and int((masks[r, j >> 5] >> shift) & _ONE) == 0
-            )
-            if is_zero and not prev_zero:
-                starts[r, j >> 5] |= _ONE << shift
-            if prev_zero and not is_zero:
-                k = j - 1
-                ends[r, k >> 5] |= _ONE << np.uint64(62 - 2 * (k & 31))
-            prev_zero = is_zero
-        if prev_zero:
-            k = n_positions - 1
-            ends[r, k >> 5] |= _ONE << np.uint64(62 - 2 * (k & 31))
-
-
-@_jit
-def _neighborhood_kernel(read_words, ref_words, length, e, out):  # type: ignore[no-untyped-def]
-    """Chip-maze obstacle lanes: row ``i`` compares read[j] with ref[j + i - e]."""
-    n_pairs = read_words.shape[0]
-    for p in range(n_pairs):
-        for i in range(2 * e + 1):
-            d = i - e
-            for j in range(length):
-                idx = j + d
-                if idx < 0 or idx >= length:
-                    _set_lane(out, p, i, j)
-                elif _code_at(read_words, p, j) != _code_at(ref_words, p, idx):
-                    _set_lane(out, p, i, j)
-
-
-@_jit
-def _gatekeeper_batch(
+def _gatekeeper_pairs(
     read_words, ref_words, length, e, edge_one, count_window, max_zero_run, shifts, out
 ):  # type: ignore[no-untyped-def]
     """Per-pair GateKeeper pipeline: shifted masks, amend, edge force, AND, count."""
@@ -308,7 +130,7 @@ def _gatekeeper_batch(
 
 
 @_jit
-def _sneakysnake_batch(read_words, ref_words, length, e, out):  # type: ignore[no-untyped-def]
+def _sneakysnake_pairs(read_words, ref_words, length, e, out):  # type: ignore[no-untyped-def]
     """Greedy single-net routing per pair (reversed next-obstacle scan)."""
     n_pairs = read_words.shape[0]
     longest = np.empty(length, dtype=np.int32)
@@ -427,7 +249,7 @@ def _magnet_extract(run_starts, run_ends, n_runs, n, e):  # type: ignore[no-unty
 
 
 @_jit
-def _magnet_batch(read_words, ref_words, length, e, shifts, out):  # type: ignore[no-untyped-def]
+def _magnet_pairs(read_words, ref_words, length, e, shifts, out):  # type: ignore[no-untyped-def]
     """Per-pair MAGNET: zero runs of all masks in (mask, position) order."""
     n_pairs = read_words.shape[0]
     n_masks = shifts.shape[0]
@@ -468,13 +290,6 @@ def _magnet_batch(read_words, ref_words, length, e, shifts, out):  # type: ignor
 # --------------------------------------------------------------------------- #
 # Dispatchable wrappers (the functions the registry exposes)
 # --------------------------------------------------------------------------- #
-def _as_rows(words: np.ndarray) -> "tuple[np.ndarray, tuple[int, ...]]":
-    """View an ``(..., n_words)`` array as contiguous ``(rows, n_words)``."""
-    arr = np.ascontiguousarray(np.asarray(words, dtype=_U64))
-    shape = arr.shape
-    return arr.reshape(-1, shape[-1] if arr.ndim else 1), shape
-
-
 def _mask_shifts(error_threshold: int) -> np.ndarray:
     """The mask shift schedule ``[0, 1, -1, ..., e, -e]`` as an int64 array."""
     e = int(error_threshold)
@@ -486,84 +301,6 @@ def _mask_shifts(error_threshold: int) -> np.ndarray:
     return shifts
 
 
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.popcount`."""
-    arr = np.ascontiguousarray(np.asarray(words, dtype=_U64))
-    out = np.empty(arr.size, dtype=_U64)
-    _popcount_flat(arr.reshape(-1), out)
-    return out.reshape(arr.shape).astype(np.uint8)
-
-
-def shift_words_right_bits(words: np.ndarray, bits: int) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.shift_words_right_bits`."""
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    rows, shape = _as_rows(words)
-    out = np.empty_like(rows)
-    _shift_rows_right(rows, out, bits // 64, bits % 64)
-    return out.reshape(shape)
-
-
-def shift_words_left_bits(words: np.ndarray, bits: int) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.shift_words_left_bits`."""
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    rows, shape = _as_rows(words)
-    out = np.empty_like(rows)
-    _shift_rows_left(rows, out, bits // 64, bits % 64)
-    return out.reshape(shape)
-
-
-def amend_lanes(
-    masks: np.ndarray, valid: np.ndarray, max_zero_run: int = 2
-) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.amend_lanes`."""
-    if max_zero_run not in (1, 2):
-        raise ValueError("amend_lanes supports max_zero_run of 1 or 2")
-    rows, shape = _as_rows(masks)
-    out = np.empty_like(rows)
-    _amend_rows(rows, np.ascontiguousarray(valid, dtype=_U64), max_zero_run, out)
-    return out.reshape(shape)
-
-
-def count_lane_windows(masks: np.ndarray, length: int, window: int = 4) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.count_lane_windows`."""
-    rows, shape = _as_rows(masks)
-    out = np.empty(rows.shape[0], dtype=np.int32)
-    if length == 0:
-        out[:] = 0
-    else:
-        _count_windows_rows(rows, length, window, out)
-    return out.reshape(shape[:-1])
-
-
-def zero_run_markers(
-    masks: np.ndarray, valid: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Native twin of :func:`repro.filters.packed.zero_run_markers`."""
-    rows, shape = _as_rows(masks)
-    starts = np.empty_like(rows)
-    ends = np.empty_like(rows)
-    _zero_run_marker_rows(rows, np.ascontiguousarray(valid, dtype=_U64), starts, ends)
-    return starts.reshape(shape), ends.reshape(shape)
-
-
-def neighborhood_lanes(
-    read_words: np.ndarray,
-    ref_words: np.ndarray,
-    length: int,
-    error_threshold: int,
-) -> np.ndarray:
-    """Native twin of :func:`repro.filters.packed.neighborhood_lanes`."""
-    read_words = np.ascontiguousarray(read_words, dtype=_U64)
-    ref_words = np.ascontiguousarray(ref_words, dtype=_U64)
-    n_pairs, n_words = read_words.shape
-    e = int(error_threshold)
-    out = np.zeros((n_pairs, 2 * e + 1, n_words), dtype=_U64)
-    _neighborhood_kernel(read_words, ref_words, int(length), e, out)
-    return out
-
-
 def gatekeeper_kernel(
     read_words: np.ndarray,
     ref_words: np.ndarray,
@@ -573,14 +310,14 @@ def gatekeeper_kernel(
     count_window: int,
     max_zero_run: int,
 ) -> np.ndarray:
-    """Native twin of :func:`repro.core.kernel.gatekeeper_kernel` (estimates)."""
+    """Native twin of :func:`repro.filters.gatekeeper.gatekeeper_kernel`."""
     read_words = np.ascontiguousarray(read_words, dtype=_U64)
     ref_words = np.ascontiguousarray(ref_words, dtype=_U64)
     out = np.empty(read_words.shape[0], dtype=np.int32)
     if length == 0:
         out[:] = 0
         return out
-    _gatekeeper_batch(
+    _gatekeeper_pairs(
         read_words,
         ref_words,
         int(length),
@@ -607,7 +344,7 @@ def sneakysnake_kernel(
     if length == 0:
         out[:] = 0
         return out
-    _sneakysnake_batch(read_words, ref_words, int(length), int(error_threshold), out)
+    _sneakysnake_pairs(read_words, ref_words, int(length), int(error_threshold), out)
     return out
 
 
@@ -624,7 +361,7 @@ def magnet_kernel(
     if length == 0:
         out[:] = 0
         return out
-    _magnet_batch(
+    _magnet_pairs(
         read_words,
         ref_words,
         int(length),

@@ -89,9 +89,8 @@ def shift_words_right_bits(words: np.ndarray, bits: int) -> np.ndarray:
     """Shift a ``(..., n_words)`` bit-vector right by ``bits``, zeros shifted in.
 
     "Right" moves content towards higher base indices (word 0 holds the first
-    bases).  Unlike the 32-base-limited kernel helpers, any non-negative
-    distance is supported: whole words are relocated first, the remainder is a
-    sub-word shift with explicit carry transfer.
+    bases).  Any non-negative distance is supported: whole words are relocated
+    first, the remainder is a sub-word shift with explicit carry transfer.
     """
     if bits < 0:
         raise ValueError("bits must be non-negative")
@@ -190,7 +189,7 @@ def shifted_mismatch_lanes(
     vacant_value: int = 0,
     valid: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Packed equivalent of :func:`repro.filters.batch.shifted_mismatch_batch`.
+    """Packed equivalent of :func:`repro.filters.bitvector.shifted_mask`.
 
     Position ``j`` compares ``read[j - shift]`` with ``ref[j]`` (``shift > 0``
     models a deletion mask, ``shift < 0`` an insertion mask); the vacant
@@ -218,7 +217,7 @@ def shifted_mismatch_lanes(
 def amend_lanes(
     masks: np.ndarray, valid: np.ndarray, max_zero_run: int = 2
 ) -> np.ndarray:
-    """Packed equivalent of :func:`repro.filters.batch.amend_masks_batch`.
+    """Packed equivalent of :func:`repro.filters.bitvector.amend_mask`.
 
     Flips zero runs of length <= ``max_zero_run`` flanked by ones on both
     sides; runs touching either sequence boundary are left untouched (the

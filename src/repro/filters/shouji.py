@@ -9,14 +9,13 @@ accepted into the Shouji bit-vector.  The number of positions never covered
 by an accepted zero approximates the edit distance; if it exceeds the
 threshold the pair is rejected.
 
-Both a scalar path (one pair) and a vectorised path (``(n_pairs, n_bases)``
-code batches, used by :class:`repro.engine.FilterEngine`) are provided; they
-produce identical estimates by construction (same window scan, same
-leftmost-diagonal tie-break via ``argmax``).  When the pairs arrive
-pre-encoded as packed words, the default four-column window aligns exactly
-with the bytes of the 2-bit-lane representation, so the whole window scan
-collapses into per-byte popcounts plus an ``argmin`` over diagonals
-(:meth:`ShoujiFilter.estimate_edits_words`) — no per-base array is built.
+The batch path (:meth:`ShoujiFilter.estimate_edits_words`) works on the
+packed word arrays: the default four-column window aligns exactly with the
+bytes of the 2-bit-lane representation, so the whole window scan collapses
+into per-byte popcounts plus an ``argmin`` over diagonals — no per-base array
+is built.  The per-base window scan (:meth:`ShoujiFilter.estimate_edits_codes`)
+is the scalar reference; both pick the leftmost diagonal on ties, so their
+estimates are identical.
 """
 
 from __future__ import annotations
@@ -87,27 +86,8 @@ class ShoujiFilter(PreAlignmentFilter):
         self.window = int(window)
 
     def estimate_edits_codes(self, read_codes: np.ndarray, ref_codes: np.ndarray) -> int:
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        return int(
-            self.estimate_edits_batch(read_codes[np.newaxis, :], ref_codes[np.newaxis, :])[0]
-        )
-
-    def estimate_edits_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised Shouji scan over a ``(n_pairs, n_bases)`` batch.
-
-        Every window's best diagonal is picked per pair with ``argmax`` over
-        the per-diagonal zero counts (first maximum wins, i.e. the leftmost
-        diagonal, as in the scalar reference).
-        """
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        if read_codes.shape != ref_codes.shape:
-            raise ValueError("read and reference code arrays must have the same shape")
-        nmap = neighborhood_map_batch(read_codes, ref_codes, self.error_threshold)
-        return self._scan_windows(nmap)
+        nmap = neighborhood_map(read_codes, ref_codes, self.error_threshold)
+        return int(self._scan_windows(nmap[np.newaxis])[0])
 
     def _scan_windows(self, nmap: np.ndarray) -> np.ndarray:
         """Sliding-window scan over a ``(n_pairs, 2e+1, n)`` neighborhood map.
@@ -143,8 +123,8 @@ class ShoujiFilter(PreAlignmentFilter):
         count of a window is ``4 - popcount(byte)``, the best diagonal is an
         ``argmin`` over the byte popcounts (first minimum = leftmost diagonal,
         matching the reference tie-break) and the estimate is the sum of the
-        chosen diagonals' popcounts.  Other window widths fall back to the
-        per-base batch path on unpacked lanes.
+        chosen diagonals' popcounts.  Other window widths run the per-base
+        window scan on unpacked lanes.
         """
         n_pairs = read_words.shape[0]
         if length == 0:

@@ -11,14 +11,16 @@ never causes a false reject.
 
 The optimal routing can be computed greedily: from the current column, find
 the diagonal with the longest run of obstacle-free cells, travel along it and
-pay one unit to cross the next column.  The vectorised batch path precomputes
-the distance to the next obstacle at every column (one ``minimum.accumulate``
-segment scan over pairs and diagonals — no per-column Python loop) and
-advances all pairs' greedy walks in lockstep; it reproduces the scalar
-estimates exactly, including the early exit once a pair's estimate exceeds
-the threshold.  When the pairs arrive pre-encoded as packed words
-(:meth:`SneakySnakeFilter.estimate_edits_words`), the chip maze itself is
-built bit-parallel from the word arrays (:func:`repro.filters.packed.neighborhood_lanes`).
+pay one unit to cross the next column.  The batch path
+(:meth:`SneakySnakeFilter.estimate_edits_words`) builds the chip maze
+bit-parallel from the packed word arrays
+(:func:`repro.filters.packed.neighborhood_lanes`), precomputes the distance
+to the next obstacle at every column (one ``minimum.accumulate`` segment scan
+over pairs and diagonals — no per-column Python loop) and advances all pairs'
+greedy walks in lockstep.  It reproduces the scalar reference
+(:meth:`SneakySnakeFilter.estimate_edits_codes`, per-base neighborhood map)
+exactly, including the early exit once a pair's estimate exceeds the
+threshold.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from .base import PreAlignmentFilter
 from .native import DEFAULT_KERNEL_TIER, resolve
 from .packed import neighborhood_lanes, unpack_lanes
-from .shouji import neighborhood_map_batch
+from .shouji import neighborhood_map
 
 __all__ = ["SneakySnakeFilter", "sneakysnake_kernel"]
 
@@ -76,24 +78,11 @@ class SneakySnakeFilter(PreAlignmentFilter):
         super().__init__(error_threshold)
 
     def estimate_edits_codes(self, read_codes: np.ndarray, ref_codes: np.ndarray) -> int:
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        return int(
-            self.estimate_edits_batch(read_codes[np.newaxis, :], ref_codes[np.newaxis, :])[0]
-        )
-
-    def estimate_edits_batch(
-        self, read_codes: np.ndarray, ref_codes: np.ndarray
-    ) -> np.ndarray:
-        read_codes = np.asarray(read_codes, dtype=np.uint8)
-        ref_codes = np.asarray(ref_codes, dtype=np.uint8)
-        if read_codes.shape != ref_codes.shape:
-            raise ValueError("read and reference code arrays must have the same shape")
-        n_pairs, n = read_codes.shape
+        nmap = neighborhood_map(read_codes, ref_codes, self.error_threshold)
+        n = nmap.shape[-1]
         if n == 0:
-            return np.zeros(n_pairs, dtype=np.int32)
-        nmap = neighborhood_map_batch(read_codes, ref_codes, self.error_threshold)
-        return self._route(_longest_free_runs(nmap), n)
+            return 0
+        return int(self._route(_longest_free_runs(nmap[np.newaxis]), n)[0])
 
     def estimate_edits_words(
         self,
@@ -104,11 +93,9 @@ class SneakySnakeFilter(PreAlignmentFilter):
     ) -> np.ndarray:
         """Packed-word path: the chip maze is built from the encoded words.
 
-        Used by :class:`repro.engine.FilterEngine` when the pairs arrive as an
-        :class:`~repro.genomics.encoding.EncodedPairBatch` — the neighborhood
-        map rows are shifted-XOR lane masks of the 2-bit word arrays, so no
-        per-base comparison is ever performed.  ``tier`` selects the kernel
-        tier; both tiers return bit-identical estimates.
+        The neighborhood map rows are shifted-XOR lane masks of the 2-bit word
+        arrays, so no per-base comparison is ever performed.  ``tier`` selects
+        the kernel tier; both tiers return bit-identical estimates.
         """
         n_pairs = read_words.shape[0]
         if length == 0:

@@ -112,9 +112,7 @@ class MrFastMapper:
             return get_filter_class(self._prefilter_name).name
         if self.prefilter is None:
             return "NoFilter"
-        if isinstance(self.prefilter, GateKeeperGPU):
-            return "GateKeeper-GPU"
-        return getattr(self.prefilter, "name", type(self.prefilter).__name__)
+        return self.prefilter.name
 
     def _resolve_prefilter(self, read_length: int):
         """Resolve a registry-name prefilter into an engine.
@@ -152,17 +150,10 @@ class MrFastMapper:
         if hasattr(prefilter, "filter_lists"):
             result = prefilter.filter_lists(reads, segments)
             return result.accepted, result.kernel_time_s, result.filter_time_s, result.n_undefined
-        # Bare PreAlignmentFilter instance: run its vectorised batch protocol
-        # (identical decisions to filter_pair, an order of magnitude faster).
-        packed_kernel = getattr(prefilter, "estimate_edits_words", None)
-        if callable(packed_kernel):
-            estimates = packed_kernel(pairs.read_words, pairs.ref_words, pairs.length)
-        else:
-            estimates = prefilter.estimate_edits_batch(pairs.read_codes, pairs.ref_codes)
-        undefined = pairs.undefined
-        estimates = np.where(undefined, 0, np.asarray(estimates, dtype=np.int32))
-        accepted = undefined | (estimates <= prefilter.error_threshold)
-        return accepted, 0.0, 0.0, int(undefined.sum())
+        # Bare PreAlignmentFilter instance: run its batch kernel (identical
+        # decisions to filter_pair, an order of magnitude faster).
+        _, accepted = prefilter.filter_batch(pairs)
+        return accepted, 0.0, 0.0, int(pairs.undefined.sum())
 
     # ------------------------------------------------------------------ #
     # Mapping

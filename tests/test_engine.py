@@ -188,11 +188,6 @@ class TestFilterEngine:
         with pytest.raises(ValueError, match="read_length=100"):
             engine.filter_lists(["ACGT" * 30], ["ACGT" * 30])
 
-    def test_word_kernel_routing(self):
-        assert FilterEngine("gatekeeper-gpu", 100, 5).uses_word_kernel
-        assert FilterEngine("shd", 100, 5).uses_word_kernel
-        assert not FilterEngine("shouji", 100, 5).uses_word_kernel
-
     def test_device_split_and_batching_stable(self, dataset_1k):
         single = FilterEngine("shouji", 100, 5)
         multi = FilterEngine("shouji", 100, 5, setup=SETUP_1, n_devices=4, max_reads_per_batch=77)

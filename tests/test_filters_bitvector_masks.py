@@ -8,15 +8,12 @@ from repro.filters.bitvector import (
     count_one_runs,
     count_set_windows,
     hamming_mask,
-    int_fold_pairs,
-    int_popcount,
-    int_xor_mask,
     longest_zero_run,
     shifted_mask,
     zero_run_lengths,
 )
 from repro.filters.masks import EdgePolicy, build_mask_set, final_bitvector
-from repro.genomics import encode_to_codes, encode_to_int
+from repro.genomics import encode_to_codes
 
 
 class TestHammingAndShiftedMasks:
@@ -114,19 +111,6 @@ class TestCounting:
         assert longest_zero_run(mask) == (4, 3)
         assert longest_zero_run(mask, 0, 4) == (1, 2)
         assert longest_zero_run(np.ones(4, dtype=np.uint8)) == (0, 0)
-
-
-class TestIntHelpers:
-    def test_int_xor_and_fold(self):
-        read = encode_to_int("ACGT")
-        ref = encode_to_int("ACGA")
-        xor = int_xor_mask(read, ref, 4)
-        folded = int_fold_pairs(xor, 4)
-        assert folded == 0b0001  # only the last base differs
-
-    def test_int_popcount(self):
-        assert int_popcount(0) == 0
-        assert int_popcount(0b1011) == 3
 
 
 class TestMaskSet:

@@ -4,9 +4,12 @@ Hypothesis drives random sequences, lengths and thresholds through the packed
 ``uint64`` lane kernels (:mod:`repro.filters.packed`, the GateKeeper word
 kernel) and asserts bit-for-bit agreement with the per-base reference
 implementations in :mod:`repro.filters.bitvector` / :mod:`repro.filters.masks`,
-and through every registered filter's ``estimate_edits_batch`` against its
-per-pair scalar path.  Runs are derandomised (fixed example corpus) so the
-tier-1 suite stays deterministic and fast.
+through the three native kernel sources against their NumPy twins, and
+through every registered filter's ``estimate_edits_batch`` (its word kernel)
+against its per-pair scalar path, and through every filter's ``filter_batch``
+decisions on ``N``-containing batches against ``filter_pair``.  Runs are
+derandomised (fixed example corpus) so the tier-1 suite stays deterministic
+and fast.
 """
 
 from __future__ import annotations
@@ -17,15 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.kernel import run_gatekeeper_kernel
 from repro.engine import available_filters, get_filter
-from repro.filters import packed
+from repro.filters import GateKeeperFilter, GateKeeperGPUFilter, packed
 from repro.filters.native import _kernels as native_kernels
 from repro.filters.native import resolve
 from repro.filters.bitvector import amend_mask, count_set_windows
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
-from repro.genomics.encoding import pack_codes_to_words
+from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
 
 #: Deterministic, time-bounded profile for the tier-1 suite: fixed example
 #: corpus (derandomize), no per-example deadline (cold numpy warms up slowly).
@@ -107,9 +109,9 @@ class TestGateKeeperKernelProperties:
     def test_kernel_matches_scalar_mask_pipeline(self, batch, threshold, edge_policy):
         read, ref = batch
         length = read.shape[1]
-        output = run_gatekeeper_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-            length=length, error_threshold=threshold, edge_policy=edge_policy,
+        filter_cls = GateKeeperGPUFilter if edge_policy == EdgePolicy.ONE else GateKeeperFilter
+        estimates = filter_cls(threshold).estimate_edits_words(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
         )
         expect = np.array(
             [
@@ -123,7 +125,7 @@ class TestGateKeeperKernelProperties:
             ],
             dtype=np.int32,
         )
-        assert np.array_equal(output.estimated_edits, expect)
+        assert np.array_equal(estimates, expect)
 
 
 def _twin(name):
@@ -141,73 +143,6 @@ class TestNativeKernelDifferentials:
     assertions cover both the uncompiled sources and — on CI with the
     ``[native]`` extra — the compiled machine code.
     """
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks())
-    def test_popcount(self, mask):
-        words = packed.pack_lanes(mask)
-        got = native_kernels.popcount(words)
-        expect = _twin("popcount")(words)
-        assert got.dtype == expect.dtype
-        assert np.array_equal(got, expect)
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks(), bits=st.integers(min_value=0, max_value=130))
-    def test_shift_words_right_bits(self, mask, bits):
-        words = packed.pack_lanes(mask)
-        got = native_kernels.shift_words_right_bits(words, bits)
-        assert np.array_equal(got, _twin("shift_words_right_bits")(words, bits))
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks(), bits=st.integers(min_value=0, max_value=130))
-    def test_shift_words_left_bits(self, mask, bits):
-        words = packed.pack_lanes(mask)
-        got = native_kernels.shift_words_left_bits(words, bits)
-        assert np.array_equal(got, _twin("shift_words_left_bits")(words, bits))
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks(), max_zero_run=st.integers(min_value=1, max_value=2))
-    def test_amend_lanes(self, mask, max_zero_run):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
-        got = native_kernels.amend_lanes(lanes, valid, max_zero_run=max_zero_run)
-        expect = _twin("amend_lanes")(lanes, valid, max_zero_run=max_zero_run)
-        assert np.array_equal(got, expect)
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks(), window=st.integers(min_value=1, max_value=8))
-    def test_count_lane_windows(self, mask, window):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        got = native_kernels.count_lane_windows(lanes, length, window=window)
-        expect = _twin("count_lane_windows")(lanes, length, window=window)
-        assert got.dtype == expect.dtype
-        assert np.array_equal(got, expect)
-
-    @settings(max_examples=15, **COMMON)
-    @given(mask=bit_masks())
-    def test_zero_run_markers(self, mask):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
-        got_starts, got_ends = native_kernels.zero_run_markers(lanes, valid)
-        exp_starts, exp_ends = _twin("zero_run_markers")(lanes, valid)
-        assert np.array_equal(got_starts, exp_starts)
-        assert np.array_equal(got_ends, exp_ends)
-
-    @settings(max_examples=15, **COMMON)
-    @given(batch=pair_batches(), threshold=st.integers(min_value=0, max_value=6))
-    def test_neighborhood_lanes(self, batch, threshold):
-        read, ref = batch
-        length = read.shape[1]
-        read_words = pack_codes_to_words(read, 64)
-        ref_words = pack_codes_to_words(ref, 64)
-        got = native_kernels.neighborhood_lanes(
-            read_words, ref_words, length, threshold
-        )
-        expect = _twin("neighborhood_lanes")(read_words, ref_words, length, threshold)
-        assert np.array_equal(got, expect)
 
     @settings(max_examples=10, **COMMON)
     @given(
@@ -273,15 +208,27 @@ class TestFilterEstimateProperties:
 
     @pytest.mark.parametrize("key", available_filters())
     @settings(max_examples=15, **COMMON)
-    @given(batch=pair_batches(), threshold=st.integers(min_value=0, max_value=6))
-    def test_packed_word_path_matches_batch(self, key, batch, threshold):
-        instance = get_filter(key, threshold)
-        packed_kernel = getattr(instance, "estimate_edits_words", None)
-        if not callable(packed_kernel):
-            pytest.skip(f"{key} runs through the engine's word kernel instead")
+    @given(
+        batch=pair_batches(),
+        threshold=st.integers(min_value=0, max_value=6),
+        unknown=st.lists(st.sampled_from(["", "read", "ref"]), min_size=MAX_PAIRS),
+    )
+    def test_filter_batch_matches_filter_pair(self, key, batch, threshold, unknown):
         read, ref = batch
         length = read.shape[1]
-        got = packed_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+        reads = ["".join("ACGT"[c] for c in row) for row in read]
+        segments = ["".join("ACGT"[c] for c in row) for row in ref]
+        for i in range(len(reads)):
+            position = i % length
+            if unknown[i] == "read":
+                reads[i] = reads[i][:position] + "N" + reads[i][position + 1 :]
+            elif unknown[i] == "ref":
+                segments[i] = segments[i][:position] + "N" + segments[i][position + 1 :]
+        instance = get_filter(key, threshold)
+        estimates, accepted = instance.filter_batch(
+            EncodedPairBatch.from_lists(reads, segments)
         )
-        assert np.array_equal(got, instance.estimate_edits_batch(read, ref))
+        for i in range(len(reads)):
+            expect = instance.filter_pair(reads[i], segments[i])
+            assert bool(accepted[i]) == expect.accepted, i
+            assert int(estimates[i]) == expect.estimated_edits, i

@@ -4,12 +4,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.align import dp_edit_distance, edit_distance
-from repro.filters import (
-    EdgePolicy,
-    GateKeeperGPUFilter,
-    SneakySnakeFilter,
-    estimate_edits_batch,
-)
+from repro.filters import GateKeeperGPUFilter, SneakySnakeFilter
 from repro.filters.bitvector import amend_mask
 from repro.genomics import (
     encode_batch_codes,
@@ -98,10 +93,10 @@ def test_batch_estimate_matches_scalar(length, threshold, seed):
     refs = ["".join(chr(c) for c in lut[rng.integers(0, 4, length)]) for _ in range(4)]
     read_codes, _ = encode_batch_codes(reads)
     ref_codes, _ = encode_batch_codes(refs)
-    estimates = estimate_edits_batch(read_codes, ref_codes, threshold, edge_policy=EdgePolicy.ONE)
-    scalar = GateKeeperGPUFilter(threshold)
+    flt = GateKeeperGPUFilter(threshold)
+    estimates = flt.estimate_edits_batch(read_codes, ref_codes)
     for i in range(4):
-        assert int(estimates[i]) == scalar.estimate_edits(reads[i], refs[i])
+        assert int(estimates[i]) == flt.estimate_edits(reads[i], refs[i])
 
 
 @settings(max_examples=40, deadline=None)

@@ -124,6 +124,19 @@ class TestMrFastMapper:
         assert result.filter_name == "SneakySnake"
         assert result.stats.verification_pairs <= result.stats.candidate_pairs
 
+    @pytest.mark.parametrize(
+        "legacy, label", [(False, "GateKeeper-GPU"), (True, "GateKeeper")]
+    )
+    def test_engine_label_follows_edge_policy(self, reference, reads, legacy, label):
+        # The legacy engine runs the original GateKeeper and must say so.
+        engine = GateKeeperGPU(
+            read_length=100, error_threshold=5, legacy_edge_policy=legacy
+        )
+        result = MrFastMapper(
+            reference, error_threshold=5, k=10, prefilter=engine
+        ).map_reads(reads[:5])
+        assert result.filter_name == engine.name == label
+
     def test_batching_does_not_change_results(self, reference, reads):
         big = MrFastMapper(reference, error_threshold=5, k=10).map_reads(reads[:30])
         small = MrFastMapper(

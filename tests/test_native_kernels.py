@@ -17,9 +17,8 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.api.workload import ExecutionSpec
-from repro.core.kernel import run_gatekeeper_kernel
 from repro.engine import FilterCascade, FilterEngine
-from repro.filters import native
+from repro.filters import GateKeeperGPUFilter, native
 from repro.filters.native import (
     DEFAULT_KERNEL_TIER,
     KERNEL_TIERS,
@@ -29,22 +28,11 @@ from repro.filters.native import (
     resolve,
     validate_tier,
 )
-from repro.genomics.encoding import pack_codes_to_words
+from repro.genomics.encoding import EncodedBatch, EncodedPairBatch, pack_codes_to_words
 from repro.simulate import build_dataset
 
 #: Every kernel pair the registry must expose (the tier's public surface).
-EXPECTED_KERNELS = {
-    "popcount",
-    "shift_words_right_bits",
-    "shift_words_left_bits",
-    "amend_lanes",
-    "count_lane_windows",
-    "neighborhood_lanes",
-    "zero_run_markers",
-    "gatekeeper_kernel",
-    "sneakysnake_kernel",
-    "magnet_kernel",
-}
+EXPECTED_KERNELS = {"gatekeeper_kernel", "sneakysnake_kernel", "magnet_kernel"}
 
 
 def dataset_workload(**execution):
@@ -125,16 +113,19 @@ class TestGuardedFallback:
             calls.append("native")
             raise RuntimeError("jit exploded")
 
-        name = "popcount"
+        name = "gatekeeper_kernel"
         native._ensure_registered()
         monkeypatch.setitem(native._REGISTRY[name], "native", broken)
         fn, tier = resolve(name, "native")
         assert tier == "native"
-        words = np.array([0, 3, 2**64 - 1], dtype=np.uint64)
-        out = fn(words)
+        # An exact match and an all-different pair, 32 bases each (e = 0).
+        read = np.array([[0] * 32, [0] * 32], dtype=np.uint8)
+        ref = np.array([[0] * 32, [3] * 32], dtype=np.uint8)
+        args = (pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), 32, 0, True, 4, 2)
+        out = fn(*args)
         # The failed native call was replayed on the NumPy twin...
         assert calls == ["native"]
-        assert np.array_equal(out, np.array([0, 2, 64], dtype=np.uint8))
+        assert np.array_equal(out, np.array([0, 8], dtype=np.int32))
         # ...and the kernel is disabled for the rest of the process.
         _, tier = resolve(name, "native")
         assert tier == "numpy"
@@ -147,19 +138,20 @@ class TestKernelDispatch:
         ref = rng.integers(0, 4, size=(n_pairs, length), dtype=np.uint8)
         return pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
 
-    def test_run_gatekeeper_kernel_tier_equality(self):
-        read_words, ref_words, length = self._words()
+    def test_gatekeeper_filter_batch_tier_equality(self):
+        rng = np.random.default_rng(0)
+        read = rng.integers(0, 4, size=(16, 48), dtype=np.uint8)
+        ref = rng.integers(0, 4, size=(16, 48), dtype=np.uint8)
+        undefined = np.zeros(16, dtype=bool)
+        pairs = EncodedPairBatch(EncodedBatch(read, undefined), EncodedBatch(ref, undefined))
         outputs = [
-            run_gatekeeper_kernel(
-                read_words, ref_words, length=length, error_threshold=3, tier=tier
-            )
-            for tier in KERNEL_TIERS
+            GateKeeperGPUFilter(3).filter_batch(pairs, tier=tier) for tier in KERNEL_TIERS
         ]
-        for other in outputs[1:]:
-            assert np.array_equal(outputs[0].accepted, other.accepted)
-            assert np.array_equal(outputs[0].estimated_edits, other.estimated_edits)
+        for estimates, accepted in outputs[1:]:
+            assert np.array_equal(outputs[0][0], estimates)
+            assert np.array_equal(outputs[0][1], accepted)
 
-    @pytest.mark.parametrize("name", ["sneakysnake", "magnet"])
+    @pytest.mark.parametrize("name", ["gatekeeper-gpu", "sneakysnake", "magnet"])
     def test_filter_word_path_tier_equality(self, name, no_numba):
         from repro.engine import get_filter
 

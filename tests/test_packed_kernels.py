@@ -4,22 +4,32 @@ The per-base mask helpers of ``repro.filters.bitvector`` / ``repro.filters.masks
 are the reference implementation; every packed ``uint64`` lane kernel in
 ``repro.filters.packed`` (and every filter path built on it) must reproduce
 them exactly across read lengths {1, 8, 64, 100, 251} and thresholds
-{0, 2, 5}, including ``N``-containing pairs and length-1 edge cases.
+{0, 2, 5}, including ``N``-containing pairs and length-1 edge cases, and
+one base either side of each code-word and lane-word boundary.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.kernel import run_gatekeeper_kernel
 from repro.engine import FilterEngine, available_filters, get_filter
-from repro.filters import packed
-from repro.filters.bitvector import amend_mask, count_set_windows
+from repro.filters import GateKeeperFilter, GateKeeperGPUFilter, packed
+from repro.filters.bitvector import amend_mask, count_set_windows, shifted_mask
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
-from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
+from repro.genomics.encoding import (
+    EncodedPairBatch,
+    encode_batch_codes,
+    pack_codes_to_words,
+    unpack_words_to_codes,
+)
+
+#: The GateKeeper-family filter running each edge policy.
+GATEKEEPER_BY_POLICY = {EdgePolicy.ZERO: GateKeeperFilter, EdgePolicy.ONE: GateKeeperGPUFilter}
 
 READ_LENGTHS = [8, 64, 100, 251]
 THRESHOLDS = [0, 2, 5]
+#: One base either side of the 32-base code word and the 64-base lane word.
+WORD_BOUNDARY_LENGTHS = [31, 33, 63, 65, 128, 129]
 
 
 def _random_pairs(rng, n_pairs, length, mutate=0.15):
@@ -59,6 +69,30 @@ class TestPackedPrimitives:
         got_left = packed.unpack_lanes(packed.shift_lanes_left(lanes, k) & valid, length)
         assert np.array_equal(got_right, expect_right)
         assert np.array_equal(got_left, expect_left)
+
+    def test_lane_shift_carries_across_word_boundary(self):
+        # One T at the end of word 0; shifting right by one base must carry
+        # its bits into the top of word 1.
+        codes, _ = encode_batch_codes(["A" * 31 + "T" + "A" * 33])
+        words = pack_codes_to_words(codes, word_bits=64)
+        back = unpack_words_to_codes(packed.shift_lanes_right(words, 1), 65, word_bits=64)
+        assert back[0, 32] == 3  # the T moved into the second word
+        assert back[0, 31] == 0
+
+    @pytest.mark.parametrize("length", [1, 8, 50, 100])
+    @pytest.mark.parametrize("vacant_value", [0, 1])
+    def test_shifted_mismatch_lanes_match_reference(self, length, vacant_value):
+        rng = np.random.default_rng(length * 10 + vacant_value)
+        read, ref = _random_pairs(rng, 10, length)
+        read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
+        for shift in (-3, -1, 0, 1, 4):
+            lanes, _ = packed.shifted_mismatch_lanes(
+                read_words, ref_words, shift, length, vacant_value=vacant_value
+            )
+            got = packed.unpack_lanes(lanes, length)
+            for i in range(10):
+                expect = shifted_mask(read[i], ref[i], shift, vacant_value=vacant_value)
+                assert np.array_equal(got[i], expect), (shift, i)
 
     @pytest.mark.parametrize("length", [1, 2, 3, 8, 64, 100, 251])
     @pytest.mark.parametrize("max_zero_run", [1, 2])
@@ -122,9 +156,8 @@ class TestPackedGateKeeperKernel:
     def test_kernel_matches_scalar_mask_pipeline(self, length, threshold, edge_policy):
         rng = np.random.default_rng(hash((length, threshold, edge_policy)) % 2**32)
         read, ref = _random_pairs(rng, 60, length)
-        output = run_gatekeeper_kernel(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-            length=length, error_threshold=threshold, edge_policy=edge_policy,
+        estimates = GATEKEEPER_BY_POLICY[edge_policy](threshold).estimate_edits_words(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
         )
         expect = np.array(
             [
@@ -138,15 +171,14 @@ class TestPackedGateKeeperKernel:
             ],
             dtype=np.int32,
         )
-        assert np.array_equal(output.estimated_edits, expect)
+        assert np.array_equal(estimates, expect)
 
     def test_kernel_length_one(self):
         read = np.array([[0], [3]], dtype=np.uint8)
         ref = np.array([[0], [1]], dtype=np.uint8)
         for threshold in (0, 1):
-            output = run_gatekeeper_kernel(
-                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-                length=1, error_threshold=threshold, edge_policy=EdgePolicy.ONE,
+            estimates = GateKeeperGPUFilter(threshold).estimate_edits_words(
+                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), 1
             )
             expect = np.array(
                 [
@@ -160,11 +192,11 @@ class TestPackedGateKeeperKernel:
                 ],
                 dtype=np.int32,
             )
-            assert np.array_equal(output.estimated_edits, expect)
+            assert np.array_equal(estimates, expect)
 
 
 class TestAllFiltersAgainstReference:
-    """Every registered filter: packed/batch/engine paths vs the scalar filter."""
+    """Every registered filter: batch/engine paths vs the scalar filter."""
 
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("length", READ_LENGTHS)
@@ -181,19 +213,38 @@ class TestAllFiltersAgainstReference:
         assert np.array_equal(batch, scalar)
 
     @pytest.mark.parametrize("key", available_filters())
-    @pytest.mark.parametrize("length", READ_LENGTHS)
-    @pytest.mark.parametrize("threshold", THRESHOLDS)
-    def test_packed_word_path_matches_batch(self, key, length, threshold):
-        instance = get_filter(key, threshold)
-        packed_kernel = getattr(instance, "estimate_edits_words", None)
-        if not callable(packed_kernel):
-            pytest.skip(f"{key} runs through the engine's word kernel instead")
-        rng = np.random.default_rng(hash((key, length, threshold, 1)) % 2**32)
-        read, ref = _random_pairs(rng, 30, length)
-        got = packed_kernel(
+    @pytest.mark.parametrize("length", WORD_BOUNDARY_LENGTHS)
+    def test_word_kernel_at_word_boundaries(self, key, length):
+        rng = np.random.default_rng((length, available_filters().index(key)))
+        read, ref = _random_pairs(rng, 20, length, mutate=0.05)
+        instance = get_filter(key, 3)
+        got = instance.estimate_edits_words(
             pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
         )
-        assert np.array_equal(got, instance.estimate_edits_batch(read, ref))
+        expect = np.array(
+            [instance.estimate_edits_codes(read[i], ref[i]) for i in range(20)],
+            dtype=np.int32,
+        )
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("key", available_filters())
+    def test_filter_batch_row_views_match_whole_batch(self, key):
+        rng = np.random.default_rng((7, available_filters().index(key)))
+        read, ref = _random_pairs(rng, 40, 100, mutate=0.05)
+        reads, segments = _codes_to_strings(read), _codes_to_strings(ref)
+        for i in range(0, 40, 9):
+            reads[i] = reads[i][:50] + "N" + reads[i][51:]
+        instance = get_filter(key, 3)
+        pairs = EncodedPairBatch.from_lists(reads, segments)
+        whole_estimates, whole_accepted = instance.filter_batch(pairs)
+        for rows in (slice(0, 13), slice(13, 40), np.array([39, 0, 18, 27, 5])):
+            # A view of the batch whose words are already packed, and a view
+            # of a fresh batch that packs its own rows.
+            fresh = EncodedPairBatch.from_lists(reads, segments)
+            for view in (pairs[rows], fresh[rows]):
+                estimates, accepted = instance.filter_batch(view)
+                assert np.array_equal(estimates, whole_estimates[rows])
+                assert np.array_equal(accepted, whole_accepted[rows])
 
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("threshold", THRESHOLDS)
