@@ -9,8 +9,10 @@ then declares a ``reads`` workload over them and runs it chunk by chunk:
 * each chunk is sharded across the simulated devices and filtered,
 * survivors are verified immediately, and only counters survive the chunk.
 
-The equivalent CLI invocation is printed at the end; try ``--json`` or
-``--cascade gatekeeper-gpu,sneakysnake`` for variations.
+The workload is also written next to the data, and the equivalent
+``repro run`` invocation is printed at the end; drop ``--table`` for the JSON
+report, or edit the file's filter section (for example
+``"cascade": ["gatekeeper-gpu", "sneakysnake"]``) for variations.
 
 Run from the repository root:
 
@@ -50,6 +52,8 @@ def main() -> None:
             "execution": {"mode": "streaming", "chunk_size": 200, "n_devices": 2},
         }
     )
+    workload_file = workdir / "workload.json"
+    workload_file.write_text(workload.to_json())
     result = Session().run(workload)
     streaming = result.streaming
 
@@ -66,10 +70,7 @@ def main() -> None:
     )
     print()
     print("CLI equivalent:")
-    print(
-        f"  repro-stream --input {fastq} --reference {fasta} "
-        f"--filter gatekeeper-gpu --chunk-size 200 --devices 2"
-    )
+    print(f"  repro run {workload_file} --table")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ def main() -> None:
     print(f"session cache: {session.cache_info}")
 
     # 3. The canonical JSON report — byte-identical to what `repro run`
-    #    and the legacy CLIs' --json flags print for the same workload.
+    #    prints for the same workload file.
     print(cascade_result.to_json()[:200] + "...")
 
 

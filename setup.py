@@ -39,20 +39,7 @@ setup(
         # it every entry point runs on the pure-NumPy reference tier.
         "native": ["numba"],
     },
-    entry_points={
-        "console_scripts": [
-            "repro=repro.cli:main",
-            "repro-plan=repro.cli:plan_main",
-            "repro-filter=repro.cli:filter_main",
-            "repro-map=repro.cli:map_main",
-            "repro-experiment=repro.cli:experiment_main",
-            "repro-stream=repro.cli:stream_main",
-            "repro-serve=repro.serve.cli:serve_main",
-            "repro-submit=repro.serve.cli:submit_main",
-            "repro-shard=repro.cluster.cli:shard_main",
-            "repro-merge=repro.cluster.cli:merge_main",
-        ]
-    },
+    entry_points={"console_scripts": ["repro=repro.cli:main"]},
     classifiers=[
         "Programming Language :: Python :: 3",
         "Programming Language :: Python :: 3.11",

@@ -68,7 +68,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "Result",

@@ -114,6 +114,3 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             )
     return 0 if report.ok else 1
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

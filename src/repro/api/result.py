@@ -220,7 +220,7 @@ class Result:
     def from_mapping_run(
         cls, run: Any, workload: "Workload", rows: list[dict[str, Any]]
     ) -> "Result":
-        """Build from a whole-genome :class:`WholeGenomeRun` (``repro-map``).
+        """Build from a whole-genome :class:`WholeGenomeRun` (a ``mapping`` workload).
 
         With ``input.prefilter = false`` the report describes the unfiltered
         mapper run (``rows`` is then just the NoFilter row).

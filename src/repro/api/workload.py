@@ -136,10 +136,9 @@ class InputSpec:
         A FASTQ/FASTA read file seeded against a reference FASTA:
         ``path``, ``reference``, ``seeding_k``, ``max_candidates_per_read``.
     ``mapping``
-        A simulated whole-genome mapping run (the ``repro-map`` workload):
-        ``n_reads``, ``read_length``, ``genome_length``, ``seed``, and
-        ``prefilter`` (``false`` reports the mapper without pre-alignment
-        filtering, the ``--no-filter`` flag).
+        A simulated whole-genome mapping run: ``n_reads``,
+        ``read_length``, ``genome_length``, ``seed``, and ``prefilter``
+        (``false`` reports the mapper without pre-alignment filtering).
     """
 
     kind: str
@@ -193,7 +192,7 @@ class InputSpec:
                      "must be at least the read length")
 
     def display_name(self) -> str:
-        """The run label reports carry (mirrors the legacy CLIs' naming)."""
+        """The run label reports carry."""
         if self.name:
             return self.name
         if self.kind == "dataset":

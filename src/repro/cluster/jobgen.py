@@ -137,13 +137,16 @@ def run_local(
     ``python -m repro.cli run shard.json --out out/shard.json`` process —
     exactly what a SLURM array task executes — so shard/merge identity
     proven here transfers to a real scheduler.  ``jobs > 1`` runs that many
-    shards concurrently; ``timeout_s`` bounds each shard's wall clock.
-    Failures raise :class:`ClusterError` naming the shard file.
+    shards concurrently; ``timeout_s`` (positive seconds) bounds each
+    shard's wall clock.  Failures raise :class:`ClusterError` naming the
+    shard file.
     """
     if not shard_files:
         raise ClusterError("no shard workload files to run")
     if jobs < 1:
         raise ClusterError("jobs: must be at least 1")
+    if timeout_s is not None and timeout_s <= 0:
+        raise ClusterError(f"timeout_s: must be positive (got {timeout_s})")
     results_dir = Path(results_dir)
     results_dir.mkdir(parents=True, exist_ok=True)
     tasks: "list[tuple[Path, Path]]" = [

@@ -17,7 +17,7 @@ workload:
 >>> Session().run(workload).summary                # doctest: +SKIP
 
 Peak memory is O(chunk_size) regardless of the input size; ``repro run``
-and ``repro-stream`` are the CLI front ends.
+is the CLI front end.
 """
 
 from .sources import (

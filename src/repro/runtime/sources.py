@@ -59,10 +59,10 @@ def _format_suffix(path: str | Path) -> str:
 def ensure_pairs_path(path: str | Path) -> Path:
     """Reject a FASTQ/FASTA path where a two-column pairs file is expected.
 
-    The one home of this guard: the streaming pipeline, the Session's
-    ``tsv`` input and ``repro-stream`` all route through it, so a read file
-    passed without a reference fails with the same actionable message
-    everywhere instead of a confusing parse error inside the TSV reader.
+    The one home of this guard: the streaming pipeline and the Session's
+    ``tsv`` input both route through it, so a read file passed without a
+    reference fails with the same actionable message everywhere instead of
+    a confusing parse error inside the TSV reader.
     """
     path = Path(path)
     suffix = _format_suffix(path)

@@ -138,7 +138,7 @@ def serve_main(argv: "Sequence[str] | None" = None) -> int:
             kernel_tier=args.kernel_tier,
             planner_defaults=planner_defaults,
         )
-    except ValueError as exc:  # bad planner defaults, validated at construction
+    except ValueError as exc:  # bad port or planner defaults, validated at construction
         parser.error(str(exc))
     try:
         server.start()

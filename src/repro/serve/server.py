@@ -134,6 +134,8 @@ class ReproServer:
         kernel_tier: "str | None" = None,
         planner_defaults: "dict[str, Any] | None" = None,
     ) -> None:
+        if not 0 <= port <= 65535:
+            raise ValueError(f"port must be in 0..65535 (got {port})")
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if queue_depth < 1:

@@ -1,18 +1,19 @@
 """The acceptance contract of the one-front-door redesign.
 
 A golden-fixture workload executed via ``Session.run(Workload.from_toml(...))``,
-via ``repro run workload.toml``, and via each legacy CLI's ``--json`` flag
-must print **byte-identical** JSON reports carrying ``schema_version`` — the
-CLIs are thin adapters over one Session, not parallel implementations.
+via ``run_main`` and via the ``repro run`` dispatcher must print
+**byte-identical** JSON reports carrying ``schema_version`` — the CLI is a
+thin adapter over one Session, not a parallel implementation.
 """
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
 from repro.api import SCHEMA_VERSION, Session, Workload
-from repro.cli import filter_main, main, map_main, run_main, stream_main
+from repro.cli import _COMMANDS, main, run_main
 
 DATA = Path(__file__).resolve().parent / "data"
 FIXTURE = json.loads((DATA / "golden_expected.json").read_text())["fixture"]
@@ -38,15 +39,6 @@ mode = "streaming"
 chunk_size = {FIXTURE["chunk_size"]}
 """
 
-STREAM_ARGV = [
-    "--input", str(DATA / "golden_reads.fastq"),
-    "--reference", str(DATA / "golden_reference.fasta"),
-    "--filter", "sneakysnake",
-    "--error-threshold", str(FIXTURE["error_threshold"]),
-    "--chunk-size", str(FIXTURE["chunk_size"]),
-    "--json",
-]
-
 FILTER_TOML = """
 [input]
 kind = "dataset"
@@ -63,15 +55,6 @@ mode = "memory"
 verify = false
 """
 
-FILTER_ARGV = [
-    "--dataset", "Set 1",
-    "--pairs", "150",
-    "--seed", "0",
-    "--filter", "shouji",
-    "--error-threshold", "4",
-    "--json",
-]
-
 MAP_TOML = """
 [input]
 kind = "mapping"
@@ -85,11 +68,20 @@ filter = "gatekeeper-gpu"
 error_threshold = 5
 """
 
-MAP_ARGV = [
-    "--reads", "30",
-    "--genome-length", "12000",
-    "--json",
-]
+STREAM_CASCADE_TOML = f"""
+[input]
+kind = "reads"
+path = "{DATA / 'golden_reads.fastq'}"
+reference = "{DATA / 'golden_reference.fasta'}"
+
+[filter]
+cascade = ["gatekeeper-gpu", "sneakysnake"]
+
+[execution]
+mode = "streaming"
+chunk_size = 64
+n_devices = 2
+"""
 
 CASCADE_TOML = """
 [input]
@@ -107,37 +99,29 @@ mode = "memory"
 verify = false
 """
 
-CASCADE_ARGV = [
-    "--dataset", "Set 1",
-    "--pairs", "200",
-    "--cascade", "gatekeeper-gpu,sneakysnake",
-    "--json",
-]
-
 
 class TestByteIdenticalFrontDoors:
-    """Session API == `repro run` == legacy CLI, byte for byte."""
+    """Session API == `run_main` == `repro run`, byte for byte."""
 
     @pytest.mark.parametrize(
-        ("label", "toml", "entry", "argv"),
+        ("label", "toml"),
         [
-            ("stream", STREAM_TOML, stream_main, STREAM_ARGV),
-            ("filter", FILTER_TOML, filter_main, FILTER_ARGV),
-            ("map", MAP_TOML, map_main, MAP_ARGV),
-            ("cascade", CASCADE_TOML, filter_main, CASCADE_ARGV),
+            ("stream", STREAM_TOML),
+            ("filter", FILTER_TOML),
+            ("map", MAP_TOML),
+            ("cascade", CASCADE_TOML),
         ],
-        ids=["repro-stream", "repro-filter", "repro-map", "repro-filter-cascade"],
+        ids=["stream", "filter", "map", "cascade"],
     )
-    def test_all_front_doors_agree(self, tmp_path, capsys, label, toml, entry, argv):
+    def test_all_front_doors_agree(self, tmp_path, capsys, label, toml):
         workload_path = tmp_path / f"{label}.toml"
         workload_path.write_text(toml)
 
         via_session = Session().run(Workload.from_toml(workload_path)).to_json()
         via_run = cli_stdout(capsys, run_main, [str(workload_path)])
-        via_legacy = cli_stdout(capsys, entry, argv)
         via_dispatcher = cli_stdout(capsys, main, ["run", str(workload_path)])
 
-        assert via_session == via_run == via_legacy == via_dispatcher
+        assert via_session == via_run == via_dispatcher
         payload = json.loads(via_session)
         assert payload["schema_version"] == SCHEMA_VERSION
 
@@ -193,31 +177,58 @@ class TestOneFrontDoor:
         assert result.summary["n_accepted"] == direct.n_accepted
         assert result.summary["n_rejected"] == direct.n_rejected
 
-    def test_stream_cli_table_output_still_prints(self, capsys):
-        out = cli_stdout(
-            capsys,
-            stream_main,
-            [
-                "--input", str(DATA / "golden_reads.fastq"),
-                "--reference", str(DATA / "golden_reference.fasta"),
-                "--chunk-size", "64",
-            ],
-        )
-        assert "Streaming execution" in out
-        assert "Per-chunk accounting" in out
+
+def table_titles(out: str) -> list[str]:
+    """Each printed table's title: the line above its header and ``----`` rule."""
+    lines = out.splitlines()
+    return [lines[i - 2] for i, line in enumerate(lines) if line and set(line) <= {"-", " "}]
+
+
+class TestRunTable:
+    """`repro run --table` prints every section the Result carries."""
+
+    @pytest.mark.parametrize(
+        ("toml", "titles"),
+        [
+            (FILTER_TOML, ["Shouji on Set 1"]),
+            (CASCADE_TOML, ["GateKeeper-GPU -> SneakySnake on Set 1", "Per-stage accounting"]),
+            (
+                STREAM_CASCADE_TOML,
+                [
+                    "GateKeeper-GPU -> SneakySnake on golden_reads.fastq",
+                    "Per-stage accounting",
+                    "Streaming execution",
+                    "Per-chunk accounting",
+                ],
+            ),
+            (MAP_TOML, ["Whole-genome mapping information"]),
+        ],
+        ids=["memory-filter", "memory-cascade", "streamed-cascade", "mapping"],
+    )
+    def test_table_titles(self, tmp_path, capsys, toml, titles):
+        workload_path = tmp_path / "w.toml"
+        workload_path.write_text(toml)
+        out = cli_stdout(capsys, run_main, [str(workload_path), "--table"])
+        assert table_titles(out) == titles
 
 
 class TestDispatcher:
-    def test_unknown_command(self, capsys):
-        assert main(["frobnicate"]) == 2
+    @pytest.mark.parametrize("command", ["frobnicate", "filter"])
+    def test_unknown_command(self, capsys, command):
+        assert main([command]) == 2
         assert "unknown command" in capsys.readouterr().err
 
     def test_no_args_prints_usage_to_stderr(self, capsys):
         assert main([]) == 2
         assert (
-            "repro {run,plan,filter,map,stream,experiment,lint,serve,submit,shard,merge}"
+            "usage: repro {run,plan,experiment,lint,serve,submit,shard,merge} ..."
             in capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_command_target_imports(self, command):
+        module_name, function_name = _COMMANDS[command][0].split(":")
+        assert callable(getattr(importlib.import_module(module_name), function_name))
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

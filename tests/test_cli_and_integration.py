@@ -1,5 +1,7 @@
 """CLI smoke tests and end-to-end integration tests across the packages."""
 
+import importlib
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import pytest
 import repro
 
 from repro.align import edit_distance
-from repro.cli import experiment_main, filter_main, map_main
+from repro.cli import experiment_main, run_main
 from repro.core import EncodingActor, GateKeeperGPU
 from repro.filters import GateKeeperGPUFilter, SneakySnakeFilter
 from repro.genomics import write_fastq, read_fastq
@@ -25,43 +27,38 @@ from repro.simulate import (
 )
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 class TestCli:
     def test_setup_py_ships_the_package_version(self):
-        root = Path(__file__).resolve().parent.parent
         proc = subprocess.run(
             [sys.executable, "setup.py", "--version"],
-            cwd=root, capture_output=True, text=True, check=True,
+            cwd=ROOT, capture_output=True, text=True, check=True,
         )
         assert proc.stdout.strip().splitlines()[-1] == repro.__version__
 
-    def test_filter_main(self, capsys):
-        assert filter_main(["--dataset", "Set 1", "--pairs", "120", "--error-threshold", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "GateKeeper-GPU on Set 1" in out
-        assert "n_rejected" in out
+    def test_setup_py_console_scripts_import(self, monkeypatch):
+        """Every installed script's target exists (a stale one breaks every install)."""
+        import setuptools
 
-    def test_filter_main_setup2_host_encoding(self, capsys):
-        assert (
-            filter_main(
-                [
-                    "--dataset",
-                    "Set 1",
-                    "--pairs",
-                    "80",
-                    "--encoding",
-                    "host",
-                    "--setup",
-                    "setup2",
-                ]
-            )
-            == 0
+        captured = {}
+        monkeypatch.setattr(setuptools, "setup", lambda **kwargs: captured.update(kwargs))
+        runpy.run_path(str(ROOT / "setup.py"))
+        scripts = captured["entry_points"]["console_scripts"]
+        assert scripts == ["repro=repro.cli:main"]
+        for script in scripts:
+            module_name, function_name = script.split("=")[1].split(":")
+            assert callable(getattr(importlib.import_module(module_name), function_name))
+
+    def test_run_setup2_host_encoding(self, tmp_path, capsys):
+        workload = tmp_path / "w.toml"
+        workload.write_text(
+            '[input]\nkind = "dataset"\ndataset = "Set 1"\nn_pairs = 80\n'
+            '[execution]\nencoding = "host"\nsetup = "setup2"\nverify = false\n'
         )
+        assert run_main([str(workload), "--table"]) == 0
         assert "n_pairs" in capsys.readouterr().out
-
-    def test_map_main(self, capsys):
-        assert map_main(["--reads", "40", "--genome-length", "12000"]) == 0
-        out = capsys.readouterr().out
-        assert "NoFilter" in out and "GateKeeper-GPU" in out
 
     def test_experiment_main_timing_tables(self, capsys):
         for name in ("table2", "table5", "table6", "fig7", "fig8", "occupancy"):

@@ -12,7 +12,9 @@ import sys
 
 import pytest
 
-from repro.cli import main, merge_main, run_main, shard_main
+from repro.cli import main, run_main
+from repro.cluster import ClusterError, jobgen
+from repro.cluster.cli import merge_main, shard_main
 
 
 @pytest.fixture()
@@ -85,6 +87,27 @@ class TestShardCli:
         with pytest.raises(SystemExit):
             shard_main([str(workload_file), "--shards", "9999"])
         assert "exceeds" in capsys.readouterr().err
+
+
+class TestRunLocalTimeout:
+    """A non-positive timeout is refused before any shard subprocess starts."""
+
+    @pytest.fixture()
+    def no_subprocess(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a shard subprocess was started")
+
+        monkeypatch.setattr(jobgen.subprocess, "run", fail)
+
+    @pytest.mark.parametrize("timeout_s", [0, -1.0])
+    def test_run_local_rejects_non_positive_timeout(self, no_subprocess, tmp_path, timeout_s):
+        with pytest.raises(ClusterError, match="timeout_s"):
+            jobgen.run_local([tmp_path / "shard-000.json"], tmp_path / "out", timeout_s=timeout_s)
+
+    def test_shard_run_timeout_zero_is_a_cli_error(self, no_subprocess, workload_file, capsys):
+        with pytest.raises(SystemExit):
+            shard_main([str(workload_file), "--shards", "2", "--run", "--timeout", "0"])
+        assert "timeout_s: must be positive" in capsys.readouterr().err
 
 
 class TestMergeCli:

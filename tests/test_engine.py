@@ -350,28 +350,3 @@ class TestMapperWithRegistry:
         # The filter saves verifications but must not lose mappings.
         assert rows[1]["mappings"] == rows[0]["mappings"]
         assert rows[1]["verification_pairs"] <= rows[0]["candidate_pairs"]
-
-
-class TestCli:
-    def test_filter_cli_with_shouji(self, capsys):
-        from repro.cli import filter_main
-
-        assert filter_main(["--filter", "shouji", "--pairs", "150"]) == 0
-        out = capsys.readouterr().out
-        assert "Shouji" in out and "reduction_pct" in out
-
-    def test_filter_cli_with_cascade(self, capsys):
-        from repro.cli import filter_main
-
-        assert (
-            filter_main(["--cascade", "gatekeeper-gpu,sneakysnake", "--pairs", "200"]) == 0
-        )
-        out = capsys.readouterr().out
-        assert "GateKeeper-GPU -> SneakySnake" in out
-        assert "Per-stage accounting" in out
-
-    def test_filter_cli_rejects_single_stage_cascade(self):
-        from repro.cli import filter_main
-
-        with pytest.raises(SystemExit):
-            filter_main(["--cascade", "shouji", "--pairs", "10"])

@@ -411,7 +411,7 @@ class TestCli:
         bad.parent.mkdir(parents=True)
         bad.write_text("start = time.time()\n")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", str(tmp_path)],
+            [sys.executable, "-m", "repro.cli", "lint", str(tmp_path)],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},

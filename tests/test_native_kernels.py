@@ -250,25 +250,6 @@ class TestWorkloadPlumbing:
 
 
 class TestCliPlumbing:
-    def test_filter_flag_accepts_tier(self, capsys):
-        from repro.cli import filter_main
-
-        assert (
-            filter_main(
-                [
-                    "--filter", "magnet",
-                    "--dataset", "Set 1",
-                    "--pairs", "100",
-                    "--error-threshold", "3",
-                    "--kernel-tier", "numpy",
-                    "--json",
-                ]
-            )
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert "kernel_tier" not in json.dumps(payload)
-
     def test_run_flag_overrides_workload_file(self, tmp_path, capsys):
         from repro.cli import run_main
 
@@ -291,13 +272,14 @@ class TestCliPlumbing:
         assert run_main([str(path), "--kernel-tier", "numpy"]) == 0
         assert capsys.readouterr().out == base
 
-    def test_rejects_unknown_tier(self):
-        from repro.cli import filter_main
+    def test_rejects_unknown_tier(self, tmp_path, capsys):
+        from repro.cli import run_main
 
+        path = tmp_path / "workload.json"
+        path.write_text(json.dumps({"input": {"kind": "dataset", "dataset": "Set 1"}}))
         with pytest.raises(SystemExit):
-            filter_main(
-                ["--filter", "magnet", "--kernel-tier", "warp", "--json"]
-            )
+            run_main([str(path), "--kernel-tier", "warp"])
+        assert "invalid choice: 'warp'" in capsys.readouterr().err
 
 
 class TestServerPlumbing:

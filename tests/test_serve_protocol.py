@@ -180,6 +180,20 @@ class TestPayloadCeiling:
             assert ServeClient(port=small.port, timeout_s=10).ping()
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_out_of_range_port_is_named(self, port):
+        with pytest.raises(ValueError, match="port"):
+            ReproServer(port=port)
+
+    def test_serve_main_reports_bad_port_as_usage_error(self, capsys):
+        from repro.serve.cli import serve_main
+
+        with pytest.raises(SystemExit):
+            serve_main(["--port", "70000"])
+        assert "port must be in 0..65535" in capsys.readouterr().err
+
+
 class TestSuccessEnvelopes:
     def test_ping_shape(self, server):
         envelope = raw_exchange(

@@ -148,28 +148,15 @@ class TestGoldenExecutorInvariance:
 
 
 class TestStreamCli:
-    """``repro-stream`` end-to-end on the checked-in fixture."""
+    """``repro run`` on the golden reads workload, end-to-end on the fixture."""
 
-    def test_cli_json_totals_match_in_memory(self, session, golden_dataset, capsys):
+    def test_cli_json_totals_match_in_memory(self, session, golden_dataset, tmp_path, capsys):
         from repro.api import SCHEMA_VERSION
-        from repro.cli import stream_main
+        from repro.cli import run_main
 
-        exit_code = stream_main(
-            [
-                "--input",
-                str(DATA / "golden_reads.fastq"),
-                "--reference",
-                str(DATA / "golden_reference.fasta"),
-                "--filter",
-                "sneakysnake",
-                "--error-threshold",
-                str(FIXTURE["error_threshold"]),
-                "--chunk-size",
-                str(FIXTURE["chunk_size"]),
-                "--json",
-            ]
-        )
-        assert exit_code == 0
+        workload = tmp_path / "golden.json"
+        workload.write_text(golden_workload("sneakysnake").to_json())
+        assert run_main([str(workload)]) == 0
         payload = json.loads(capsys.readouterr().out)
         # The CLI emits the canonical Result schema; its summary totals must
         # match a memory-mode run of the same pairs.
@@ -177,26 +164,3 @@ class TestStreamCli:
         assert payload["dataset"] == "golden_reads.fastq"  # named after the file
         in_memory = memory_run(session, golden_dataset, "sneakysnake")
         assert payload["summary"] == json.loads(in_memory.to_json())["summary"]
-
-    def test_cli_cascade_table_output(self, capsys):
-        from repro.cli import stream_main
-
-        exit_code = stream_main(
-            [
-                "--input",
-                str(DATA / "golden_reads.fastq"),
-                "--reference",
-                str(DATA / "golden_reference.fasta"),
-                "--cascade",
-                "gatekeeper-gpu,sneakysnake",
-                "--chunk-size",
-                "64",
-                "--devices",
-                "2",
-            ]
-        )
-        assert exit_code == 0
-        out = capsys.readouterr().out
-        assert "GateKeeper-GPU -> SneakySnake" in out
-        assert "Streaming execution" in out
-        assert "Per-chunk accounting" in out
