@@ -66,11 +66,11 @@ def main() -> int:
 
     warm_session = Session()
     baseline = warm_session.run(workload)  # populate the session caches
-    direct = engine.filter_dataset(dataset)
+    direct = engine.filter_encoded(dataset.encoded())
     if baseline.summary["n_accepted"] != direct.n_accepted:
         raise SystemExit("facade/direct decision mismatch — benchmark aborted")
 
-    t_direct = timed(lambda: engine.filter_dataset(dataset), REPEATS)
+    t_direct = timed(lambda: engine.filter_encoded(dataset.encoded()), REPEATS)
     t_warm = timed(lambda: warm_session.run(workload), REPEATS)
     t_cold = timed(lambda: Session().run(workload), REPEATS)
 

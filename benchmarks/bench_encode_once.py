@@ -5,13 +5,14 @@ extra dependencies:
 
     PYTHONPATH=src python benchmarks/bench_encode_once.py
 
-For every registered filter it measures the string entry point
-(``FilterEngine.filter_lists`` — one encode per run) against the encode-once
-hot path (``FilterEngine.filter_encoded`` on the dataset's cached
+For every registered filter it measures filtering from strings
+(``EncodedPairBatch.from_lists`` then ``FilterEngine.filter_encoded`` — one
+encode per run) against the encode-once hot path
+(``FilterEngine.filter_encoded`` on the dataset's cached
 :class:`~repro.genomics.encoding.EncodedPairBatch` — zero encodes per run),
 and for the gatekeeper-gpu -> sneakysnake cascade it additionally measures
-the pre-PR-3 *strings-per-stage* execution (each stage re-filters survivor
-string lists rebuilt in Python, re-encoding them from scratch) against
+a *strings-per-stage* execution (each stage re-filters survivor string
+lists rebuilt in Python, re-encoding them from scratch) against
 ``FilterCascade.filter_encoded`` (survivors are index selections on the
 parent batch).  Results go to ``BENCH_encode_once.json``.
 
@@ -34,6 +35,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.api import SCHEMA_VERSION  # noqa: E402
 
 from repro.engine import FilterCascade, FilterEngine, available_filters  # noqa: E402
+from repro.genomics.encoding import EncodedPairBatch  # noqa: E402
 from repro.simulate.datasets import build_dataset  # noqa: E402
 
 N_PAIRS = int(os.environ.get("REPRO_BENCH_ENCODE_PAIRS", "20000"))
@@ -61,8 +63,10 @@ def strings_per_stage_cascade(stages, reads, segments):
     alive = np.arange(len(reads))
     result = None
     for stage in stages:
-        result = stage.filter_lists(
-            [reads[i] for i in alive], [segments[i] for i in alive]
+        result = stage.filter_encoded(
+            EncodedPairBatch.from_lists(
+                [reads[i] for i in alive], [segments[i] for i in alive]
+            )
         )
         alive = alive[result.accepted_indices()]
         if len(alive) == 0:
@@ -84,7 +88,9 @@ def main() -> int:
             name, read_length=dataset.read_length, error_threshold=ERROR_THRESHOLD
         )
         strings_result, t_strings = timed(
-            lambda e=engine: e.filter_lists(dataset.reads, dataset.segments)
+            lambda e=engine: e.filter_encoded(
+                EncodedPairBatch.from_lists(dataset.reads, dataset.segments)
+            )
         )
         encoded_result, t_encoded = timed(lambda e=engine: e.filter_encoded(encoded))
         if strings_result.n_accepted != encoded_result.n_accepted:

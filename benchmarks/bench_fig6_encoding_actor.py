@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiments
-from repro.core import EncodingActor, GateKeeperGPU
+from repro.core import EncodingActor
+from repro.engine import FilterEngine
 from _bench_helpers import emit
 
 
 @pytest.mark.parametrize("encoding", [EncodingActor.HOST, EncodingActor.DEVICE])
 def test_encoding_actor_real_pipeline(benchmark, dataset_100bp, encoding):
     """Wall clock of the real pipeline with host vs device encoding."""
-    gatekeeper = GateKeeperGPU(read_length=100, error_threshold=4, encoding=encoding)
-    result = benchmark(gatekeeper.filter_dataset, dataset_100bp)
+    gatekeeper = FilterEngine("gatekeeper-gpu", 100, 4, encoding=encoding)
+    result = benchmark(gatekeeper.filter_encoded, dataset_100bp.encoded())
     assert result.n_pairs == dataset_100bp.n_pairs
 
 

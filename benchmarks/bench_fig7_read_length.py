@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis import experiments
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from repro.simulate import build_dataset
 from _bench_helpers import BENCH_PAIRS, emit
 
@@ -12,8 +12,8 @@ from _bench_helpers import BENCH_PAIRS, emit
 def test_real_kernel_throughput_by_length(benchmark, dataset_name, read_length):
     """Wall clock of the vectorised kernel at each read length."""
     dataset = build_dataset(dataset_name, n_pairs=min(BENCH_PAIRS, 800), seed=read_length)
-    gatekeeper = GateKeeperGPU(read_length=read_length, error_threshold=4)
-    result = benchmark(gatekeeper.filter_dataset, dataset)
+    gatekeeper = FilterEngine("gatekeeper-gpu", read_length, 4)
+    result = benchmark(gatekeeper.filter_encoded, dataset.encoded())
     assert result.n_pairs == dataset.n_pairs
 
 

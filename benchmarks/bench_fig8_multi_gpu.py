@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiments
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from repro.gpusim import SETUP_1
 from _bench_helpers import emit
 
@@ -14,11 +14,9 @@ CASES = [(100, 2), (150, 4), (250, 8)]
 @pytest.mark.parametrize("n_devices", [1, 4, 8])
 def test_multi_gpu_real_pipeline(benchmark, dataset_100bp, n_devices):
     """Wall clock and decision-stability of the pipeline across device counts."""
-    gatekeeper = GateKeeperGPU(
-        read_length=100, error_threshold=2, setup=SETUP_1, n_devices=n_devices
-    )
-    result = benchmark(gatekeeper.filter_dataset, dataset_100bp)
-    reference = GateKeeperGPU(read_length=100, error_threshold=2).filter_dataset(dataset_100bp)
+    gatekeeper = FilterEngine("gatekeeper-gpu", 100, 2, setup=SETUP_1, n_devices=n_devices)
+    result = benchmark(gatekeeper.filter_encoded, dataset_100bp.encoded())
+    reference = FilterEngine("gatekeeper-gpu", 100, 2).filter_encoded(dataset_100bp.encoded())
     assert np.array_equal(result.accepted, reference.accepted)
 
 

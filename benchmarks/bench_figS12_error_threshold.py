@@ -3,15 +3,15 @@
 import pytest
 
 from repro.analysis import experiments
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from _bench_helpers import emit
 
 
 @pytest.mark.parametrize("error_threshold", [0, 5, 10])
 def test_real_kernel_vs_threshold(benchmark, dataset_250bp, error_threshold):
     """Wall clock of the vectorised kernel as the threshold grows (250 bp)."""
-    gatekeeper = GateKeeperGPU(read_length=250, error_threshold=error_threshold)
-    result = benchmark(gatekeeper.filter_dataset, dataset_250bp.subset(500))
+    gatekeeper = FilterEngine("gatekeeper-gpu", 250, error_threshold)
+    result = benchmark(gatekeeper.filter_encoded, dataset_250bp.subset(500).encoded())
     assert result.n_pairs == 500
 
 

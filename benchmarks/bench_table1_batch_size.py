@@ -8,17 +8,17 @@ at the paper's chromosome-1 scale with the analytic model.
 import pytest
 
 from repro.analysis import experiments
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from _bench_helpers import emit
 
 
 @pytest.mark.parametrize("max_reads_per_batch", [100, 100_000])
 def test_batch_size_effect_on_pipeline(benchmark, dataset_100bp, max_reads_per_batch):
     """Real pipeline wall clock with small vs large batches."""
-    gatekeeper = GateKeeperGPU(
-        read_length=100, error_threshold=5, max_reads_per_batch=max_reads_per_batch
+    gatekeeper = FilterEngine(
+        "gatekeeper-gpu", 100, 5, max_reads_per_batch=max_reads_per_batch
     )
-    result = benchmark(gatekeeper.filter_dataset, dataset_100bp)
+    result = benchmark(gatekeeper.filter_encoded, dataset_100bp.encoded())
     expected_batches = -(-dataset_100bp.n_pairs // min(max_reads_per_batch, dataset_100bp.n_pairs))
     assert result.n_batches == expected_batches
 

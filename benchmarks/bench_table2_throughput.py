@@ -9,7 +9,7 @@ model's reproduction of Table 2 at the paper's 30 M-pair scale.
 import pytest
 
 from repro.analysis import experiments
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from repro.filters import GateKeeperGPUFilter
 from _bench_helpers import emit
 
@@ -19,8 +19,8 @@ THRESHOLDS = {100: (2, 5), 150: (4, 10), 250: (6, 10)}
 @pytest.mark.parametrize("threshold", THRESHOLDS[100])
 def test_gpu_batch_kernel_100bp(benchmark, dataset_100bp, threshold):
     """Wall-clock throughput of the vectorised kernel on the 100 bp pool."""
-    gatekeeper = GateKeeperGPU(read_length=100, error_threshold=threshold)
-    result = benchmark(gatekeeper.filter_dataset, dataset_100bp)
+    gatekeeper = FilterEngine("gatekeeper-gpu", 100, threshold)
+    result = benchmark(gatekeeper.filter_encoded, dataset_100bp.encoded())
     assert result.n_pairs == dataset_100bp.n_pairs
 
 

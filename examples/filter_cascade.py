@@ -32,7 +32,7 @@ def main() -> None:
     stage1 = FilterEngine(
         "gatekeeper-gpu", read_length=dataset.read_length, error_threshold=threshold
     )
-    alone = stage1.filter_dataset(dataset)
+    alone = stage1.filter_encoded(dataset.encoded())
 
     # The cascade: GateKeeper-GPU first, SneakySnake on the survivors only.
     cascade = FilterCascade.from_names(
@@ -40,7 +40,7 @@ def main() -> None:
         read_length=dataset.read_length,
         error_threshold=threshold,
     )
-    combined = cascade.filter_dataset(dataset)
+    combined = cascade.filter_encoded(dataset.encoded())
 
     # Ground truth: which pairs are genuinely within the threshold?
     genuine = {

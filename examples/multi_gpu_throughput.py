@@ -19,7 +19,8 @@ from repro.analysis.experiments import (
     read_length_rows,
     table2_throughput_rows,
 )
-from repro.core import EncodingActor, GateKeeperGPU
+from repro.core import EncodingActor
+from repro.engine import FilterEngine
 from repro.gpusim import SETUP_1
 from repro.simulate import build_dataset
 
@@ -31,11 +32,11 @@ def main() -> None:
     print("Real filtering runs (decisions identical across device counts):")
     rows = []
     for n_devices in (1, 4, 8):
-        gk = GateKeeperGPU(
-            read_length=100, error_threshold=2, setup=SETUP_1, n_devices=n_devices,
-            encoding=EncodingActor.HOST,
+        gk = FilterEngine(
+            "gatekeeper-gpu", read_length=100, error_threshold=2, setup=SETUP_1,
+            n_devices=n_devices, encoding=EncodingActor.HOST,
         )
-        result = gk.filter_dataset(dataset)
+        result = gk.filter_encoded(dataset.encoded())
         rows.append({
             "devices": n_devices,
             "rejected": result.n_rejected,

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 from repro.analysis import format_table
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from repro.mapper import MrFastMapper, write_sam
 from repro.simulate import GenomeProfile, MutationProfile, generate_reference, simulate_reads
 
@@ -46,7 +46,9 @@ def main() -> None:
     no_filter = plain.map_reads(reads)
 
     # 3. Map with GateKeeper-GPU plugged in before verification.
-    gatekeeper = GateKeeperGPU(read_length=read_length, error_threshold=error_threshold)
+    gatekeeper = FilterEngine(
+        "gatekeeper-gpu", read_length=read_length, error_threshold=error_threshold
+    )
     filtered_mapper = MrFastMapper(reference, error_threshold, k=8, prefilter=gatekeeper)
     filtered = filtered_mapper.map_reads(reads)
 

@@ -27,7 +27,7 @@ Package map
 ``repro.simulate``  Synthetic genomes, Mason-like reads, candidate-pair pools.
 ``repro.gpusim``    Simulated GPU: devices, unified memory, occupancy, timing, power.
 ``repro.core``      The GateKeeper-GPU system pipeline (config, buffers, batch
-                    preparation) and the :class:`GateKeeperGPU` façade.
+                    preparation).
 ``repro.mapper``    mrFAST-like seed-and-extend mapper with pluggable filtering.
 ``repro.runtime``   The one chunk runner behind every filtering run, plus the
                     FASTQ/FASTA/TSV pair sources: bounded memory, multi-device
@@ -46,12 +46,12 @@ Quickstart
 
 ``Session`` runs every filtering workload through one chunk loop; the
 filter engines below it (``FilterEngine``, ``FilterCascade``) remain
-available for direct, batch-at-a-time use.
+available for direct, batch-at-a-time use through their one entry point,
+``filter_encoded(pairs, executor=None)``.
 """
 
 from .api import Result, Session, Workload
 from .core.config import EncodingActor
-from .core.filter import GateKeeperGPU
 from .engine import (
     FilterCascade,
     FilterEngine,
@@ -68,14 +68,13 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Result",
     "Session",
     "Workload",
     "EncodingActor",
-    "GateKeeperGPU",
     "FilterCascade",
     "FilterEngine",
     "available_filters",

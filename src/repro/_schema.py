@@ -69,6 +69,7 @@ SUMMARY_KEYS = frozenset({
 STAGE = "stage"
 FILTER = "filter"
 N_INPUT = "n_input"
+#: Measured wall clock: never part of a canonical row (lint-enforced below).
 WALL_CLOCK_S = "wall_clock_s"
 
 #: Keys of one cascade stage accounting row.
@@ -80,7 +81,6 @@ STAGE_KEYS = frozenset({
     N_REJECTED,
     KERNEL_TIME_S,
     FILTER_TIME_S,
-    WALL_CLOCK_S,
 })
 
 # --------------------------------------------------------------------------- #

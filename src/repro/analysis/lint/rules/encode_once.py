@@ -20,12 +20,11 @@ from ..engine import Rule, Violation, terminal_name
 __all__ = ["EncodeOnceRule", "INGEST_SEAMS"]
 
 #: Modules allowed to encode raw sequences or assemble encoded batches:
-#: the encoding layer itself, the dataset-preparation seam, and the
-#: shared-memory transport (which *re-wraps* already encoded arrays around
-#: attached buffers — zero-copy, not a re-encode).
+#: the encoding layer itself and the shared-memory transport (which
+#: *re-wraps* already encoded arrays around attached buffers — zero-copy,
+#: not a re-encode).
 INGEST_SEAMS = (
     "repro/genomics/encoding.py",
-    "repro/core/preprocess.py",
     "repro/exec/shared_batch.py",
 )
 

@@ -165,10 +165,10 @@ class Session:
     def executor_for(self, workload: Workload) -> "Executor | None":
         """The cached execution backend for a workload's execution spec.
 
-        ``executor = "serial"`` with one worker returns ``None`` — the layers
-        below treat that as plain in-line execution with zero dispatch
-        overhead.  Pools (threads/processes) are built once per
-        ``(backend, workers)`` configuration and live until :meth:`close`.
+        ``executor = "serial"`` with one worker returns ``None``, which the
+        engines run as one share on their shared serial executor.  Pools
+        (threads/processes) are built once per ``(backend, workers)``
+        configuration and live until :meth:`close`.
         """
         from ..planner.guard import ensure_resolved
 
@@ -311,7 +311,7 @@ class Session:
         other input is parsed, chunked and encoded as it streams in.
         """
         from ..engine.registry import get_filter_class
-        from ..exec.reduce import streaming_stage_rows
+        from ..exec.reduce import reduce_totals
         from ..runtime.streaming import StreamingPipeline
 
         spec, ex, output = workload.input, workload.execution, workload.output
@@ -367,18 +367,16 @@ class Session:
 
         # An empty input never resolves an engine, in which case no kernel ran.
         engine = pipeline.engine
-        stages = getattr(engine, "stages", None)
+        accounts, _, _ = reduce_totals(
+            engine, report.n_pairs, report.stage_inputs, report.n_accepted
+        )
         result = Result.from_report(
             report,
             workload,
             filter_name=" -> ".join(
                 get_filter_class(key).name for key in workload.filter.filters
             ),
-            stages=(
-                streaming_stage_rows(stages, report.stage_inputs, report.n_accepted)
-                if stages
-                else []
-            ),
+            stages=[account.summary() for account in accounts],
         )
         result.kernel_tier = getattr(engine, "active_kernel_tier", None)
         if shard is not None:

@@ -35,11 +35,9 @@ from ..api.result import SCHEMA_VERSION, Result
 from ..api.session import Session
 from ..api.workload import ShardSpec, Workload
 from ..exec.reduce import (
-    cascade_accounts_from_totals,
     modelled_verification_times,
+    reduce_totals,
     stream_overlap_times,
-    streaming_stage_rows,
-    total_timing,
 )
 from .errors import ShardFileError, ShardMismatchError, ShardSetError
 
@@ -317,44 +315,15 @@ def merge_result_dicts(
     n_accepted = totals[K.N_ACCEPTED]
     n_rejected = totals[K.N_REJECTED]
 
-    streaming_mode = first.streaming is not None
-    stage_engines = getattr(engine, "stages", None)
-
-    if streaming_mode:
-        # Per-stage input totals drive both the composite timing and the
-        # reconstructed stage rows, exactly as in the streaming pipeline.
-        stage_inputs: "dict[int, int]" = {}
-        for shard in ordered:
-            for row in shard.stages:
-                index = int(row[K.STAGE])
-                stage_inputs[index] = stage_inputs.get(index, 0) + int(row[K.N_INPUT])
-        timing = total_timing(engine, n_pairs, stage_inputs)
-        stages = (
-            streaming_stage_rows(stage_engines, stage_inputs, n_accepted)
-            if stage_engines
-            else []
-        )
-    else:
-        if stage_engines:
-            stage_totals: "dict[int, tuple[int, int]]" = {}
-            for shard in ordered:
-                for row in shard.stages:
-                    index = int(row[K.STAGE])
-                    n_input, n_acc = stage_totals.get(index, (0, 0))
-                    stage_totals[index] = (
-                        n_input + int(row[K.N_INPUT]),
-                        n_acc + int(row[K.N_ACCEPTED]),
-                    )
-            accounts, timing, _ = cascade_accounts_from_totals(
-                stage_engines, stage_totals
-            )
-            stages = [
-                {key: value for key, value in account.summary().items() if key != K.WALL_CLOCK_S}
-                for account in accounts
-            ]
-        else:
-            timing = total_timing(engine, n_pairs, {})
-            stages = []
+    # Per-stage input totals drive both the composite timing and the stage
+    # rows, exactly as in the single run.
+    stage_inputs: "dict[int, int]" = {}
+    for shard in ordered:
+        for row in shard.stages:
+            index = int(row[K.STAGE])
+            stage_inputs[index] = stage_inputs.get(index, 0) + int(row[K.N_INPUT])
+    accounts, timing, _ = reduce_totals(engine, n_pairs, stage_inputs, n_accepted)
+    stages = [account.summary() for account in accounts]
 
     verification_time, no_filter_time = modelled_verification_times(
         n_accepted, n_pairs, read_length, session.verification_cost_per_pair_s
@@ -386,8 +355,8 @@ def merge_result_dicts(
 
     streaming = None
     chunks = None
-    if streaming_mode:
-        n_devices = int(first.streaming[K.N_DEVICES])  # type: ignore[index]
+    if first.streaming is not None:
+        n_devices = int(first.streaming[K.N_DEVICES])
         n_chunks = 0
         n_batches = 0
         device_transfer = [0.0] * n_devices
@@ -412,7 +381,7 @@ def merge_result_dicts(
             device_transfer, device_kernel, host_time, n_devices
         )
         streaming = {
-            K.CHUNK_SIZE: int(first.streaming[K.CHUNK_SIZE]),  # type: ignore[index]
+            K.CHUNK_SIZE: int(first.streaming[K.CHUNK_SIZE]),
             K.N_CHUNKS: n_chunks,
             K.N_BATCHES: n_batches,
             K.N_DEVICES: n_devices,

@@ -2,8 +2,7 @@
 
 from .buffers import BufferPlan, FiltrationBuffers, plan_buffers
 from .config import EncodingActor, SystemConfiguration
-from .filter import GateKeeperGPU
-from .preprocess import PreparedBatch, prepare_batches
+from .preprocess import PreparedBatch, prepare_batches_encoded
 from .results import FilterRunResult
 
 __all__ = [
@@ -12,8 +11,7 @@ __all__ = [
     "plan_buffers",
     "EncodingActor",
     "SystemConfiguration",
-    "GateKeeperGPU",
     "PreparedBatch",
-    "prepare_batches",
+    "prepare_batches_encoded",
     "FilterRunResult",
 ]

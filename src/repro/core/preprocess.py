@@ -14,7 +14,7 @@ functional packing performed once per pair either way.  Pairs containing
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .config import EncodingActor, SystemConfiguration
 
 __all__ = [
     "PreparedBatch",
-    "prepare_batches",
+    "kernel_batch_size",
     "prepare_batches_encoded",
 ]
 
@@ -69,26 +69,31 @@ class PreparedBatch:
         return self.pairs.ref_words
 
 
+def kernel_batch_size(config: SystemConfiguration, n_pairs: int) -> int:
+    """Pairs per kernel call when one device share of ``n_pairs`` is batched.
+
+    The configuration's launch batch size for the share, bounded by device
+    memory and by ``max_reads_per_batch``.  The batches
+    :func:`prepare_batches_encoded` yields and the kernel-call count
+    :func:`repro.exec.fanout.expected_n_batches` reports both follow it.
+    """
+    if n_pairs == 0:
+        return 1
+    return max(1, min(config.batch_size(n_pairs) or n_pairs, config.max_reads_per_batch))
+
+
 def prepare_batches_encoded(
-    pairs: EncodedPairBatch,
-    config: SystemConfiguration,
-    batch_size: int | None = None,
+    pairs: EncodedPairBatch, config: SystemConfiguration
 ) -> Iterator[PreparedBatch]:
     """Yield :class:`PreparedBatch` views covering all pairs in order.
 
-    ``batch_size`` defaults to the configuration's batch size for the full
-    work list (bounded by device memory and by ``max_reads_per_batch``).  No
-    encoding happens here: every batch is a row-slice view of ``pairs``.
+    Batches hold :func:`kernel_batch_size` pairs.  No encoding happens here:
+    every batch is a row-slice view of ``pairs``.
     """
     n = pairs.n_pairs
     if n == 0:
         return
-    if batch_size is None:
-        batch_size = min(
-            config.batch_size(n) or n,
-            config.max_reads_per_batch,
-        )
-    batch_size = max(1, batch_size)
+    batch_size = kernel_batch_size(config, n)
     host_encoded = config.encoding is EncodingActor.HOST
     if host_encoded:
         # Host encoding packs the whole staged share up front; touching the
@@ -101,17 +106,3 @@ def prepare_batches_encoded(
             pairs=pairs[start : start + batch_size],
             host_encoded=host_encoded,
         )
-
-
-def prepare_batches(
-    reads: Sequence[str],
-    segments: Sequence[str],
-    config: SystemConfiguration,
-    batch_size: int | None = None,
-) -> Iterator[PreparedBatch]:
-    """String-list adapter over :func:`prepare_batches_encoded` (encodes once)."""
-    if len(reads) != len(segments):
-        raise ValueError("reads and segments must have the same length")
-    return prepare_batches_encoded(
-        EncodedPairBatch.from_lists(reads, segments), config, batch_size=batch_size
-    )

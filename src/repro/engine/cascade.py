@@ -6,30 +6,32 @@ natural system design (``examples/filter_cascade.py``) chains them — the
 cheap batched stage removes the bulk of the junk candidates and the more
 accurate stage re-examines only the survivors before verification.
 :class:`FilterCascade` packages that pattern behind the same
-``filter_lists / filter_pairs / filter_dataset`` protocol as
-:class:`~repro.engine.engine.FilterEngine`, so a cascade drops into the
-pipeline, the mapper and the CLI like a single filter.
+``filter_encoded`` entry point as :class:`~repro.engine.engine.FilterEngine`,
+so a cascade drops into the chunk runner, the mapper and the CLI like a
+single filter.
 
 Each stage only sees the pairs every earlier stage accepted.  Undefined
 (``N``-containing) pairs take a direct pass through every stage, so the
-cascade preserves the no-false-reject contract of its stages.  The combined
-:class:`CascadeRunResult` keeps per-stage accounting.
+cascade preserves the no-false-reject contract of its stages.  The stage
+walk itself lives in :mod:`repro.exec.tasks`; the combined
+:class:`CascadeRunResult` keeps per-stage accounting, rebuilt from the
+per-stage totals by :func:`repro.exec.reduce.reduce_totals`.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .. import _schema as K
 from ..core.config import EncodingActor
 from ..core.results import FilterRunResult
 from ..genomics.encoding import EncodedPairBatch
-from ..gpusim.timing import FilterTiming
 from .engine import FilterEngine
+
+if TYPE_CHECKING:
+    from ..exec.executor import Executor
 
 __all__ = ["CascadeStageAccount", "CascadeRunResult", "FilterCascade"]
 
@@ -45,7 +47,6 @@ class CascadeStageAccount:
     n_rejected: int
     kernel_time_s: float
     filter_time_s: float
-    wall_clock_s: float
 
     def summary(self) -> "dict[str, object]":
         return {
@@ -56,7 +57,6 @@ class CascadeStageAccount:
             K.N_REJECTED: self.n_rejected,
             K.KERNEL_TIME_S: self.kernel_time_s,
             K.FILTER_TIME_S: self.filter_time_s,
-            K.WALL_CLOCK_S: self.wall_clock_s,
         }
 
 
@@ -78,19 +78,27 @@ class FilterCascade:
     stages:
         Engines in execution order (cheapest first).  All stages must share
         one error threshold — a cascade with mixed thresholds would not have a
-        single well-defined accept contract for the verifier that follows it.
+        single well-defined accept contract for the verifier that follows it
+        — and one read length, device count, encoding actor and kernel tier,
+        the values the cascade reports as its own.
     """
 
     def __init__(self, stages: Sequence[FilterEngine]) -> None:
         stages = list(stages)
         if not stages:
             raise ValueError("a cascade needs at least one stage")
-        thresholds = {stage.error_threshold for stage in stages}
-        if len(thresholds) != 1:
-            raise ValueError(f"cascade stages disagree on error_threshold: {sorted(thresholds)}")
-        lengths = {stage.read_length for stage in stages}
-        if len(lengths) != 1:
-            raise ValueError(f"cascade stages disagree on read_length: {sorted(lengths)}")
+        for field_name in (
+            "error_threshold",
+            "read_length",
+            "n_devices",
+            "encoding",
+            "kernel_tier",
+        ):
+            values = {getattr(stage, field_name) for stage in stages}
+            if len(values) != 1:
+                raise ValueError(
+                    f"cascade stages disagree on {field_name}: {sorted(values, key=str)}"
+                )
         self.stages = stages
 
     @classmethod
@@ -168,9 +176,9 @@ class FilterCascade:
     # Filtering
     # ------------------------------------------------------------------ #
     def filter_encoded(
-        self, pairs: EncodedPairBatch, executor: Any = None
+        self, pairs: EncodedPairBatch, executor: "Executor | None" = None
     ) -> CascadeRunResult:
-        """Filter an already-encoded pair batch through every stage.
+        """Filter an encoded pair batch through every stage.
 
         Each stage only sees the survivors of every earlier stage, selected by
         pure index selection on the parent
@@ -178,111 +186,28 @@ class FilterCascade:
         lists are never rebuilt and nothing is ever re-encoded, no matter how
         many stages the cascade has.
 
-        With an :class:`~repro.exec.Executor` every worker carries its share
-        of the batch through all stages locally (survivor selection stays
-        inside the worker, so no intermediate state crosses the transport) and
-        the per-stage accounting is reduced from the share totals; decisions,
-        stage accounts, modelled times and ``n_batches`` are byte-identical to
-        the serial sweep for every backend and worker count.
+        The batch fans out across ``executor``'s workers, or runs as one
+        share on a serial executor when ``executor`` is ``None``.  Every
+        worker carries its share through all stages locally (no
+        intermediate state crosses the transport), and the stage accounts,
+        modelled times and ``n_batches`` are rebuilt from the per-stage
+        totals, so they are byte-identical for every backend and worker
+        count.
         """
+        # Imported on first use, like FilterEngine.filter_encoded's.
+        from ..exec.fanout import fan_out_cascade
+        from ..exec.reduce import reduce_totals
+
         n = pairs.n_pairs
         if n == 0:
             raise ValueError("cannot filter an empty work list")
-        if executor is not None:
-            return self._filter_encoded_parallel(pairs, executor)
-
-        accepted = np.zeros(n, dtype=bool)
-        estimates = np.zeros(n, dtype=np.int32)
-        undefined = np.zeros(n, dtype=bool)
-        accounts: list[CascadeStageAccount] = []
-        encode = prep = transfer = kernel = 0.0
-        n_batches = 0
-
         wall_start = time.perf_counter()
-        alive = np.arange(n)
-        survivors = pairs
-        for stage_index, stage in enumerate(self.stages):
-            stage_start = time.perf_counter()
-            result = stage.filter_encoded(survivors)
-            stage_wall = time.perf_counter() - stage_start
-            # The estimate a pair reports is the one from the last stage that
-            # examined it (the stage that rejected it, or the final stage).
-            estimates[alive] = result.estimated_edits
-            undefined[alive] |= result.undefined
-            accounts.append(
-                CascadeStageAccount(
-                    stage=stage_index,
-                    filter_name=stage.name,
-                    n_input=int(len(alive)),
-                    n_accepted=result.n_accepted,
-                    n_rejected=result.n_rejected,
-                    kernel_time_s=result.kernel_time_s,
-                    filter_time_s=result.filter_time_s,
-                    wall_clock_s=stage_wall,
-                )
-            )
-            encode += result.timing.encode_s
-            prep += result.timing.host_prep_s
-            transfer += result.timing.transfer_s
-            kernel += result.timing.kernel_s
-            n_batches += result.n_batches
-            keep = result.accepted_indices()
-            alive = alive[keep]
-            if len(alive) == 0:
-                break
-            if stage_index + 1 < len(self.stages):
-                # Pure index selection: survivors stay in encoded form.
-                survivors = survivors.select(keep)
-        accepted[alive] = True
-        wall_clock = time.perf_counter() - wall_start
-
-        timing = FilterTiming(
-            encode_s=encode, host_prep_s=prep, transfer_s=transfer, kernel_s=kernel
-        )
-        return CascadeRunResult(
-            accepted=accepted,
-            estimated_edits=estimates,
-            undefined=undefined,
-            kernel_time_s=timing.kernel_s,
-            filter_time_s=timing.filter_s,
-            wall_clock_s=wall_clock,
-            timing=timing,
-            n_batches=n_batches,
-            metadata={
-                "filter": self.name,
-                "stages": [stage.name for stage in self.stages],
-                "n_devices": self.n_devices,
-                "encoding": self.encoding.value,
-                "kernel_tier": self.active_kernel_tier,
-            },
-            stage_accounts=accounts,
-        )
-
-    def _filter_encoded_parallel(
-        self, pairs: EncodedPairBatch, executor: Any
-    ) -> CascadeRunResult:
-        """Executor-backed :meth:`filter_encoded`: shares run all stages locally.
-
-        The partition-dependent quantities are never taken from the shares:
-        per-stage modelled times are the timing model evaluated once on each
-        stage's total input (exactly the call the serial sweep makes) and
-        ``n_batches`` is the serial device-split count recomputed from those
-        totals — so the result is byte-identical to ``executor=None``.  The
-        reduction itself is the shared
-        :func:`repro.exec.reduce.cascade_accounts_from_totals`, also used by
-        the cluster shard merge.
-        """
-        from ..exec.fanout import fan_out_cascade
-        from ..exec.reduce import cascade_accounts_from_totals
-
-        wall_start = time.perf_counter()
-        estimates, accepted, undefined, stage_totals = fan_out_cascade(
+        estimates, accepted, undefined, stage_inputs = fan_out_cascade(
             self, pairs, executor
         )
         wall_clock = time.perf_counter() - wall_start
-
-        accounts, timing, n_batches = cascade_accounts_from_totals(
-            self.stages, stage_totals
+        accounts, timing, n_batches = reduce_totals(
+            self, n, stage_inputs, int(accepted.sum())
         )
         return CascadeRunResult(
             accepted=accepted,
@@ -302,37 +227,6 @@ class FilterCascade:
             },
             stage_accounts=accounts,
         )
-
-    def filter_lists(
-        self, reads: Sequence[str], segments: Sequence[str], executor: Any = None
-    ) -> CascadeRunResult:
-        """Filter parallel lists through every stage, survivors only.
-
-        Thin adapter: the lists are encoded exactly once and handed to
-        :meth:`filter_encoded`.
-        """
-        if len(reads) != len(segments):
-            raise ValueError("reads and segments must have the same length")
-        if len(reads) == 0:
-            raise ValueError("cannot filter an empty work list")
-        return self.filter_encoded(
-            EncodedPairBatch.from_lists(reads, segments), executor=executor
-        )
-
-    def filter_pairs(self, pairs: Sequence[Any], executor: Any = None) -> CascadeRunResult:
-        """Filter a sequence of :class:`repro.genomics.sequence.SequencePair`."""
-        reads = [p.read for p in pairs]
-        segments = [p.reference_segment for p in pairs]
-        return self.filter_lists(reads, segments, executor=executor)
-
-    def filter_dataset(self, dataset: Any, executor: Any = None) -> CascadeRunResult:
-        """Filter a :class:`repro.simulate.PairDataset` (cached encode-once batch)."""
-        encoded = getattr(dataset, "encoded", None)
-        if callable(encoded):
-            batch = encoded()
-            if batch.n_pairs:
-                return self.filter_encoded(batch, executor=executor)
-        return self.filter_lists(dataset.reads, dataset.segments, executor=executor)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FilterCascade({self.name!r}, error_threshold={self.error_threshold})"

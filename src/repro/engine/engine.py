@@ -1,16 +1,17 @@
 """The unified filtering engine: any registered filter, one vectorized pipeline.
 
-:class:`FilterEngine` generalises what used to be hardwired into
-``GateKeeperGPU.filter_lists``: splitting the work list across the configured
-(simulated) devices, batching each share by the launch configuration,
-encoding pairs into 2-bit code/word arrays, flagging ``N``-containing pairs
-undefined, running the filter's packed-word batch kernel, and reporting the
-analytic timing model's decomposition.  Any filter resolvable by the
+:class:`FilterEngine` runs the GateKeeper-GPU system pipeline for any filter:
+batching the encoded work list by the launch configuration of the
+configured (simulated) devices, flagging ``N``-containing pairs undefined,
+running the filter's packed-word batch kernel, and reporting the analytic
+timing model's decomposition.  Any filter resolvable by the
 :mod:`repro.engine.registry` — or any :class:`PreAlignmentFilter` instance —
-can be dropped in; :class:`repro.core.GateKeeperGPU` is now a thin configured
-façade over this class.
+can be dropped in.
 
-Every batch runs through the filter's own
+:meth:`FilterEngine.filter_encoded` is the one filtering entry point: it
+always fans the batch out through :mod:`repro.exec.fanout` (as one share
+when no executor is given), and every share batches through
+:meth:`FilterEngine.filter_encoded_share`.  Each batch runs the filter's own
 :meth:`~repro.filters.base.PreAlignmentFilter.filter_batch`: its packed-word
 kernel (the GateKeeper family's mirrors the CUDA implementation's arithmetic)
 at the engine's ``kernel_tier``, plus the undefined/threshold decision rule.
@@ -19,7 +20,7 @@ at the engine's ``kernel_tier``, plus the undefined/threshold decision rule.
 from __future__ import annotations
 
 import time
-from typing import Any, Sequence, Type
+from typing import TYPE_CHECKING, Any, Sequence, Type
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,9 +33,11 @@ from ..filters.base import PreAlignmentFilter
 from ..filters.native import DEFAULT_KERNEL_TIER, active_tier, validate_tier
 from ..genomics.encoding import EncodedPairBatch
 from ..gpusim.device import DeviceSpec, GTX_1080_TI, SystemSetup
-from ..gpusim.multi_gpu import split_evenly
 from ..gpusim.timing import TimingModel
 from .registry import resolve_filter
+
+if TYPE_CHECKING:
+    from ..exec.executor import Executor
 
 __all__ = ["FilterEngine"]
 
@@ -88,7 +91,9 @@ class FilterEngine:
             device_list = setup.devices(n_devices)
             host = setup.host
         else:
-            device_list = list(devices) if devices else [GTX_1080_TI] * n_devices
+            device_list = (
+                list(devices) if devices is not None else [GTX_1080_TI] * n_devices
+            )
             host = None
         self.filter = resolve_filter(filter_spec, error_threshold, **filter_kwargs)
         self.kernel_tier = validate_tier(kernel_tier)
@@ -166,22 +171,21 @@ class FilterEngine:
 
     def filter_encoded_share(
         self, pairs: EncodedPairBatch
-    ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], int]":
-        """Run the batched kernel path over one device's share of the work.
+    ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_]]":
+        """Run the batched kernel path over one share of the work.
 
-        This is the single-device core of :meth:`filter_encoded`: no device
-        splitting and no timing model, just batching and the kernel on an
-        already-encoded :class:`~repro.genomics.encoding.EncodedPairBatch`.
-        Returns ``(estimated_edits, accepted, undefined, n_batches)``; an
-        empty share yields empty arrays.  Executor workers
-        (:mod:`repro.exec.tasks`) run their shares through this too.
+        The per-share core of :meth:`filter_encoded`, which executor workers
+        (:mod:`repro.exec.tasks`) run: no timing model, just batching and the
+        kernel on an already-encoded
+        :class:`~repro.genomics.encoding.EncodedPairBatch`.  Returns
+        ``(estimated_edits, accepted, undefined)``; an empty share yields
+        empty arrays.
         """
         self._check_length(pairs)
         n = pairs.n_pairs
         accepted = np.zeros(n, dtype=bool)
         estimates = np.zeros(n, dtype=np.int32)
         undefined = np.zeros(n, dtype=bool)
-        n_batches = 0
         for batch in prepare_batches_encoded(pairs, self.config):
             # The word arrays are packed lazily by the parent EncodedPairBatch
             # (at most once per pair, host- or device-billed per the timing
@@ -193,67 +197,35 @@ class FilterEngine:
             accepted[batch.start : hi] = batch_accepted
             estimates[batch.start : hi] = batch_estimates
             undefined[batch.start : hi] = batch.undefined
-            n_batches += 1
-        return estimates, accepted, undefined, n_batches
+        return estimates, accepted, undefined
 
     def filter_encoded(
-        self, pairs: EncodedPairBatch, executor: Any = None
+        self, pairs: EncodedPairBatch, executor: "Executor | None" = None
     ) -> FilterRunResult:
-        """Filter an already-encoded pair batch (the encode-once hot path).
+        """Filter an encoded pair batch (the one filtering entry point).
 
-        Device shares are zero-copy row-slice views of ``pairs`` — nothing is
-        re-encoded, re-packed or rebuilt as strings anywhere below this call.
-        With an :class:`~repro.exec.Executor` the shares fan out across its
-        workers (threads or processes, shared-memory transport); decisions,
-        modelled times and ``n_batches`` are byte-identical to the serial
-        sweep for every backend and worker count.
+        The batch fans out across ``executor``'s workers (threads or
+        processes, shared-memory transport), or runs as one share on a
+        serial executor when ``executor`` is ``None``.  Shares are zero-copy
+        row-slice views of ``pairs`` — nothing is re-encoded, re-packed or
+        rebuilt as strings anywhere below this call.  The modelled times and
+        ``n_batches`` are evaluated on the totals for the configured device
+        split, so the result is byte-identical for every backend and worker
+        count.
         """
+        # Imported on first use: repro.exec loads multiprocessing, which a
+        # plain ``import repro`` does not need.
+        from ..exec.fanout import expected_n_batches, fan_out_engine
+        from ..exec.reduce import stage_timing
+
         n = pairs.n_pairs
         if n == 0:
             raise ValueError("cannot filter an empty work list")
         self._check_length(pairs)
-        if self._needs_word_arrays:
-            # Materialise the packed words on the caller's batch so device
-            # shares, later cascade stages and repeated runs over a cached
-            # dataset batch all inherit the cached rows — each pair is packed
-            # exactly once, no matter how often its row is viewed.
-            pairs.read_words
-            pairs.ref_words
-
         wall_start = time.perf_counter()
-        if executor is not None:
-            from ..exec.fanout import expected_n_batches, fan_out_engine
-
-            estimates, accepted, undefined = fan_out_engine(self, pairs, executor)
-            # The kernel-call count is partition-dependent; report the count
-            # the serial device-split execution performs (a pure function of
-            # the totals), keeping results identical across worker counts.
-            n_batches = expected_n_batches(self.config, n)
-        else:
-            accepted = np.zeros(n, dtype=bool)
-            estimates = np.zeros(n, dtype=np.int32)
-            undefined = np.zeros(n, dtype=bool)
-            n_batches = 0
-            # Device shares: pairs are split evenly across devices; within
-            # each share the pipeline batches by the configured batch size.
-            for share in split_evenly(n, self.config.n_devices):
-                share_estimates, share_accepted, share_undefined, share_batches = (
-                    self.filter_encoded_share(pairs[share])
-                )
-                accepted[share] = share_accepted
-                estimates[share] = share_estimates
-                undefined[share] = share_undefined
-                n_batches += share_batches
+        estimates, accepted, undefined = fan_out_engine(self, pairs, executor)
         wall_clock = time.perf_counter() - wall_start
-
-        timing = self.timing_model.filter_timing(
-            n,
-            self.config.read_length,
-            self.config.error_threshold,
-            encode_on_device=self.config.encoding is EncodingActor.DEVICE,
-            n_devices=self.config.n_devices,
-            host_encode_threads=1,
-        )
+        timing = stage_timing(self, n)
         return FilterRunResult(
             accepted=accepted,
             estimated_edits=estimates,
@@ -262,7 +234,7 @@ class FilterEngine:
             filter_time_s=timing.filter_s,
             wall_clock_s=wall_clock,
             timing=timing,
-            n_batches=n_batches,
+            n_batches=expected_n_batches(self.config, n),
             metadata={
                 "filter": self.filter.name,
                 "encoding": self.config.encoding.value,
@@ -272,38 +244,6 @@ class FilterEngine:
                 "kernel_tier": self.active_kernel_tier,
             },
         )
-
-    def filter_lists(
-        self, reads: Sequence[str], segments: Sequence[str], executor: Any = None
-    ) -> FilterRunResult:
-        """Filter parallel lists of reads and candidate reference segments.
-
-        Thin adapter: the lists are encoded into an
-        :class:`~repro.genomics.encoding.EncodedPairBatch` exactly once and
-        handed to :meth:`filter_encoded`.
-        """
-        if len(reads) != len(segments):
-            raise ValueError("reads and segments must have the same length")
-        if len(reads) == 0:
-            raise ValueError("cannot filter an empty work list")
-        return self.filter_encoded(
-            EncodedPairBatch.from_lists(reads, segments), executor=executor
-        )
-
-    def filter_pairs(self, pairs: Sequence[Any], executor: Any = None) -> FilterRunResult:
-        """Filter a sequence of :class:`repro.genomics.sequence.SequencePair`."""
-        reads = [p.read for p in pairs]
-        segments = [p.reference_segment for p in pairs]
-        return self.filter_lists(reads, segments, executor=executor)
-
-    def filter_dataset(self, dataset: Any, executor: Any = None) -> FilterRunResult:
-        """Filter a :class:`repro.simulate.PairDataset` (cached encode-once batch)."""
-        encoded = getattr(dataset, "encoded", None)
-        if callable(encoded):
-            batch = encoded()
-            if batch.n_pairs:
-                return self.filter_encoded(batch, executor=executor)
-        return self.filter_lists(dataset.reads, dataset.segments, executor=executor)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -17,11 +17,15 @@ Layering
 * :mod:`repro.exec.fanout` — share splitting, order-preserving reduction and
   the analytic ``n_batches`` accounting that keeps results byte-identical
   across backends and worker counts.
+* :mod:`repro.exec.reduce` — modelled times and cascade stage accounts
+  recomputed from totals (engines, the chunk runner and the shard merge).
 
-Entry points above this package: ``FilterEngine.filter_encoded(...,
-executor=...)`` and ``FilterCascade.filter_encoded(..., executor=...)``, which
-the one chunk runner (:mod:`repro.runtime.streaming`) calls for every chunk
-of every run — driven by ``ExecutionSpec.executor`` / ``workers`` on a
+Entry points above this package: ``FilterEngine.filter_encoded(pairs,
+executor=None)`` and ``FilterCascade.filter_encoded(pairs, executor=None)``
+always fan out through :mod:`repro.exec.fanout`; without an executor the
+batch runs as one share on a serial executor.  The one chunk runner
+(:mod:`repro.runtime.streaming`) calls them for every chunk of every run —
+driven by ``ExecutionSpec.executor`` / ``workers`` on a
 :class:`repro.api.Workload` and executed by a :class:`repro.api.Session`
 that caches one pool per backend configuration and shuts it down on
 :meth:`Session.close`.
@@ -37,13 +41,7 @@ from .executor import (
     wants_word_arrays,
 )
 from .fanout import expected_n_batches, fan_out_cascade, fan_out_engine, share_slices
-from .reduce import (
-    cascade_accounts_from_totals,
-    modelled_verification_times,
-    stream_overlap_times,
-    streaming_stage_rows,
-    total_timing,
-)
+from .reduce import modelled_verification_times, reduce_totals, stream_overlap_times
 from .shared_batch import SharedBatchHandle, attach_batch, export_batch
 from .tasks import ShareOutcome
 
@@ -63,9 +61,7 @@ __all__ = [
     "expected_n_batches",
     "fan_out_engine",
     "fan_out_cascade",
-    "total_timing",
-    "cascade_accounts_from_totals",
-    "streaming_stage_rows",
+    "reduce_totals",
     "stream_overlap_times",
     "modelled_verification_times",
 ]

@@ -6,8 +6,8 @@ An :class:`Executor` turns a list of batch shares (row slices of one
 three backends trade setup cost for parallelism:
 
 ``serial``
-    Runs shares in a plain loop in the calling thread.  Zero overhead, the
-    reference backend.
+    Runs shares in a plain loop in the calling thread.  The reference
+    backend, and what every filtering call without an executor runs on.
 ``threads``
     A :class:`~concurrent.futures.ThreadPoolExecutor`.  The batch is shared
     in-process (true zero-copy) and the packed NumPy kernels release the GIL,

@@ -1,20 +1,20 @@
 """Fan a batch across an executor and reduce the shares deterministically.
 
 These helpers are the bridge between the filtering layers and the execution
-backends: :func:`fan_out_engine` / :func:`fan_out_cascade` split an encoded
-batch into contiguous shares, run them on the executor, and write each
-share's outcome back into preallocated arrays by its absolute slice — a
-reduction whose result is independent of completion order, backend and
-worker count.
+backends, and every filtering call goes through them:
+:func:`fan_out_engine` / :func:`fan_out_cascade` split an encoded batch into
+contiguous shares (one share without an executor), run them on the
+executor, and write each share's outcome back into preallocated arrays by
+its absolute slice — a reduction whose result is independent of completion
+order, backend and worker count.
 
 What *is* partition-dependent — modelled times and kernel-call counts — is
-never summed from the shares.  :func:`expected_n_batches` recomputes the
-batch count the serial device-split execution performs from the totals alone
-(the same formula :func:`repro.core.preprocess.prepare_batches_encoded`
-applies per device share), and the callers evaluate the analytic timing model
-once on the totals, exactly as the serial path does.  Together these make
-results byte-identical across ``{serial, threads, processes}`` and any number
-of workers.
+never summed from the shares.  :func:`expected_n_batches` computes the batch
+count of the configured device split from the totals alone (each device
+share batched by :func:`repro.core.preprocess.kernel_batch_size`), and the
+callers evaluate the analytic timing model once on the totals
+(:mod:`repro.exec.reduce`).  Together these make results byte-identical
+across ``{serial, threads, processes}`` and any number of workers.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from typing import Any
 import numpy as np
 from numpy.typing import NDArray
 
+from ..core.preprocess import kernel_batch_size
 from ..genomics.encoding import EncodedPairBatch
 from ..gpusim.multi_gpu import split_evenly
-from .executor import Executor
+from .executor import Executor, SerialExecutor, wants_word_arrays
 from .tasks import ShareOutcome
 
 __all__ = [
@@ -35,6 +36,10 @@ __all__ = [
     "fan_out_engine",
     "fan_out_cascade",
 ]
+
+#: What ``executor=None`` runs on.  A serial executor holds no pool, so one
+#: instance is safe to share between concurrent runs.
+_SERIAL = SerialExecutor()
 
 
 def share_slices(n_items: int, n_shares: int) -> "list[slice]":
@@ -49,105 +54,85 @@ def share_slices(n_items: int, n_shares: int) -> "list[slice]":
     ]
 
 
-def _share_batch_size(config: Any, n_share: int) -> int:
-    """The batch size one device share of ``n_share`` pairs is split by.
-
-    Mirrors :func:`repro.core.preprocess.prepare_batches_encoded` exactly.
-    """
-    if n_share == 0:
-        return 1
-    return max(1, min(config.batch_size(n_share) or n_share, config.max_reads_per_batch))
-
-
 def expected_n_batches(config: Any, n_pairs: int) -> int:
-    """Kernel calls the serial device-split execution performs on ``n_pairs``.
+    """Kernel calls the configured device split performs on ``n_pairs``.
 
-    The serial path splits pairs evenly across the configured devices and
-    batches each share by the launch configuration; the count is therefore a
-    pure function of the totals, which is how parallel runs report the same
-    ``n_batches`` as serial ones no matter how the work was partitioned.
+    Pairs are split evenly across the configured devices and each device
+    share is batched by :func:`~repro.core.preprocess.kernel_batch_size`;
+    the count is therefore a pure function of the totals, which is how every
+    run reports the same ``n_batches`` no matter how the work was
+    partitioned across workers.
     """
     total = 0
     for share in split_evenly(n_pairs, config.n_devices):
         n_share = share.stop - share.start
         if n_share:
-            total += -(-n_share // _share_batch_size(config, n_share))
+            total += -(-n_share // kernel_batch_size(config, n_share))
     return total
 
 
 def fan_out_engine(
-    engine: Any, pairs: EncodedPairBatch, executor: Executor
+    engine: Any, pairs: EncodedPairBatch, executor: "Executor | None" = None
 ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_]]":
     """Run one engine over ``pairs`` split across the executor's workers.
 
-    Returns ``(estimated_edits, accepted, undefined)`` — identical arrays to
-    a serial :meth:`FilterEngine.filter_encoded_share` sweep, because every
-    pair's decision depends only on that pair.
+    Returns ``(estimated_edits, accepted, undefined)`` — the same arrays for
+    every backend and worker count, because every pair's decision depends
+    only on that pair.
     """
-    n = pairs.n_pairs
-    _materialise_words(engine, pairs)
-    estimates = np.zeros(n, dtype=np.int32)
-    accepted = np.zeros(n, dtype=bool)
-    undefined = np.zeros(n, dtype=bool)
-    shares = share_slices(n, executor.workers)
-    outcomes = executor.run_shares("engine", engine, pairs, shares)
-    _reduce_arrays(shares, outcomes, estimates, accepted, undefined)
+    estimates, accepted, undefined, _ = _fan_out("engine", engine, pairs, executor)
     return estimates, accepted, undefined
 
 
 def fan_out_cascade(
-    cascade: Any, pairs: EncodedPairBatch, executor: Executor
-) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], dict[int, tuple[int, int]]]":
+    cascade: Any, pairs: EncodedPairBatch, executor: "Executor | None" = None
+) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], dict[int, int]]":
     """Run every cascade stage over ``pairs``, split across the workers.
 
     Each worker carries its share through all stages locally (survivors are
-    pure index selections on its share — nothing is re-encoded); the per-stage
-    ``(n_input, n_accepted)`` totals are summed across shares, with shares
-    that went locally extinct contributing zeros to the later stages.
-    Returns ``(estimates, accepted, undefined, stage_totals)``.
+    pure index selections on its share — nothing is re-encoded).  The pairs
+    each stage examined are summed across shares into ``stage_inputs``
+    (stage index -> count); a share that went locally extinct contributes
+    nothing to the later stages.  Returns ``(estimates, accepted, undefined,
+    stage_inputs)``.
     """
+    estimates, accepted, undefined, outcomes = _fan_out(
+        "cascade", cascade, pairs, executor
+    )
+    stage_inputs: dict[int, int] = {}
+    for outcome in outcomes:
+        for stage_index, n_input in enumerate(outcome.stage_inputs or []):
+            stage_inputs[stage_index] = stage_inputs.get(stage_index, 0) + n_input
+    return estimates, accepted, undefined, stage_inputs
+
+
+def _fan_out(
+    runner: str, engine: Any, pairs: EncodedPairBatch, executor: "Executor | None"
+) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], list[ShareOutcome]]":
+    """Run ``runner`` over the shares of ``pairs`` and write each outcome back.
+
+    Returns the reduced ``(estimates, accepted, undefined)`` arrays and the
+    outcomes of the non-empty shares.
+    """
+    if wants_word_arrays(engine):
+        # Pack the word arrays once on the parent batch: share views inherit
+        # the cached rows, so neither thread workers (which would otherwise
+        # each pack their own share) nor the shared-memory export ever repack
+        # a pair.
+        pairs.read_words
+        pairs.ref_words
+    executor = _SERIAL if executor is None else executor
     n = pairs.n_pairs
-    _materialise_words(cascade, pairs)
     estimates = np.zeros(n, dtype=np.int32)
     accepted = np.zeros(n, dtype=bool)
     undefined = np.zeros(n, dtype=bool)
     shares = share_slices(n, executor.workers)
-    outcomes = executor.run_shares("cascade", cascade, pairs, shares)
-    _reduce_arrays(shares, outcomes, estimates, accepted, undefined)
-    stage_totals: dict[int, tuple[int, int]] = {}
-    for outcome in outcomes:
-        if outcome is None or not outcome.stage_counts:
-            continue
-        for stage_index, (n_input, n_accepted) in enumerate(outcome.stage_counts):
-            total_in, total_acc = stage_totals.get(stage_index, (0, 0))
-            stage_totals[stage_index] = (total_in + n_input, total_acc + n_accepted)
-    return estimates, accepted, undefined, stage_totals
-
-
-def _materialise_words(engine: Any, pairs: EncodedPairBatch) -> None:
-    """Pack the word arrays once on the parent batch before fanning out.
-
-    Share views inherit the cached rows, so neither thread workers (which
-    would otherwise each pack their own share) nor the shared-memory export
-    ever repack a pair.
-    """
-    from .executor import wants_word_arrays
-
-    if wants_word_arrays(engine):
-        pairs.read_words
-        pairs.ref_words
-
-
-def _reduce_arrays(
-    shares: "list[slice]",
-    outcomes: "list[ShareOutcome | None]",
-    estimates: "NDArray[np.int32]",
-    accepted: "NDArray[np.bool_]",
-    undefined: "NDArray[np.bool_]",
-) -> None:
-    for share, outcome in zip(shares, outcomes):
+    outcomes: list[ShareOutcome] = []
+    for share, outcome in zip(shares, executor.run_shares(runner, engine, pairs, shares)):
         if outcome is None:
             continue  # empty share: zero contribution, nothing was submitted
         estimates[share] = outcome.estimated_edits
         accepted[share] = outcome.accepted
         undefined[share] = outcome.undefined
+        outcomes.append(outcome)
+    return estimates, accepted, undefined, outcomes

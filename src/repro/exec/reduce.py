@@ -11,17 +11,15 @@ make the result depend on how the work was split; evaluating the model once
 on the totals — with exactly the calls the unpartitioned path makes, in
 exactly the same order — keeps results byte-identical across partitionings.
 
-This module is that discipline, extracted: the streaming pipeline, the
-parallel cascade and the shard merge all call these helpers, so the
-byte-identity contract lives in one place instead of three copies that could
-drift.
+This module is that discipline, extracted: the engines, the chunk runner
+and the shard merge all call these helpers, so the byte-identity contract
+lives in one place instead of copies that could drift.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .. import _schema as K
 from ..core.config import EncodingActor
 from ..gpusim.stream import StreamPool
 from ..gpusim.timing import FilterTiming
@@ -32,9 +30,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "stage_timing",
-    "total_timing",
-    "cascade_accounts_from_totals",
-    "streaming_stage_rows",
+    "reduce_totals",
     "stream_overlap_times",
     "modelled_verification_times",
 ]
@@ -43,11 +39,8 @@ __all__ = [
 def stage_timing(stage: Any, n_input: int) -> FilterTiming:
     """The analytic timing of one engine examining ``n_input`` pairs.
 
-    Exactly the call :meth:`FilterEngine.filter_encoded` makes for a batch of
-    ``n_input`` pairs — the single source every totals-based reduction must
-    replay.  ``filter_timing(0, ...)`` is exactly zero for every component,
-    which is what lets accumulation loops iterate all stages while matching a
-    serial sweep that breaks at the first extinct stage.
+    The single timing call every engine result and every totals-based
+    reduction makes.
     """
     timing = stage.timing_model.filter_timing(
         n_input,
@@ -61,63 +54,48 @@ def stage_timing(stage: Any, n_input: int) -> FilterTiming:
     return timing
 
 
-def total_timing(
-    engine: Any, n_pairs: int, stage_inputs: Mapping[int, int]
-) -> FilterTiming:
-    """Evaluate the analytic model on final totals (engine or cascade).
-
-    These are exactly the calls an unchunked ``filter_encoded`` makes
-    (``FilterEngine`` once, or ``FilterCascade`` once per stage on that
-    stage's total input), which is what makes streamed — and merged —
-    totals byte-identical to a single-chunk memory-mode run.
-    """
-    if engine is None or n_pairs == 0:
-        return FilterTiming(encode_s=0.0, host_prep_s=0.0, transfer_s=0.0, kernel_s=0.0)
-    if hasattr(engine, "stages"):
-        encode = prep = transfer = kernel = 0.0
-        for stage_index, stage in enumerate(engine.stages):
-            timing = stage_timing(stage, stage_inputs.get(stage_index, 0))
-            encode += timing.encode_s
-            prep += timing.host_prep_s
-            transfer += timing.transfer_s
-            kernel += timing.kernel_s
-        return FilterTiming(
-            encode_s=encode, host_prep_s=prep, transfer_s=transfer, kernel_s=kernel
-        )
-    return stage_timing(engine, n_pairs)
-
-
-def cascade_accounts_from_totals(
-    stages: Sequence[Any], stage_totals: Mapping[int, tuple[int, int]]
+def reduce_totals(
+    engine: Any, n_pairs: int, stage_inputs: Mapping[int, int], n_accepted: int
 ) -> "tuple[list[CascadeStageAccount], FilterTiming, int]":
-    """Rebuild a cascade's per-stage accounting from summed stage totals.
+    """Stage accounts, composite timing and ``n_batches`` from a run's totals.
 
-    ``stage_totals`` maps stage index to ``(n_input, n_accepted)`` summed
-    over every partition.  Returns the stage accounts, the composite timing
-    and the analytic ``n_batches`` — byte-identical to the serial sweep
-    (which breaks once a stage's input goes extinct; so does this loop).
-    Measured per-stage wall clock is partition-dependent and reported as 0.
+    ``engine`` is the run's engine or cascade (``None`` when no chunk ever
+    resolved one); ``stage_inputs`` maps a cascade stage index to the pairs
+    that stage examined, summed over every partition; ``n_accepted`` is the
+    run's accepted total.  A stage's survivors are the next stage's input
+    (the final stage's are ``n_accepted``), and the rows stop at the first
+    stage no partition reached.  Timing and ``n_batches`` are evaluated on
+    each stage's total input, so the result does not depend on how the run
+    was partitioned.  A single engine has no stage accounts.
     """
     from ..engine.cascade import CascadeStageAccount
 
+    if engine is None or n_pairs == 0:
+        zero = FilterTiming(encode_s=0.0, host_prep_s=0.0, transfer_s=0.0, kernel_s=0.0)
+        return [], zero, 0
+    stages = getattr(engine, "stages", None)
+    if stages is None:
+        timing = stage_timing(engine, n_pairs)
+        return [], timing, expected_n_batches(engine.config, n_pairs)
     accounts: "list[CascadeStageAccount]" = []
     encode = prep = transfer = kernel = 0.0
     n_batches = 0
-    for stage_index, stage in enumerate(stages):
-        n_input, n_accepted = stage_totals.get(stage_index, (0, 0))
+    for index, stage in enumerate(stages):
+        n_input = int(stage_inputs.get(index, 0))
         if n_input == 0:
-            break  # every partition went extinct before this stage (serial: break)
+            break  # an earlier stage rejected every pair of every partition
+        last = index == len(stages) - 1
+        stage_accepted = int(n_accepted if last else stage_inputs.get(index + 1, 0))
         timing = stage_timing(stage, n_input)
         accounts.append(
             CascadeStageAccount(
-                stage=stage_index,
+                stage=index,
                 filter_name=stage.name,
                 n_input=n_input,
-                n_accepted=n_accepted,
-                n_rejected=n_input - n_accepted,
+                n_accepted=stage_accepted,
+                n_rejected=n_input - stage_accepted,
                 kernel_time_s=timing.kernel_s,
                 filter_time_s=timing.filter_s,
-                wall_clock_s=0.0,
             )
         )
         encode += timing.encode_s
@@ -129,43 +107,6 @@ def cascade_accounts_from_totals(
         encode_s=encode, host_prep_s=prep, transfer_s=transfer, kernel_s=kernel
     )
     return accounts, composite, n_batches
-
-
-def streaming_stage_rows(
-    stages: Sequence[Any], stage_inputs: Mapping[int, int], n_accepted: int
-) -> "list[dict[str, Any]]":
-    """Cascade stage rows reconstructed from per-stage input totals.
-
-    Rows carry the same keys as the in-memory cascade accounts and — per the
-    streaming/in-memory equivalence contract — the same values: stage
-    survivors are the next stage's total input (the final stage's survivors
-    are the run's accepted total ``n_accepted``), and per-stage modelled
-    times are the timing model evaluated on the stage's total input.
-    """
-    rows: "list[dict[str, Any]]" = []
-    for index, stage in enumerate(stages):
-        if index not in stage_inputs:
-            break  # an earlier stage rejected everything in every chunk
-        n_input = int(stage_inputs[index])
-        if index + 1 in stage_inputs:
-            stage_accepted = int(stage_inputs[index + 1])
-        elif index == len(stages) - 1:
-            stage_accepted = int(n_accepted)
-        else:
-            stage_accepted = 0
-        timing = stage_timing(stage, n_input)
-        rows.append(
-            {
-                K.STAGE: index,
-                K.FILTER: stage.name,
-                K.N_INPUT: n_input,
-                K.N_ACCEPTED: stage_accepted,
-                K.N_REJECTED: n_input - stage_accepted,
-                K.KERNEL_TIME_S: timing.kernel_s,
-                K.FILTER_TIME_S: timing.filter_s,
-            }
-        )
-    return rows
 
 
 def stream_overlap_times(

@@ -2,12 +2,11 @@
 
 Executors parallelise *shares*: contiguous row slices of an already-encoded
 :class:`~repro.genomics.encoding.EncodedPairBatch`.  Every pair's decision
-depends only on that pair, so any partition of the rows reproduces the serial
-decisions exactly; the modelled times and batch counts that *do* depend on
-how the work was partitioned are recomputed analytically from the totals by
-the caller (the same totals-based evaluation the streaming runtime already
-uses), which is what makes results byte-identical across backends and worker
-counts.
+depends only on that pair, so every partition of the rows gives the same
+decisions; the modelled times and batch counts that *do* depend on how the
+work was partitioned are recomputed analytically from the totals by the
+caller (:mod:`repro.exec.reduce`), which is what makes results
+byte-identical across backends and worker counts.
 
 Runners are module-level functions keyed by name so the process backend can
 ship ``(runner_name, engine, handle, slice)`` through the task pipe — no
@@ -33,46 +32,53 @@ __all__ = ["ShareOutcome", "run_share", "RUNNERS"]
 class ShareOutcome:
     """What one share contributes back to the reduction.
 
-    ``stage_counts`` is ``None`` for plain engines; for cascades it holds one
-    ``(n_input, n_accepted)`` tuple per stage this share actually reached
-    (a share whose pairs all die at stage ``k`` reports ``k + 1`` tuples).
+    ``stage_inputs`` is ``None`` for plain engines; for cascades it holds the
+    number of pairs each stage examined, for every stage this share actually
+    reached (a share whose pairs all die at stage ``k`` reports ``k + 1``
+    counts).
     """
 
     estimated_edits: NDArray[np.int32]
     accepted: NDArray[np.bool_]
     undefined: NDArray[np.bool_]
-    stage_counts: "list[tuple[int, int]] | None" = None
+    stage_inputs: "list[int] | None" = None
 
 
 def _run_engine_share(engine: Any, share: EncodedPairBatch) -> ShareOutcome:
-    estimates, accepted, undefined, _ = engine.filter_encoded_share(share)
+    estimates, accepted, undefined = engine.filter_encoded_share(share)
     return ShareOutcome(estimates, accepted, undefined)
 
 
 def _run_cascade_share(cascade: Any, share: EncodedPairBatch) -> ShareOutcome:
-    """All cascade stages over one share, survivors as local index selections."""
+    """The cascade stage walk: all stages over one share.
+
+    Each stage only sees the survivors of every earlier stage, selected by
+    pure index selection on the share (nothing is re-encoded).  A pair
+    reports the estimate of the last stage that examined it (the stage that
+    rejected it, or the final stage); undefined pairs pass every stage.
+    """
     n = share.n_pairs
     estimates = np.zeros(n, dtype=np.int32)
     accepted = np.zeros(n, dtype=bool)
     undefined = np.zeros(n, dtype=bool)
-    stage_counts: list[tuple[int, int]] = []
+    stage_inputs: list[int] = []
     alive = np.arange(n)
     survivors = share
     for stage_index, stage in enumerate(cascade.stages):
         if len(alive) == 0:
             break
-        stage_estimates, stage_accepted, stage_undefined, _ = (
-            stage.filter_encoded_share(survivors)
+        stage_estimates, stage_accepted, stage_undefined = stage.filter_encoded_share(
+            survivors
         )
         estimates[alive] = stage_estimates
         undefined[alive] |= stage_undefined
         keep = np.flatnonzero(stage_accepted)
-        stage_counts.append((int(len(alive)), int(len(keep))))
+        stage_inputs.append(int(len(alive)))
         alive = alive[keep]
         if len(alive) and stage_index + 1 < len(cascade.stages):
             survivors = survivors.select(keep)
     accepted[alive] = True
-    return ShareOutcome(estimates, accepted, undefined, stage_counts)
+    return ShareOutcome(estimates, accepted, undefined, stage_inputs)
 
 
 #: Runner registry: names cross the process boundary, functions do not.

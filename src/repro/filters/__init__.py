@@ -10,7 +10,6 @@ from .bitvector import (
     shifted_mask,
     zero_run_lengths,
 )
-from .cpu import CpuFilterResult, GateKeeperCPU
 from .gatekeeper import GateKeeperFilter
 from .packed import (
     amend_lanes,
@@ -56,8 +55,6 @@ __all__ = [
     "shift_lanes_right",
     "unpack_lanes",
     "zero_run_markers",
-    "CpuFilterResult",
-    "GateKeeperCPU",
     "GateKeeperFilter",
     "GateKeeperGPUFilter",
     "MagnetFilter",

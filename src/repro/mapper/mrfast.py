@@ -16,12 +16,11 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from ..align.banded import banded_edit_distance
-from ..core.filter import GateKeeperGPU
 from ..filters.base import PreAlignmentFilter
 from ..genomics.encoding import EncodedPairBatch
 from ..genomics.reference import ReferenceGenome
@@ -30,6 +29,9 @@ from .index import KmerIndex
 from .sam import SamRecord
 from .seeding import Seeder
 from .stats import MappingStats, MappingTimes
+
+if TYPE_CHECKING:
+    from ..engine import FilterCascade, FilterEngine
 
 __all__ = ["MappingRunResult", "MrFastMapper"]
 
@@ -70,8 +72,8 @@ class MrFastMapper:
         Seed length of the k-mer index.
     prefilter:
         ``None`` (no pre-alignment filter), a filtering engine
-        (:class:`GateKeeperGPU`, :class:`repro.engine.FilterEngine` or
-        :class:`repro.engine.FilterCascade`), a scalar
+        (:class:`repro.engine.FilterEngine` or
+        :class:`repro.engine.FilterCascade`), a bare
         :class:`PreAlignmentFilter` instance, or a registry name string such
         as ``"shouji"`` (resolved to a :class:`~repro.engine.FilterEngine`
         when the first read batch fixes the read length).
@@ -85,7 +87,7 @@ class MrFastMapper:
         reference: ReferenceGenome,
         error_threshold: int,
         k: int = 12,
-        prefilter: GateKeeperGPU | PreAlignmentFilter | str | None = None,
+        prefilter: "FilterEngine | FilterCascade | PreAlignmentFilter | str | None" = None,
         max_candidates_per_read: int = 2048,
         max_reads_per_batch: int = 100_000,
         verification_cost_per_pair_s: float = VERIFICATION_COST_PER_PAIR_S,
@@ -146,9 +148,6 @@ class MrFastMapper:
         pairs = EncodedPairBatch.from_lists(reads, segments)
         if hasattr(prefilter, "filter_encoded"):
             result = prefilter.filter_encoded(pairs)
-            return result.accepted, result.kernel_time_s, result.filter_time_s, result.n_undefined
-        if hasattr(prefilter, "filter_lists"):
-            result = prefilter.filter_lists(reads, segments)
             return result.accepted, result.kernel_time_s, result.filter_time_s, result.n_undefined
         # Bare PreAlignmentFilter instance: run its batch kernel (identical
         # decisions to filter_pair, an order of magnitude faster).

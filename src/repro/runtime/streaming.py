@@ -56,8 +56,8 @@ from ..core.config import EncodingActor
 from ..exec.executor import wants_word_arrays
 from ..exec.reduce import (
     modelled_verification_times,
+    reduce_totals,
     stream_overlap_times,
-    total_timing,
 )
 from ..genomics.encoding import EncodedPairBatch
 from ..gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
@@ -163,10 +163,11 @@ class StreamingPipeline:
         runs (:mod:`repro.cluster`) enable this so ``repro merge`` can replay
         the stream-overlap accumulation in the exact single-run order.
     executor:
-        Optional :class:`~repro.exec.Executor` — every chunk's filtration
-        fans out across its workers (threads or processes with shared-memory
-        transport).  Decisions, modelled times and batch counts are
-        byte-identical to serial execution for every backend/worker count.
+        The :class:`~repro.exec.Executor` every chunk's filtration fans out
+        across (threads or processes with shared-memory transport); ``None``
+        runs each chunk as one share on a serial executor.  Decisions,
+        modelled times and batch counts are byte-identical for every
+        backend/worker count.
     prefetch:
         For :meth:`run_pairs`: a producer thread parses and encodes chunk
         ``N + 1`` while chunk ``N`` filters (the host-side analogue of the
@@ -480,6 +481,7 @@ class StreamingPipeline:
         serial_time, overlapped_time = stream_overlap_times(
             device_transfer, device_kernel, host_time, len(device_transfer)
         )
+        _, run_timing, _ = reduce_totals(engine, n_pairs, stage_inputs, n_accepted)
 
         def _concat(parts: list[np.ndarray], dtype: Any) -> np.ndarray | None:
             if not self.collect_decisions:
@@ -499,7 +501,7 @@ class StreamingPipeline:
             verification_time_s=verification_time,
             verification_wall_clock_s=verification_wall,
             no_filter_verification_time_s=no_filter_time,
-            timing=total_timing(engine, n_pairs, stage_inputs),
+            timing=run_timing,
             wall_clock_s=time.perf_counter() - wall_start,
             serial_time_s=serial_time,
             overlapped_time_s=overlapped_time,

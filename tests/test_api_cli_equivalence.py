@@ -170,8 +170,8 @@ class TestOneFrontDoor:
         from repro.simulate.datasets import build_dataset
 
         dataset = build_dataset("Set 1", n_pairs=150, seed=0)
-        direct = FilterEngine("shouji", read_length=100, error_threshold=4).filter_dataset(
-            dataset
+        direct = FilterEngine("shouji", read_length=100, error_threshold=4).filter_encoded(
+            dataset.encoded()
         )
         result = Session().run(Workload.from_toml(FILTER_TOML))
         assert result.summary["n_accepted"] == direct.n_accepted

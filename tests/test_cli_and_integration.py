@@ -13,7 +13,8 @@ import repro
 
 from repro.align import edit_distance
 from repro.cli import experiment_main, run_main
-from repro.core import EncodingActor, GateKeeperGPU
+from repro.core import EncodingActor
+from repro.engine import FilterEngine
 from repro.filters import GateKeeperGPUFilter, SneakySnakeFilter
 from repro.genomics import write_fastq, read_fastq
 from repro.gpusim import SETUP_2
@@ -84,7 +85,9 @@ class TestEndToEnd:
         loaded = read_fastq(path)
         assert len(loaded) == 30
 
-        gatekeeper = GateKeeperGPU(read_length=100, error_threshold=5, setup=SETUP_2, n_devices=1)
+        gatekeeper = FilterEngine(
+            "gatekeeper-gpu", read_length=100, error_threshold=5, setup=SETUP_2, n_devices=1
+        )
         mapper = MrFastMapper(reference, error_threshold=5, k=10, prefilter=gatekeeper)
         result = mapper.map_reads(loaded)
         plain = MrFastMapper(reference, error_threshold=5, k=10).map_reads(loaded)
@@ -96,11 +99,11 @@ class TestEndToEnd:
             assert record.edit_distance <= 5
 
     def test_dataset_filter_agreement_across_apis(self):
-        """Scalar filter, batched kernel and the GateKeeperGPU API agree pair by pair."""
+        """Scalar filter and the engine's batched kernel agree pair by pair."""
         dataset = build_dataset("Set 9", n_pairs=60, seed=4)
         threshold = 10
-        api = GateKeeperGPU(read_length=250, error_threshold=threshold)
-        api_result = api.filter_dataset(dataset)
+        api = FilterEngine("gatekeeper-gpu", read_length=250, error_threshold=threshold)
+        api_result = api.filter_encoded(dataset.encoded())
         scalar = GateKeeperGPUFilter(threshold)
         for i in range(dataset.n_pairs):
             expected = scalar.filter_pair(dataset.reads[i], dataset.segments[i]).accepted
@@ -125,8 +128,13 @@ class TestEndToEnd:
 
     def test_host_and_device_encoding_end_to_end(self):
         dataset = build_dataset("Set 3", n_pairs=100, seed=8)
-        host = GateKeeperGPU(read_length=100, error_threshold=5, encoding=EncodingActor.HOST)
-        device = GateKeeperGPU(read_length=100, error_threshold=5, encoding=EncodingActor.DEVICE)
+        host = FilterEngine(
+            "gatekeeper-gpu", read_length=100, error_threshold=5, encoding=EncodingActor.HOST
+        )
+        device = FilterEngine(
+            "gatekeeper-gpu", read_length=100, error_threshold=5, encoding=EncodingActor.DEVICE
+        )
         assert np.array_equal(
-            host.filter_dataset(dataset).accepted, device.filter_dataset(dataset).accepted
+            host.filter_encoded(dataset.encoded()).accepted,
+            device.filter_encoded(dataset.encoded()).accepted,
         )

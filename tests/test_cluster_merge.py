@@ -89,6 +89,25 @@ class TestMergeIdentity:
             streaming_workload(cascade=True, verify=False), n_shards
         )
 
+    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    def test_cascade_with_an_extinct_first_shard(self, mode):
+        # Set 1 (seed 5) at threshold 3: GateKeeper-GPU rejects all of the
+        # first four pairs, so shard 0 never reaches stage 1 while the other
+        # shards do.  The merged stage rows must still be the single run's.
+        execution = {"mode": mode, "verify": False}
+        if mode == "streaming":
+            execution["chunk_size"] = 4
+        workload = {
+            "input": {"kind": "dataset", "dataset": "Set 1", "n_pairs": 12, "seed": 5},
+            "filter": {"filters": ["gatekeeper-gpu", "sneakysnake"], "error_threshold": 3},
+            "execution": execution,
+        }
+        results = shard_result_dicts(workload, 3)
+        first_shard_stages = results[0][1]["stages"]
+        assert [(row["n_input"], row["n_accepted"]) for row in first_shard_stages] == [(4, 0)]
+        assert any(len(data["stages"]) == 2 for _, data in results[1:])
+        assert merge_result_dicts(results).to_json() == single_run_json(workload)
+
     def test_streaming_ragged_last_chunk(self):
         # 330 pairs at chunk_size 64 -> 6 chunks, last one partial.
         assert_merge_identity(streaming_workload(n_pairs=330), 3)

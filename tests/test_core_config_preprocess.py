@@ -8,8 +8,9 @@ from repro.core import (
     FiltrationBuffers,
     SystemConfiguration,
     plan_buffers,
-    prepare_batches,
+    prepare_batches_encoded,
 )
+from repro.genomics.encoding import EncodedPairBatch
 from repro.gpusim import GTX_1080_TI, SETUP_1, SETUP_2, TESLA_K20X
 from helpers import random_sequence
 
@@ -93,12 +94,16 @@ class TestBufferPlanning:
         assert not buffers.prefetch_inputs()
 
 
+def batches_of(reads, segments, config):
+    return prepare_batches_encoded(EncodedPairBatch.from_lists(reads, segments), config)
+
+
 class TestPreprocessing:
     def test_batches_cover_all_pairs_in_order(self, rng):
         reads = [random_sequence(40, rng) for _ in range(25)]
         segments = [random_sequence(40, rng) for _ in range(25)]
         config = SystemConfiguration(read_length=40, error_threshold=3, max_reads_per_batch=10)
-        batches = list(prepare_batches(reads, segments, config))
+        batches = list(batches_of(reads, segments, config))
         assert [b.start for b in batches] == [0, 10, 20]
         assert sum(b.n_pairs for b in batches) == 25
 
@@ -106,7 +111,7 @@ class TestPreprocessing:
         reads = [random_sequence(40, rng) for _ in range(5)]
         segments = [random_sequence(40, rng) for _ in range(5)]
         config = SystemConfiguration(read_length=40, error_threshold=3, encoding=EncodingActor.HOST)
-        batch = next(iter(prepare_batches(reads, segments, config)))
+        batch = next(iter(batches_of(reads, segments, config)))
         assert batch.host_encoded
         assert batch.read_words is not None and batch.ref_words is not None
         assert batch.read_words.shape == (5, 2)  # 40 bases -> 2 x 64-bit words
@@ -115,19 +120,18 @@ class TestPreprocessing:
         reads = [random_sequence(40, rng) for _ in range(5)]
         segments = [random_sequence(40, rng) for _ in range(5)]
         config = SystemConfiguration(read_length=40, error_threshold=3, encoding=EncodingActor.DEVICE)
-        batch = next(iter(prepare_batches(reads, segments, config)))
+        batch = next(iter(batches_of(reads, segments, config)))
         assert not batch.host_encoded
 
     def test_undefined_flagged(self):
         config = SystemConfiguration(read_length=8, error_threshold=1)
-        batch = next(iter(prepare_batches(["ACGTNGTA"], ["ACGTAGTA"], config)))
+        batch = next(iter(batches_of(["ACGTNGTA"], ["ACGTAGTA"], config)))
         assert batch.undefined.tolist() == [True]
 
     def test_mismatched_lists_raise(self):
-        config = SystemConfiguration(read_length=8, error_threshold=1)
         with pytest.raises(ValueError):
-            list(prepare_batches(["ACGTACGT"], [], config))
+            EncodedPairBatch.from_lists(["ACGTACGT"], [])
 
     def test_empty_input_yields_nothing(self):
         config = SystemConfiguration(read_length=8, error_threshold=1)
-        assert list(prepare_batches([], [], config)) == []
+        assert list(batches_of([], [], config)) == []

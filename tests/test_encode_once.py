@@ -43,7 +43,7 @@ class TestEncodeOnce:
             "gatekeeper-gpu", read_length=dataset.read_length, error_threshold=5,
             n_devices=3, max_reads_per_batch=100,
         )
-        engine.filter_lists(dataset.reads, dataset.segments)
+        engine.filter_encoded(EncodedPairBatch.from_lists(dataset.reads, dataset.segments))
         # One call for the reads, one for the segments — regardless of the
         # device split and the per-device batching.
         assert count_encodes["calls"] == 2
@@ -55,7 +55,9 @@ class TestEncodeOnce:
             read_length=dataset.read_length,
             error_threshold=5,
         )
-        result = cascade.filter_lists(dataset.reads, dataset.segments)
+        result = cascade.filter_encoded(
+            EncodedPairBatch.from_lists(dataset.reads, dataset.segments)
+        )
         # Three stages, but the survivors of stage N are index selections on
         # the parent EncodedPairBatch — never re-encoded string lists.
         assert count_encodes["calls"] == 2
@@ -68,12 +70,16 @@ class TestEncodeOnce:
             read_length=dataset.read_length,
             error_threshold=5,
         )
-        via_lists = cascade.filter_lists(dataset.reads, dataset.segments)
-        via_encoded = cascade.filter_encoded(
-            EncodedPairBatch.from_lists(dataset.reads, dataset.segments)
+        pairs = EncodedPairBatch.from_lists(dataset.reads, dataset.segments)
+        combined = cascade.filter_encoded(pairs)
+        # Survivors are index selections on the parent batch, so every pair
+        # gets what each stage decides for it over the whole batch.
+        first, second = (stage.filter_encoded(pairs) for stage in cascade.stages)
+        assert np.array_equal(combined.accepted, first.accepted & second.accepted)
+        assert np.array_equal(
+            combined.estimated_edits,
+            np.where(first.accepted, second.estimated_edits, first.estimated_edits),
         )
-        assert np.array_equal(via_lists.accepted, via_encoded.accepted)
-        assert np.array_equal(via_lists.estimated_edits, via_encoded.estimated_edits)
 
     def test_dataset_encoded_batch_is_cached(self, dataset, count_encodes):
         first = dataset.encoded()
@@ -83,9 +89,9 @@ class TestEncodeOnce:
         engine = FilterEngine(
             "gatekeeper", read_length=dataset.read_length, error_threshold=5
         )
-        engine.filter_dataset(dataset)
-        engine.filter_dataset(dataset)
-        # filter_dataset consumes the cached batch: no further encoding.
+        engine.filter_encoded(dataset.encoded())
+        engine.filter_encoded(dataset.encoded())
+        # Runs over the cached batch never encode again.
         assert count_encodes["calls"] == 2
 
     def test_selection_and_slicing_never_reencode(self, dataset, count_encodes):

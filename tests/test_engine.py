@@ -7,7 +7,7 @@ import pytest
 
 from repro.align import edit_distance
 from repro.api import Session, Workload
-from repro.core import GateKeeperGPU
+from repro.core import EncodingActor
 from repro.engine import (
     FilterCascade,
     FilterEngine,
@@ -26,7 +26,7 @@ from repro.filters import (
     ShoujiFilter,
     SneakySnakeFilter,
 )
-from repro.genomics.encoding import encode_batch_codes
+from repro.genomics.encoding import EncodedPairBatch, encode_batch_codes
 from repro.gpusim import SETUP_1
 from repro.simulate import build_dataset
 from helpers import mutated_pair, random_sequence
@@ -162,7 +162,7 @@ class TestFilterEngine:
     def test_engine_matches_filter_pair_on_1k_pairs(self, dataset_1k, key):
         """Acceptance criterion: engine decisions == per-pair filter_pair path."""
         engine = FilterEngine(key, read_length=100, error_threshold=5)
-        result = engine.filter_dataset(dataset_1k)
+        result = engine.filter_encoded(dataset_1k.encoded())
         assert result.n_pairs == 1_000
         scalar = get_filter(key, 5)
         step = 7 if key in ("magnet", "sneakysnake") else 1
@@ -173,9 +173,10 @@ class TestFilterEngine:
             assert bool(result.accepted[i]) == expected, (key, i)
 
     def test_engine_accepts_instance_and_class_specs(self, dataset_1k):
-        by_name = FilterEngine("shd", 100, 5).filter_dataset(dataset_1k)
-        by_cls = FilterEngine(SHDFilter, 100, 5).filter_dataset(dataset_1k)
-        by_instance = FilterEngine(SHDFilter(5), 100, 5).filter_dataset(dataset_1k)
+        pairs = dataset_1k.encoded()
+        by_name = FilterEngine("shd", 100, 5).filter_encoded(pairs)
+        by_cls = FilterEngine(SHDFilter, 100, 5).filter_encoded(pairs)
+        by_instance = FilterEngine(SHDFilter(5), 100, 5).filter_encoded(pairs)
         assert np.array_equal(by_name.accepted, by_cls.accepted)
         assert np.array_equal(by_name.accepted, by_instance.accepted)
 
@@ -186,39 +187,40 @@ class TestFilterEngine:
     def test_read_length_mismatch_raises(self):
         engine = FilterEngine("shouji", read_length=100, error_threshold=5)
         with pytest.raises(ValueError, match="read_length=100"):
-            engine.filter_lists(["ACGT" * 30], ["ACGT" * 30])
+            engine.filter_encoded(EncodedPairBatch.from_lists(["ACGT" * 30], ["ACGT" * 30]))
 
     def test_device_split_and_batching_stable(self, dataset_1k):
         single = FilterEngine("shouji", 100, 5)
         multi = FilterEngine("shouji", 100, 5, setup=SETUP_1, n_devices=4, max_reads_per_batch=77)
-        r1 = single.filter_dataset(dataset_1k)
-        r4 = multi.filter_dataset(dataset_1k)
+        r1 = single.filter_encoded(dataset_1k.encoded())
+        r4 = multi.filter_encoded(dataset_1k.encoded())
         assert np.array_equal(r1.accepted, r4.accepted)
         assert r4.n_batches >= 4
 
     def test_undefined_pairs_pass(self):
         engine = FilterEngine("sneakysnake", read_length=8, error_threshold=0)
-        result = engine.filter_lists(["ACGTNACG", "ACGTACGT"], ["ACGTAACG", "TTTTTTTT"])
+        result = engine.filter_encoded(
+            EncodedPairBatch.from_lists(["ACGTNACG", "ACGTACGT"], ["ACGTAACG", "TTTTTTTT"])
+        )
         assert result.undefined.tolist() == [True, False]
         assert bool(result.accepted[0])  # N pair passes unfiltered
         assert not bool(result.accepted[1])
         assert result.metadata["filter"] == "SneakySnake"
 
     def test_timing_and_summary(self, dataset_1k):
-        result = FilterEngine("magnet", 100, 5).filter_dataset(dataset_1k)
+        result = FilterEngine("magnet", 100, 5).filter_encoded(dataset_1k.encoded())
         assert result.kernel_time_s > 0
         assert result.filter_time_s > result.kernel_time_s
         assert result.summary()["n_pairs"] == 1_000
 
-    def test_gatekeeper_gpu_facade_equivalence(self, dataset_1k):
-        facade = GateKeeperGPU(read_length=100, error_threshold=5)
-        engine = FilterEngine("gatekeeper-gpu", read_length=100, error_threshold=5)
-        a = facade.filter_dataset(dataset_1k)
-        b = engine.filter_dataset(dataset_1k)
-        assert np.array_equal(a.accepted, b.accepted)
-        assert np.array_equal(a.estimated_edits, b.estimated_edits)
-        assert isinstance(facade, FilterEngine)
-        assert facade.edge_policy == "one"
+    def test_filter_encoded_is_the_only_filtering_method(self):
+        for cls in (FilterEngine, FilterCascade):
+            for name in ("filter_lists", "filter_pairs", "filter_dataset"):
+                assert not hasattr(cls, name), (cls, name)
+        # The GPU facade and the CPU baseline class are gone with their modules.
+        for module in ("repro.core.filter", "repro.filters.cpu"):
+            with pytest.raises(ModuleNotFoundError):
+                __import__(module)
 
 
 class TestFilterCascade:
@@ -226,7 +228,7 @@ class TestFilterCascade:
         cascade = FilterCascade.from_names(
             ["gatekeeper-gpu", "sneakysnake"], read_length=100, error_threshold=5
         )
-        result = cascade.filter_dataset(dataset_1k)
+        result = cascade.filter_encoded(dataset_1k.encoded())
         assert result.n_pairs == 1_000
         assert len(result.stage_accounts) == 2
         first, second = result.stage_accounts
@@ -243,8 +245,8 @@ class TestFilterCascade:
         cascade = FilterCascade(
             [stage1, FilterEngine("sneakysnake", 100, 5)]
         )
-        alone = stage1.filter_dataset(dataset_1k)
-        combined = cascade.filter_dataset(dataset_1k)
+        alone = stage1.filter_encoded(dataset_1k.encoded())
+        combined = cascade.filter_encoded(dataset_1k.encoded())
         # The cascade can only reject more, never resurrect a rejected pair.
         assert not np.any(combined.accepted & ~alone.accepted)
 
@@ -262,7 +264,7 @@ class TestFilterCascade:
             read_length=100,
             error_threshold=threshold,
         )
-        result = cascade.filter_lists(reads, segments)
+        result = cascade.filter_encoded(EncodedPairBatch.from_lists(reads, segments))
         for i in range(len(reads)):
             if edit_distance(reads[i], segments[i]) <= threshold:
                 assert bool(result.accepted[i]), i
@@ -277,6 +279,28 @@ class TestFilterCascade:
         with pytest.raises(ValueError):
             FilterCascade(
                 [FilterEngine("shd", 100, 5), FilterEngine("shouji", 150, 5)]
+            )
+        # Stages must agree on every value the cascade reports as its own.
+        with pytest.raises(ValueError, match="n_devices"):
+            FilterCascade(
+                [
+                    FilterEngine("gatekeeper-gpu", 100, 5, n_devices=2),
+                    FilterEngine("sneakysnake", 100, 5, n_devices=1),
+                ]
+            )
+        with pytest.raises(ValueError, match="encoding"):
+            FilterCascade(
+                [
+                    FilterEngine("shd", 100, 5, encoding=EncodingActor.HOST),
+                    FilterEngine("shouji", 100, 5, encoding=EncodingActor.DEVICE),
+                ]
+            )
+        with pytest.raises(ValueError, match="kernel_tier"):
+            FilterCascade(
+                [
+                    FilterEngine("shd", 100, 5, kernel_tier="numpy"),
+                    FilterEngine("shouji", 100, 5, kernel_tier="native"),
+                ]
             )
 
 
@@ -329,7 +353,7 @@ class TestSessionWithAnyFilter:
             assert session.engine_for(workload, read_length).read_length == read_length
         # Decisions match a correctly-sized engine, not a truncated one.
         ds_150 = build_dataset("Set 6", n_pairs=50, seed=8)
-        fresh = FilterEngine("gatekeeper-gpu", 150, 5).filter_dataset(ds_150)
+        fresh = FilterEngine("gatekeeper-gpu", 150, 5).filter_encoded(ds_150.encoded())
         assert np.array_equal(result.raw.accepted, fresh.accepted)
 
     def test_session_with_cascade(self):

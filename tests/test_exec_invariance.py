@@ -2,11 +2,12 @@
 
 The contract of :mod:`repro.exec` is that execution backends change *how
 fast* a workload runs and never *what* it computes.  These tests pin that
-down at every layer: engine and cascade fan-out, the streaming runtime (with
-and without prefetch), and the Session front door (full canonical Result
-JSON), across ``{serial, threads, processes} x workers {1, 2, 4}`` — plus the
-empty-share regression (``n_items < workers``) and the pool/shared-memory
-lifecycle.
+down at every layer: engine and cascade fan-out (checked against a
+stage-by-stage reference written here, which shares no code with the
+engines), the streaming runtime (with and without prefetch), and the Session
+front door (full canonical Result JSON), across ``{serial, threads,
+processes} x workers {1, 2, 4}`` — plus the empty-share regression
+(``n_items < workers``) and the pool/shared-memory lifecycle.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.engine import FilterCascade, FilterEngine
+from repro.core import prepare_batches_encoded
 from repro.exec import (
     ProcessExecutor,
     create_executor,
     expected_n_batches,
     share_slices,
 )
+from repro.gpusim import split_evenly
 from repro.simulate.datasets import build_dataset
 
 BACKENDS = ("serial", "threads", "processes")
@@ -53,50 +56,85 @@ def executors():
         executor.close()
 
 
-def _strip_wall(stage_rows):
-    return [
-        {key: value for key, value in row.items() if key != "wall_clock_s"}
-        for row in stage_rows
-    ]
+#: No executor (a one-share serial run), then every backend x worker count.
+EXECUTIONS = [None] + [(kind, workers) for kind in BACKENDS for workers in WORKER_COUNTS]
+
+
+def _execution_id(execution):
+    return "none" if execution is None else f"{execution[0]}-{execution[1]}"
+
+
+def _executor(executors, execution):
+    return None if execution is None else executors(*execution)
+
+
+def reference_run(stages, pairs):
+    """A stage-by-stage reference that shares no code with the engines.
+
+    Each stage's bare filter runs its batch kernel once over the survivors
+    of every earlier stage, selected by index.  Returns ``(estimates,
+    accepted, undefined, stage_counts)`` with one ``(n_input, n_accepted)``
+    tuple per stage the batch reached.
+    """
+    n = pairs.n_pairs
+    estimates = np.zeros(n, dtype=np.int32)
+    undefined = np.zeros(n, dtype=bool)
+    stage_counts = []
+    alive = np.arange(n)
+    survivors = pairs
+    for stage in stages:
+        if len(alive) == 0:
+            break
+        stage_estimates, stage_accepted = stage.filter.filter_batch(survivors)
+        estimates[alive] = stage_estimates
+        undefined[alive] |= survivors.undefined
+        keep = np.flatnonzero(stage_accepted)
+        stage_counts.append((len(alive), len(keep)))
+        alive = alive[keep]
+        survivors = survivors.select(keep)
+    accepted = np.zeros(n, dtype=bool)
+    accepted[alive] = True
+    return estimates, accepted, undefined, stage_counts
+
+
+def assert_matches_reference(result, stages, pairs):
+    estimates, accepted, undefined, stage_counts = reference_run(stages, pairs)
+    assert np.array_equal(result.accepted, accepted)
+    assert np.array_equal(result.estimated_edits, estimates)
+    assert np.array_equal(result.undefined, undefined)
+    accounts = getattr(result, "stage_accounts", None)
+    if accounts is not None:
+        assert [(a.n_input, a.n_accepted) for a in accounts] == stage_counts
 
 
 class TestEngineInvariance:
-    @pytest.mark.parametrize("kind", BACKENDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_engine_matches_serial_sweep(self, encoded, dataset, executors, kind, workers):
+    @pytest.mark.parametrize("execution", EXECUTIONS, ids=_execution_id)
+    def test_engine_matches_reference(self, encoded, dataset, executors, execution):
         engine = FilterEngine(
             "gatekeeper-gpu",
             read_length=dataset.read_length,
             error_threshold=ERROR_THRESHOLD,
         )
         baseline = engine.filter_encoded(encoded)
-        result = engine.filter_encoded(encoded, executor=executors(kind, workers))
-        assert np.array_equal(result.accepted, baseline.accepted)
-        assert np.array_equal(result.estimated_edits, baseline.estimated_edits)
-        assert np.array_equal(result.undefined, baseline.undefined)
+        result = engine.filter_encoded(encoded, executor=_executor(executors, execution))
+        assert_matches_reference(result, [engine], encoded)
         assert result.n_batches == baseline.n_batches
         assert result.timing == baseline.timing
         assert result.metadata == baseline.metadata
 
-    @pytest.mark.parametrize("kind", BACKENDS)
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_cascade_matches_serial_sweep(self, encoded, dataset, executors, kind, workers):
+    @pytest.mark.parametrize("execution", EXECUTIONS, ids=_execution_id)
+    def test_cascade_matches_reference(self, encoded, dataset, executors, execution):
         cascade = FilterCascade.from_names(
             ["gatekeeper-gpu", "sneakysnake"],
             read_length=dataset.read_length,
             error_threshold=ERROR_THRESHOLD,
         )
         baseline = cascade.filter_encoded(encoded)
-        result = cascade.filter_encoded(encoded, executor=executors(kind, workers))
-        assert np.array_equal(result.accepted, baseline.accepted)
-        assert np.array_equal(result.estimated_edits, baseline.estimated_edits)
+        result = cascade.filter_encoded(encoded, executor=_executor(executors, execution))
+        assert_matches_reference(result, cascade.stages, encoded)
         assert result.n_batches == baseline.n_batches
         assert result.timing == baseline.timing
-        # Stage accounts match except the measured per-stage wall clock (which
-        # the canonical Result strips anyway).
-        assert _strip_wall(result.stage_summaries()) == _strip_wall(
-            baseline.stage_summaries()
-        )
+        assert result.stage_summaries() == baseline.stage_summaries()
 
     @pytest.mark.parametrize("filter_name", ["magnet", "shouji", "sneakysnake", "shd"])
     def test_every_filter_family_is_invariant(self, encoded, dataset, executors, filter_name):
@@ -105,10 +143,9 @@ class TestEngineInvariance:
             read_length=dataset.read_length,
             error_threshold=ERROR_THRESHOLD,
         )
-        baseline = engine.filter_encoded(encoded)
-        result = engine.filter_encoded(encoded, executor=executors("processes", 4))
-        assert np.array_equal(result.accepted, baseline.accepted)
-        assert np.array_equal(result.estimated_edits, baseline.estimated_edits)
+        for executor in (None, executors("processes", 4)):
+            result = engine.filter_encoded(encoded, executor=executor)
+            assert_matches_reference(result, [engine], encoded)
 
 
 class TestEmptyShares:
@@ -146,13 +183,13 @@ class TestEmptyShares:
         small = encoded[np.arange(2)]
         baseline = engine.filter_encoded(small)
         result = engine.filter_encoded(small, executor=executors(kind, 4))
-        assert np.array_equal(result.accepted, baseline.accepted)
+        assert_matches_reference(result, [engine], small)
         assert result.n_batches == baseline.n_batches
 
     @pytest.mark.parametrize("kind", BACKENDS)
     def test_cascade_stage_extinction_reports_zeros(self, executors, kind):
         """A stage that rejects everything: later stages report nothing, the
-        rejecting stage reports its zeros — same as the serial sweep."""
+        rejecting stage reports its zeros — same as the one-share run."""
         # Far pairs at threshold 0: gatekeeper-gpu rejects every pair in
         # stage 0, so stage 1 sees 0 survivors in every worker share.
         dataset = build_dataset("Set 3", n_pairs=40, seed=3)
@@ -164,9 +201,8 @@ class TestEmptyShares:
         encoded = dataset.encoded()
         baseline = cascade.filter_encoded(encoded)
         result = cascade.filter_encoded(encoded, executor=executors(kind, 4))
-        assert _strip_wall(result.stage_summaries()) == _strip_wall(
-            baseline.stage_summaries()
-        )
+        assert_matches_reference(result, cascade.stages, encoded)
+        assert result.stage_summaries() == baseline.stage_summaries()
         accounts = result.stage_accounts
         if baseline.n_accepted == 0 and len(accounts) == 1:
             assert accounts[0].n_accepted == 0
@@ -176,6 +212,26 @@ class TestEmptyShares:
             "gatekeeper-gpu", read_length=dataset.read_length, error_threshold=5
         )
         assert expected_n_batches(engine.config, 0) == 0
+
+    @pytest.mark.parametrize(
+        "n_devices, max_reads_per_batch, n_pairs",
+        [(1, 100_000, 600), (3, 37, 600), (4, 77, 101), (2, 1, 5)],
+    )
+    def test_expected_n_batches_counts_the_kernel_batches(
+        self, encoded, n_devices, max_reads_per_batch, n_pairs
+    ):
+        """The reported count is what batching each device share yields."""
+        engine = FilterEngine(
+            "shd", read_length=encoded.length, error_threshold=5,
+            n_devices=n_devices, max_reads_per_batch=max_reads_per_batch,
+        )
+        pairs = encoded[:n_pairs]
+        batches = sum(
+            len(list(prepare_batches_encoded(pairs[share], engine.config)))
+            for share in split_evenly(n_pairs, n_devices)
+        )
+        assert expected_n_batches(engine.config, n_pairs) == batches
+        assert engine.filter_encoded(pairs).n_batches == batches
 
 
 class TestSessionResultInvariance:

@@ -122,6 +122,9 @@ class TestFilterTimeModel:
         single = cpu.kernel_time(N_PAIRS, 100, 2, threads=1)
         twelve = cpu.kernel_time(N_PAIRS, 100, 2, threads=12)
         assert 8.0 < single / twelve <= 12.0
+        assert cpu.filter_time(N_PAIRS, 100, 2, threads=12) < cpu.filter_time(
+            N_PAIRS, 100, 2, threads=1
+        )
 
 
 class TestLaunchConfig:
@@ -213,3 +216,15 @@ class TestMultiGpuDispatcher:
     def test_requires_devices(self):
         with pytest.raises(ValueError):
             MultiGpuDispatcher([])
+
+
+class TestProfilerCacheModel:
+    def test_cache_hit_rates_match_paper_scale(self):
+        report = KernelProfiler(GTX_1080_TI).profile(100, 4)
+        # Paper Section 6: L2 hit rate ~86.2%, unified/texture L1 ~31.2%.
+        assert report.l2_hit_rate == pytest.approx(0.862, abs=0.02)
+        assert report.l1_hit_rate == pytest.approx(0.312, abs=0.02)
+        longer = KernelProfiler(GTX_1080_TI).profile(250, 10)
+        assert longer.l1_hit_rate <= report.l1_hit_rate
+        assert longer.l2_hit_rate <= report.l2_hit_rate
+        assert "l2_hit_rate_pct" in report.as_dict()

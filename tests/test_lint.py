@@ -219,8 +219,9 @@ class TestScoping:
 
     def test_ingest_seams_may_encode(self):
         source = "codes, undef = encode_batch_codes(reads)\n"
-        assert "encode-once" not in rules_hit(source, "src/repro/core/preprocess.py")
+        assert "encode-once" not in rules_hit(source, "src/repro/genomics/encoding.py")
         assert "encode-once" in rules_hit(source, "src/repro/engine/engine.py")
+        assert "encode-once" in rules_hit(source, "src/repro/core/preprocess.py")
 
     def test_rules_ignore_files_outside_the_package(self):
         source = "start = time.time()\n"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GateKeeperGPU
+from repro.engine import FilterEngine
 from repro.filters import SneakySnakeFilter
 from repro.genomics import ReferenceGenome, Read
 from repro.mapper import KmerIndex, MappingStats, MrFastMapper, SamRecord, Seeder, write_sam
@@ -105,7 +105,7 @@ class TestMrFastMapper:
 
     def test_filter_preserves_mappings(self, reference, reads):
         no_filter = MrFastMapper(reference, error_threshold=5, k=10).map_reads(reads)
-        gatekeeper = GateKeeperGPU(read_length=100, error_threshold=5)
+        gatekeeper = FilterEngine("gatekeeper-gpu", read_length=100, error_threshold=5)
         filtered = MrFastMapper(
             reference, error_threshold=5, k=10, prefilter=gatekeeper
         ).map_reads(reads)
@@ -125,13 +125,11 @@ class TestMrFastMapper:
         assert result.stats.verification_pairs <= result.stats.candidate_pairs
 
     @pytest.mark.parametrize(
-        "legacy, label", [(False, "GateKeeper-GPU"), (True, "GateKeeper")]
+        "key, label", [("gatekeeper-gpu", "GateKeeper-GPU"), ("gatekeeper", "GateKeeper")]
     )
-    def test_engine_label_follows_edge_policy(self, reference, reads, legacy, label):
+    def test_engine_label_follows_edge_policy(self, reference, reads, key, label):
         # The legacy engine runs the original GateKeeper and must say so.
-        engine = GateKeeperGPU(
-            read_length=100, error_threshold=5, legacy_edge_policy=legacy
-        )
+        engine = FilterEngine(key, read_length=100, error_threshold=5)
         result = MrFastMapper(
             reference, error_threshold=5, k=10, prefilter=engine
         ).map_reads(reads[:5])

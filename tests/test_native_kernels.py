@@ -173,7 +173,7 @@ class TestEnginePlumbing:
     def test_engine_records_active_tier_in_metadata(self, no_numba):
         dataset = build_dataset("Set 1", n_pairs=50, seed=1)
         engine = FilterEngine("magnet", 100, 3, kernel_tier="native")
-        result = engine.filter_dataset(dataset)
+        result = engine.filter_encoded(dataset.encoded())
         # Numba absent: the "native" request silently fell back, and the
         # metadata says so.
         assert result.metadata["kernel_tier"] == "numpy"
@@ -185,13 +185,13 @@ class TestEnginePlumbing:
             ["gatekeeper", "magnet"], 100, 3, kernel_tier="numpy"
         )
         assert cascade.kernel_tier == "numpy"
-        result = cascade.filter_dataset(dataset)
+        result = cascade.filter_encoded(dataset.encoded())
         assert result.metadata["kernel_tier"] == "numpy"
 
     def test_decisions_identical_across_tiers(self):
         dataset = build_dataset("Set 1", n_pairs=150, seed=2)
         results = [
-            FilterEngine("magnet", 100, 3, kernel_tier=tier).filter_dataset(dataset)
+            FilterEngine("magnet", 100, 3, kernel_tier=tier).filter_encoded(dataset.encoded())
             for tier in KERNEL_TIERS
         ]
         for other in results[1:]:

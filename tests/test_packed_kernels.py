@@ -260,7 +260,7 @@ class TestAllFiltersAgainstReference:
         for i in range(3, 40, 11):
             segments[i] = segments[i][:-1] + "N"
         engine = FilterEngine(key, read_length=length, error_threshold=threshold)
-        result = engine.filter_lists(reads, segments)
+        result = engine.filter_encoded(EncodedPairBatch.from_lists(reads, segments))
         instance = get_filter(key, threshold)
         for i in range(40):
             expect = instance.filter_pair(reads[i], segments[i])
@@ -272,7 +272,9 @@ class TestAllFiltersAgainstReference:
     @pytest.mark.parametrize("key", available_filters())
     def test_length_one_pairs(self, key):
         engine = FilterEngine(key, read_length=1, error_threshold=0)
-        result = engine.filter_lists(["A", "T", "N"], ["A", "C", "G"])
+        result = engine.filter_encoded(
+            EncodedPairBatch.from_lists(["A", "T", "N"], ["A", "C", "G"])
+        )
         instance = get_filter(key, 0)
         for i, (r, s) in enumerate(zip(["A", "T", "N"], ["A", "C", "G"])):
             assert bool(result.accepted[i]) == instance.filter_pair(r, s).accepted
@@ -283,7 +285,9 @@ class TestAllFiltersAgainstReference:
         read, ref = _random_pairs(rng, 50, 100)
         reads, segments = _codes_to_strings(read), _codes_to_strings(ref)
         engine = FilterEngine(key, read_length=100, error_threshold=5, n_devices=2)
-        via_strings = engine.filter_lists(reads, segments)
         via_encoded = engine.filter_encoded(EncodedPairBatch.from_lists(reads, segments))
-        assert np.array_equal(via_strings.accepted, via_encoded.accepted)
-        assert np.array_equal(via_strings.estimated_edits, via_encoded.estimated_edits)
+        instance = get_filter(key, 5)
+        for i, (read_i, segment_i) in enumerate(zip(reads, segments)):
+            via_strings = instance.filter_pair(read_i, segment_i)
+            assert bool(via_encoded.accepted[i]) == via_strings.accepted, (key, i)
+            assert int(via_encoded.estimated_edits[i]) == via_strings.estimated_edits, (key, i)

@@ -25,6 +25,7 @@ from repro.api.workload import FilterSpec, PlannerSpec
 from repro.cluster import merge_result_dicts, plan_shards
 from repro.engine import available_filters
 from repro.engine.cascade import FilterCascade
+from repro.genomics.encoding import EncodedPairBatch
 from repro.planner import (
     PLANNER_VERSION,
     ensure_resolved,
@@ -369,8 +370,10 @@ class TestNeverFalseReject:
         names, threshold, pairs = case
         record = {K.CASCADE: list(names)}
         cascade = FilterCascade.from_plan(record, len(pairs[0][0]), threshold)
-        result = cascade.filter_lists(
-            [read for read, _ in pairs], [segment for _, segment in pairs]
+        result = cascade.filter_encoded(
+            EncodedPairBatch.from_lists(
+                [read for read, _ in pairs], [segment for _, segment in pairs]
+            )
         )
         for i, (read, segment) in enumerate(pairs):
             if edit_distance(read, segment) <= threshold:
