@@ -23,7 +23,7 @@ Package map
                     executors with shared-memory ``EncodedPairBatch`` transport
                     and deterministic share fan-out (results byte-identical
                     across backends and worker counts).
-``repro.align``     Exact edit distance (Edlib-equivalent), NW, SW, verification.
+``repro.align``     Exact edit distance (Edlib-equivalent) and banded verification.
 ``repro.simulate``  Synthetic genomes, Mason-like reads, candidate-pair pools.
 ``repro.gpusim``    Simulated GPU: devices, unified memory, occupancy, timing, power.
 ``repro.core``      The GateKeeper-GPU system pipeline (config, buffers, batch
@@ -68,7 +68,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Result",

@@ -1,26 +1,35 @@
 """Verification stage and ground-truth labelling.
 
-The :class:`Verifier` is the mapper's verification stage (exact edit distance
-against a threshold).  :func:`ground_truth_labels` produces the Edlib-style
-accept/reject labels used by the accuracy experiments: a pair is labelled
-*accept* if its exact global edit distance is within the threshold, *reject*
-otherwise.  Undefined pairs (containing ``N``) are labelled accepted, exactly
-as the paper does when including undefined pairs in the comparison tables.
+The :class:`Verifier` is the verification stage (banded edit distance against
+a threshold): :meth:`Verifier.verify_batch` checks every survivor of a chunk
+in one vectorised pass, :meth:`Verifier.verify` checks one pair of strings.
+:func:`ground_truth_labels` produces the Edlib-style accept/reject labels used
+by the accuracy experiments: a pair is labelled *accept* if its exact global
+edit distance is within the threshold, *reject* otherwise.  Undefined pairs
+(containing ``N``) are labelled accepted, exactly as the paper does when
+including undefined pairs in the comparison tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..genomics.alphabet import contains_unknown
+from ..genomics.encoding import EncodedPairBatch
 from ..genomics.sequence import SequencePair
-from .banded import banded_edit_distance
+from .banded import banded_edit_distance, banded_edit_distances
 from .edit_distance import edit_distance
 
 __all__ = ["VerificationResult", "Verifier", "ground_truth_labels", "ground_truth_distances"]
+
+#: Rows per banded-DP pass of :meth:`Verifier.verify_batch`.  Memory mode
+#: hands the verifier a whole input as one chunk; one block's working set is
+#: about ``BLOCK_PAIRS * (4 * length + 9 * (2e + 1))`` bytes (5 MB for
+#: 250 bp reads at e = 10).
+BLOCK_PAIRS = 4096
 
 
 @dataclass(frozen=True)
@@ -32,48 +41,66 @@ class VerificationResult:
 
 
 class Verifier:
-    """Exact (optionally banded) verification of read / segment pairs.
+    """Banded (Ukkonen) verification of read / segment pairs.
+
+    Distances are exact up to ``error_threshold`` and capped at
+    ``error_threshold + 1`` above it, which is all the accept decision needs.
 
     Parameters
     ----------
     error_threshold:
         Maximum edit distance for a pair to be reported as a mapping.
-    banded:
-        Use the Ukkonen banded DP (exact for distances within the threshold)
-        instead of the full Myers computation.  This is the default because it
-        is what production verifiers do.
     """
 
-    def __init__(self, error_threshold: int, banded: bool = True):
+    def __init__(self, error_threshold: int):
         if error_threshold < 0:
             raise ValueError("error_threshold must be non-negative")
         self.error_threshold = int(error_threshold)
-        self.banded = banded
         self.pairs_verified = 0
 
     def verify(self, read: str, reference_segment: str) -> VerificationResult:
         """Verify one pair, returning its edit distance and accept decision."""
         self.pairs_verified += 1
-        if self.banded:
-            distance = banded_edit_distance(read, reference_segment, self.error_threshold)
-        else:
-            distance = edit_distance(read, reference_segment)
+        distance = banded_edit_distance(read, reference_segment, self.error_threshold)
         return VerificationResult(
             edit_distance=distance, accepted=distance <= self.error_threshold
         )
 
-    def verify_pairs(
-        self, pairs: Iterable[SequencePair | tuple[str, str]]
-    ) -> list[VerificationResult]:
-        """Verify an iterable of pairs."""
-        results = []
-        for pair in pairs:
-            if isinstance(pair, SequencePair):
-                read, segment = pair.read, pair.reference_segment
-            else:
-                read, segment = pair
-            results.append(self.verify(read, segment))
-        return results
+    def verify_batch(
+        self,
+        pairs: EncodedPairBatch,
+        reads: Sequence[str],
+        segments: Sequence[str],
+        rows: np.ndarray,
+    ) -> np.ndarray:
+        """Capped edit distances (int32) of the pairs ``rows`` of ``pairs``.
+
+        Defined rows are verified together by
+        :func:`~repro.align.banded.banded_edit_distances` over the batch's
+        codes, :data:`BLOCK_PAIRS` rows per pass so the working memory stays
+        bounded however many rows a chunk has.  Undefined rows, whose codes
+        are zero-filled, go through :meth:`verify` on their ``reads`` /
+        ``segments`` strings (where ``N`` matches only ``N``).  The 2-bit
+        codes fold case, so the strings are upper-cased too: entry ``r`` is
+        what :meth:`verify` reports on the upper-cased pair ``rows[r]``.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        distances = np.empty(len(rows), dtype=np.int32)
+        undefined = pairs.undefined[rows]
+        defined = np.flatnonzero(~undefined)
+        for lo in range(0, len(defined), BLOCK_PAIRS):
+            block = defined[lo : lo + BLOCK_PAIRS]
+            selected = rows[block]
+            distances[block] = banded_edit_distances(
+                pairs.read_codes[selected], pairs.ref_codes[selected], self.error_threshold
+            )
+        self.pairs_verified += len(defined)
+        for index in np.flatnonzero(undefined):
+            row = int(rows[index])
+            distances[index] = self.verify(
+                reads[row].upper(), segments[row].upper()
+            ).edit_distance
+        return distances
 
 
 def ground_truth_distances(pairs: Sequence[SequencePair | tuple[str, str]]) -> np.ndarray:

@@ -18,7 +18,8 @@ feed the same loop:
 Every chunk goes through ``engine.filter_encoded(batch, executor=...)``
 (a :class:`~repro.engine.FilterEngine` or
 :class:`~repro.engine.FilterCascade`), the surviving pairs are verified
-immediately, and only counters survive the chunk.  H2D-transfer/kernel
+immediately in one :meth:`~repro.align.Verifier.verify_batch` pass over the
+chunk's codes, and only counters survive the chunk.  H2D-transfer/kernel
 overlap across the configured (simulated) devices is modelled with one
 stream per device, so the report can distinguish *serial* execution (every
 transfer and kernel back-to-back) from *overlapped* execution (devices run
@@ -68,8 +69,8 @@ __all__ = ["ChunkReport", "StreamingReport", "StreamingPipeline"]
 #: Encoded chunks a prefetching producer may queue ahead of the consumer.
 PREFETCH_DEPTH = 2
 
-#: One chunk as the loop consumes it: the strings the verifier needs and the
-#: encoded batch the engine filters.
+#: One chunk as the loop consumes it: the strings (the verifier checks
+#: undefined survivors on them) and the encoded batch the engine filters.
 Chunk = tuple[Sequence[str], Sequence[str], EncodedPairBatch]
 
 
@@ -119,7 +120,6 @@ class StreamingReport:
     verified_accepts: int
     verified_rejects: int
     verification_time_s: float
-    verification_wall_clock_s: float
     no_filter_verification_time_s: float
     timing: FilterTiming
     wall_clock_s: float
@@ -232,7 +232,7 @@ class StreamingPipeline:
         """Run an already-encoded batch; chunks are row-slice views of it.
 
         ``reads`` / ``segments`` are the batch's strings, which verification
-        of the surviving pairs needs.  Nothing is encoded: when the engine
+        of undefined survivors needs.  Nothing is encoded: when the engine
         consumes packed words they are materialised once on ``batch`` itself,
         so every chunk view — and every later run over the same cached
         batch — inherits them.
@@ -372,7 +372,6 @@ class StreamingPipeline:
         read_length = 0
         n_chunks = n_pairs = n_accepted = n_undefined = n_batches = 0
         verified_accepts = verified_rejects = 0
-        verification_wall = 0.0
         stage_inputs: dict[int, int] = {}
         chunk_reports: list[ChunkReport] = []
         accepted_parts: list[np.ndarray] = []
@@ -405,14 +404,13 @@ class StreamingPipeline:
                         stage_inputs.get(account.stage, 0) + account.n_input
                     )
 
-            if verify:
-                verify_start = time.perf_counter()
-                for index in np.flatnonzero(result.accepted):
-                    if verifier.verify(reads[int(index)], segments[int(index)]).accepted:
-                        verified_accepts += 1
-                    else:
-                        verified_rejects += 1
-                verification_wall += time.perf_counter() - verify_start
+            if verify and result.n_accepted:
+                distances = verifier.verify_batch(
+                    batch, reads, segments, np.flatnonzero(result.accepted)
+                )
+                chunk_verified = int(np.count_nonzero(distances <= verifier.error_threshold))
+                verified_accepts += chunk_verified
+                verified_rejects += len(distances) - chunk_verified
 
             # Stream model: accumulate each device's H2D+kernel work for this
             # chunk; host-side encode/prep time is tracked separately (it is
@@ -499,7 +497,6 @@ class StreamingPipeline:
             verified_accepts=verified_accepts,
             verified_rejects=verified_rejects,
             verification_time_s=verification_time,
-            verification_wall_clock_s=verification_wall,
             no_filter_verification_time_s=no_filter_time,
             timing=run_timing,
             wall_clock_s=time.perf_counter() - wall_start,

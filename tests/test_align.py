@@ -1,15 +1,12 @@
-"""Tests for the alignment substrate: edit distances, NW, SW."""
+"""Tests for the alignment substrate: exact and banded edit distances."""
 
 import pytest
 
 from repro.align import (
-    alignment_to_cigar,
     banded_edit_distance,
     dp_edit_distance,
     edit_distance,
     myers_edit_distance,
-    needleman_wunsch,
-    smith_waterman,
     within_threshold,
 )
 from helpers import mutated_pair, random_sequence
@@ -87,49 +84,3 @@ class TestBandedEditDistance:
         assert within_threshold("ACGT", "ACGA", 1)
         assert not within_threshold("ACGT", "TGCA", 1)
 
-
-class TestNeedlemanWunsch:
-    def test_exact_match_score(self):
-        result = needleman_wunsch("ACGT", "ACGT")
-        assert result.score == 4
-        assert result.aligned_a == "ACGT"
-        assert result.aligned_b == "ACGT"
-        assert result.edit_operations == 0
-
-    def test_alignment_length_consistency(self, rng):
-        read, segment = mutated_pair(30, 4, rng)
-        result = needleman_wunsch(read, segment)
-        assert len(result.aligned_a) == len(result.aligned_b)
-        assert result.aligned_a.replace("-", "") == read
-        assert result.aligned_b.replace("-", "") == segment
-
-    def test_edit_operations_upper_bounds_edit_distance(self, rng):
-        read, segment = mutated_pair(40, 5, rng)
-        result = needleman_wunsch(read, segment)
-        assert result.edit_operations >= edit_distance(read, segment)
-
-    def test_gap_alignment(self):
-        result = needleman_wunsch("ACGT", "AGT")
-        assert result.edit_operations == 1
-
-    def test_cigar(self):
-        assert alignment_to_cigar("ACGT", "AC-T") == "2M1I1M"
-        assert alignment_to_cigar("AC-T", "ACGT") == "2M1D1M"
-        with pytest.raises(ValueError):
-            alignment_to_cigar("AC", "A")
-
-
-class TestSmithWaterman:
-    def test_finds_embedded_match(self):
-        result = smith_waterman("TTTTACGTACGTTTT", "ACGTACGT")
-        assert result.score >= 14  # 8 matches with default scoring minus nothing
-        assert "ACGTACGT" in result.aligned_a.replace("-", "")
-
-    def test_no_similarity_low_score(self):
-        result = smith_waterman("AAAAAAAA", "TTTTTTTT")
-        assert result.score == 0
-
-    def test_alignment_bounds(self):
-        result = smith_waterman("GGACGTA", "ACGT")
-        assert 0 <= result.a_start <= result.a_end <= 7
-        assert 0 <= result.b_start <= result.b_end <= 4

@@ -9,8 +9,8 @@ from repro.align import (
     ground_truth_distances,
     ground_truth_labels,
 )
-from repro.genomics import SequencePair
-from helpers import mutated_pair, random_sequence
+from repro.genomics.encoding import EncodedPairBatch
+from helpers import mutated_pair
 
 
 class TestVerifier:
@@ -21,27 +21,25 @@ class TestVerifier:
         assert result.accepted == (edit_distance(read, segment) <= 5)
 
     def test_banded_and_full_agree_on_decision(self, rng):
-        banded = Verifier(5, banded=True)
-        full = Verifier(5, banded=False)
-        for _ in range(15):
-            read, segment = mutated_pair(60, rng.randrange(0, 12), rng)
-            assert banded.verify(read, segment).accepted == full.verify(read, segment).accepted
+        pairs = [mutated_pair(60, rng.randrange(0, 12), rng) for _ in range(15)]
+        reads, segments = [p[0] for p in pairs], [p[1] for p in pairs]
+        distances = Verifier(5).verify_batch(
+            EncodedPairBatch.from_lists(reads, segments), reads, segments, np.arange(15)
+        )
+        for (read, segment), distance in zip(pairs, distances):
+            assert (distance <= 5) == (edit_distance(read, segment) <= 5)
 
     def test_counts_pairs_verified(self, rng):
         verifier = Verifier(3)
-        pairs = [mutated_pair(40, 1, rng) for _ in range(7)]
-        verifier.verify_pairs(pairs)
+        pairs = [mutated_pair(40, 1, rng) for _ in range(6)] + [("N" * 40, "A" * 40)]
+        reads, segments = [p[0] for p in pairs], [p[1] for p in pairs]
+        batch = EncodedPairBatch.from_lists(reads, segments)
+        verifier.verify_batch(batch, reads, segments, np.arange(7))
         assert verifier.pairs_verified == 7
 
     def test_negative_threshold_raises(self):
         with pytest.raises(ValueError):
             Verifier(-1)
-
-    def test_verify_sequence_pair_objects(self, rng):
-        verifier = Verifier(4)
-        read, segment = mutated_pair(50, 2, rng)
-        results = verifier.verify_pairs([SequencePair(read=read, reference_segment=segment)])
-        assert len(results) == 1
 
 
 class TestGroundTruth:

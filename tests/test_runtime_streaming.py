@@ -25,6 +25,7 @@ from repro.api import (
     Session,
     Workload,
 )
+from repro.align import ground_truth_labels
 from repro.engine import available_filters
 from repro.gpusim.device import GTX_1080_TI
 from repro.gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
@@ -177,6 +178,38 @@ class TestEdgeCases:
         assert streamed.summary["verified_accepts"] == 0 == memory.summary["verified_accepts"]
         assert_same_run(streamed, memory)
         assert streamed.summary["verification_time_s"] > 0.0
+
+
+class TestVerifiedAccepts:
+    """Verified accepts equal the exact-DP accepts: the filter never falsely
+    rejects, and batched verification agrees with Edlib-style ground truth
+    (the check bench's filter-verify workload makes on every run)."""
+
+    @pytest.mark.parametrize("dataset_name", ["Set 1", "Set 3", "Set 4"])
+    @pytest.mark.parametrize("error_threshold", [0, 2, 5, 10])
+    def test_verified_accepts_equal_exact_dp_accepts(
+        self, session, dataset_name, error_threshold
+    ):
+        spec = {
+            "input": {"kind": "dataset", "dataset": dataset_name, "n_pairs": 300, "seed": 3},
+            "filter": {"filters": ["gatekeeper-gpu"], "error_threshold": error_threshold},
+        }
+        memory = Workload.from_dict({**spec, "execution": {"mode": "memory"}})
+        dataset = session.dataset_for(memory)
+        truth = ground_truth_labels(
+            list(zip(dataset.reads, dataset.segments)),
+            error_threshold,
+            undefined_accepted=False,
+        ).sum()
+        streamed = Workload.from_dict(
+            {**spec, "execution": {"mode": "streaming", "chunk_size": 7}}
+        )
+        for workload in (memory, streamed):
+            summary = session.run(workload).summary
+            assert summary["verified_accepts"] == truth
+            assert summary["verified_accepts"] + summary["verified_rejects"] == (
+                summary["n_accepted"]
+            )
 
 
 class TestMultiGpuInvariance:
