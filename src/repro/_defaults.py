@@ -38,6 +38,9 @@ VERIFICATION_COST_PER_PAIR_S = 314.0e-9
 #: Seed k-mer length of the mapper index used to propose candidate pairs.
 DEFAULT_SEEDING_K = 12
 
+#: Longest seed k-mer the mapper index takes: 2 bits per base fill a uint64 key.
+MAX_SEEDING_K = 32
+
 #: Cap on candidate locations per read when seeding real read files.
 DEFAULT_MAX_CANDIDATES_PER_READ = 2_048
 

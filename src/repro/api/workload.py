@@ -32,6 +32,7 @@ from .._defaults import (
     DEFAULT_PLANNER_SAMPLE_PAIRS,
     DEFAULT_READ_LENGTH,
     DEFAULT_SEEDING_K,
+    MAX_SEEDING_K,
 )
 
 __all__ = [
@@ -165,6 +166,8 @@ class InputSpec:
                  f"unknown input kind {self.kind!r} (expected one of {list(INPUT_KINDS)})")
         _require(self.n_pairs >= 1, "input.n_pairs", "must be at least 1")
         _require(self.seeding_k >= 1, "input.seeding_k", "must be at least 1")
+        _require(self.seeding_k <= MAX_SEEDING_K, "input.seeding_k",
+                 f"must be at most {MAX_SEEDING_K} (2-bit k-mer keys fill a uint64)")
         _require(self.max_candidates_per_read >= 1,
                  "input.max_candidates_per_read", "must be at least 1")
         if self.kind == "dataset":

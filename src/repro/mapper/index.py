@@ -1,62 +1,114 @@
-"""k-mer hash index of the reference genome (the mapper's seeding substrate).
+"""Sorted-array k-mer index of the reference genome (the mapper's seeding substrate).
 
 mrFAST builds a hash table of fixed-length k-mers of the reference; seeding a
 read means looking up its k-mers and collecting the reference positions where
-they occur.  k-mers containing ``N`` are not indexed.
+they occur.  Here the table is two arrays: every k-mer packed 2 bits per base
+into a uint64 key, sorted, beside the reference position it starts at, so a
+lookup is a binary search and a batch of lookups is one vector call.
+k-mers holding any byte other than A/C/G/T (``N`` or an IUPAC code) are not
+indexed.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..genomics.alphabet import UNKNOWN_BASE
+from .._defaults import MAX_SEEDING_K
+from ..genomics.alphabet import encode_lookup_table
 from ..genomics.reference import ReferenceGenome
 
-__all__ = ["KmerIndex"]
+__all__ = ["KmerIndex", "base_codes", "kmer_keys"]
+
+_CODES = encode_lookup_table()
+_INVALID = 255
+
+
+def base_codes(bases: str) -> np.ndarray:
+    """2-bit codes of ``bases`` (any case); 255 marks a byte other than A/C/G/T."""
+    return _CODES[np.frombuffer(bases.encode("ascii", "replace"), dtype=np.uint8)]
+
+
+def kmer_keys(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pack the last axis of ``windows`` (2-bit codes) into uint64 k-mer keys.
+
+    Returns the keys and a mask of the windows holding a byte other than
+    A/C/G/T; the keys of those windows are meaningless.
+    """
+    keys = np.zeros(windows.shape[:-1], dtype=np.uint64)
+    invalid = np.zeros(windows.shape[:-1], dtype=bool)
+    for j in range(windows.shape[-1]):
+        codes = windows[..., j]
+        keys <<= np.uint64(2)
+        keys |= codes & 3
+        invalid |= codes == _INVALID
+    return keys, invalid
 
 
 class KmerIndex:
-    """Hash index mapping every k-mer of the reference to its positions."""
+    """Every k-mer of the reference as a sorted key array beside its positions.
+
+    ``keys[i]`` is the 2-bit key of the k-mer starting at reference position
+    ``positions[i]``; keys ascend, and positions ascend within one key.
+    """
 
     def __init__(self, reference: ReferenceGenome, k: int = 12):
         if k <= 0:
             raise ValueError("k must be positive")
+        if k > MAX_SEEDING_K:
+            raise ValueError(
+                f"k must be at most {MAX_SEEDING_K} (2-bit k-mer keys fill a uint64)"
+            )
         if k > len(reference):
             raise ValueError("k cannot exceed the reference length")
         self.reference = reference
         self.k = k
-        self._index: dict[str, np.ndarray] = {}
-        self._build()
-
-    def _build(self) -> None:
-        k = self.k
-        bases = self.reference.bases
-        positions: dict[str, list[int]] = defaultdict(list)
-        for pos in range(len(bases) - k + 1):
-            kmer = bases[pos : pos + k]
-            if UNKNOWN_BASE in kmer:
-                continue
-            positions[kmer].append(pos)
-        self._index = {kmer: np.asarray(pos_list, dtype=np.int64) for kmer, pos_list in positions.items()}
+        keys, invalid = kmer_keys(sliding_window_view(base_codes(reference.bases), k))
+        positions = np.flatnonzero(~invalid).astype(np.int64, copy=False)
+        keys = keys[positions]
+        # Stable, so the positions of one k-mer stay in ascending order.
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        self.positions = positions[order]
 
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
         """Number of distinct k-mers indexed."""
-        return len(self._index)
+        return self._first_of_each_kmer().size
 
     def __contains__(self, kmer: str) -> bool:
-        return kmer.upper() in self._index
+        return len(kmer) == self.k and self.lookup(kmer).size > 0
+
+    def ranges(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``[lo, hi)`` slices of :attr:`positions` holding each of ``keys`` (any shape)."""
+        flat = keys.ravel()
+        # Searched in ascending order, consecutive queries touch nearby keys.
+        order = np.argsort(flat)
+        ascending = flat[order]
+        lo = np.empty(flat.size, dtype=np.int64)
+        hi = np.empty(flat.size, dtype=np.int64)
+        lo[order] = np.searchsorted(self.keys, ascending, side="left")
+        hi[order] = np.searchsorted(self.keys, ascending, side="right")
+        return lo.reshape(keys.shape), hi.reshape(keys.shape)
 
     def lookup(self, kmer: str) -> np.ndarray:
-        """Reference positions where ``kmer`` occurs (possibly empty)."""
+        """Reference positions where ``kmer`` occurs, ascending (possibly empty)."""
         if len(kmer) != self.k:
             raise ValueError(f"kmer length {len(kmer)} does not match index k={self.k}")
-        return self._index.get(kmer.upper(), np.empty(0, dtype=np.int64))
+        keys, invalid = kmer_keys(base_codes(kmer))
+        if invalid:
+            return np.empty(0, dtype=np.int64)
+        lo, hi = self.ranges(keys)
+        return self.positions[lo:hi]
 
     def occurrence_counts(self) -> np.ndarray:
-        """Number of occurrences of every indexed k-mer (repeat statistics)."""
-        return np.asarray([len(v) for v in self._index.values()], dtype=np.int64)
+        """Number of occurrences of every indexed k-mer, in key order (repeat statistics)."""
+        return np.diff(np.append(self._first_of_each_kmer(), self.keys.size))
+
+    def _first_of_each_kmer(self) -> np.ndarray:
+        """Index into :attr:`keys` of the first occurrence of every distinct k-mer."""
+        first = np.ones(self.keys.size, dtype=bool)
+        first[1:] = self.keys[1:] != self.keys[:-1]
+        return np.flatnonzero(first)

@@ -198,13 +198,14 @@ class MrFastMapper:
             pair_segments: list[str] = []
             pair_owner: list[int] = []
             pair_location: list[int] = []
-            for local_index, read in enumerate(batch):
-                for location in self.seeder.candidates(read.bases):
-                    segment = self.reference.segment(int(location), len(read.bases))
+            batch_candidates = self.seeder.candidates_batch([read.bases for read in batch])
+            for local_index, (read, locations) in enumerate(zip(batch, batch_candidates)):
+                for location in locations.tolist():
+                    segment = self.reference.segment(location, len(read.bases))
                     pair_reads.append(read.bases)
                     pair_segments.append(segment)
                     pair_owner.append(local_index)
-                    pair_location.append(int(location))
+                    pair_location.append(location)
             stats.candidate_pairs += len(pair_reads)
             times.seeding_s += len(batch) * SEEDING_COST_PER_READ_S
 

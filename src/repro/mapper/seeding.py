@@ -10,14 +10,19 @@ filtering).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ..genomics.alphabet import UNKNOWN_BASE
-from .index import KmerIndex
+from .index import KmerIndex, base_codes, kmer_keys
 
 __all__ = ["Seeder", "SeedHit"]
+
+_NO_CANDIDATES = np.empty(0, dtype=np.int64)
+_NO_CANDIDATES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -39,40 +44,75 @@ class Seeder:
     def __init__(self, index: KmerIndex, error_threshold: int, max_candidates: int = 2048):
         if error_threshold < 0:
             raise ValueError("error_threshold must be non-negative")
+        if max_candidates < 1:
+            raise ValueError("max_candidates must be at least 1")
         self.index = index
         self.error_threshold = error_threshold
         self.max_candidates = max_candidates
 
-    def seeds_of(self, read: str) -> list[tuple[int, str]]:
-        """Non-overlapping ``(offset, kmer)`` seeds covering the read.
+    def _seed_offsets(self, read_length: int) -> list[int]:
+        """Start offsets of the non-overlapping seeds of a ``read_length`` read.
 
         ``e + 1`` seeds of the index's k-mer length are taken when they fit;
-        shorter reads fall back to as many non-overlapping seeds as fit.
+        shorter reads fall back to as many non-overlapping seeds as fit, and a
+        read shorter than one k-mer has none.
         """
         k = self.index.k
-        wanted = self.error_threshold + 1
-        max_fit = max(1, len(read) // k)
-        n_seeds = min(wanted, max_fit)
+        if read_length < k:
+            return []
+        n_seeds = min(self.error_threshold + 1, read_length // k)
         # Spread the seeds across the read so indels anywhere are tolerated.
         if n_seeds == 1:
-            offsets = [0]
-        else:
-            offsets = np.linspace(0, len(read) - k, n_seeds).astype(int).tolist()
-        return [(int(off), read[int(off) : int(off) + k]) for off in offsets]
+            return [0]
+        return np.linspace(0, read_length - k, n_seeds).astype(int).tolist()
+
+    def seeds_of(self, read: str) -> list[tuple[int, str]]:
+        """Non-overlapping ``(offset, kmer)`` seeds covering the read."""
+        k = self.index.k
+        return [(offset, read[offset : offset + k]) for offset in self._seed_offsets(len(read))]
 
     def candidates(self, read: str) -> np.ndarray:
         """Sorted unique candidate locations of ``read`` on the reference."""
-        hits: list[int] = []
-        for offset, kmer in self.seeds_of(read):
-            if UNKNOWN_BASE in kmer:
-                continue
-            for position in self.index.lookup(kmer):
-                location = int(position) - offset
-                hits.append(location)
-                if len(hits) >= self.max_candidates:
-                    break
-            if len(hits) >= self.max_candidates:
-                break
-        if not hits:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.asarray(hits, dtype=np.int64))
+        return self.candidates_batch([read])[0]
+
+    def candidates_batch(self, reads: Sequence[str]) -> list[np.ndarray]:
+        """Sorted unique candidate locations of every read, in input order.
+
+        Reads of one length are seeded in one vector pass.  Each read keeps
+        its first ``max_candidates`` hits in seed order (positions ascending
+        within a seed); seeds holding a byte other than A/C/G/T propose
+        nothing.
+        """
+        out = [_NO_CANDIDATES] * len(reads)
+        rows_by_length: dict[int, list[int]] = defaultdict(list)
+        for row, read in enumerate(reads):
+            rows_by_length[len(read)].append(row)
+        for length, rows in rows_by_length.items():
+            found = self._candidates_of_length([reads[row] for row in rows], length)
+            for row, candidates in zip(rows, found):
+                out[row] = candidates
+        return out
+
+    def _candidates_of_length(self, reads: list[str], length: int) -> list[np.ndarray]:
+        """:meth:`candidates_batch` of reads that all have ``length`` bases."""
+        offsets = np.asarray(self._seed_offsets(length), dtype=np.int64)
+        if offsets.size == 0:
+            return [_NO_CANDIDATES] * len(reads)
+        codes = base_codes("".join(reads)).reshape(len(reads), length)
+        keys, invalid = kmer_keys(sliding_window_view(codes, self.index.k, axis=1)[:, offsets])
+        # The keys of every seed of every read go through one index search.
+        lo, hi = self.index.ranges(keys)
+        hits = np.where(invalid, 0, hi - lo)
+        before = np.cumsum(hits, axis=1) - hits
+        take = np.minimum(hits, np.maximum(self.max_candidates - before, 0)).ravel()
+        # One entry per kept hit: its (read, seed) cell and its rank in that cell.
+        cell = np.repeat(np.arange(take.size), take)
+        rank = np.arange(cell.size) - np.repeat(np.cumsum(take) - take, take)
+        locations = self.index.positions[lo.ravel()[cell] + rank] - offsets[cell % offsets.size]
+        owner = cell // offsets.size
+        order = np.lexsort((locations, owner))
+        locations, owner = locations[order], owner[order]
+        keep = np.ones(locations.size, dtype=bool)
+        keep[1:] = (locations[1:] != locations[:-1]) | (owner[1:] != owner[:-1])
+        locations, owner = locations[keep], owner[keep]
+        return np.split(locations, np.searchsorted(owner, np.arange(1, len(reads))))

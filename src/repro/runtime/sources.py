@@ -15,11 +15,13 @@ can drive it.  This module provides the three producers the experiments need:
   :class:`~repro.mapper.seeding.Seeder`, and emit one pair per candidate.
 
 All producers are generators: nothing is materialised beyond the record in
-flight, which is what gives the streaming pipeline its O(chunk) footprint.
+flight (a block of reads for :func:`seeded_pairs`), which is what gives the
+streaming pipeline its O(chunk) footprint.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -45,6 +47,9 @@ __all__ = [
 FASTQ_SUFFIXES = {".fastq", ".fq"}
 FASTA_SUFFIXES = {".fasta", ".fa", ".fna"}
 PAIRS_SUFFIXES = {".tsv", ".pairs", ".txt"}
+
+#: Reads :func:`seeded_pairs` seeds per vector pass of the seeder.
+SEED_BLOCK_READS = 1024
 
 
 def _format_suffix(path: str | Path) -> str:
@@ -150,10 +155,13 @@ def seeded_pairs(
     ``reference``; each candidate location yields one ``(read, segment)``
     pair, exactly the pool an mrFAST-style mapper would hand to the
     pre-alignment filter.  ``reads`` may be a FASTQ/FASTA path or any
-    iterable of read records / strings; the index is built once, the reads
-    are never materialised as a list.  A prebuilt ``index`` over the same
-    reference (e.g. a :class:`repro.api.Session` cache entry) skips the
-    index construction entirely.
+    iterable of read records / strings; the index is built once, and the
+    reads are read and seeded one block of :data:`SEED_BLOCK_READS` at a
+    time, so memory stays bounded by the block.  A read that fails to parse
+    ends the stream only after every pair of the reads before it, so a
+    consumer that stops earlier never sees the error.  A prebuilt ``index``
+    over the same reference (e.g. a :class:`repro.api.Session` cache entry)
+    skips the index construction entirely.
     """
     if isinstance(reads, (str, Path)):
         reads = iter_reads(reads)
@@ -162,7 +170,30 @@ def seeded_pairs(
     if index is None:
         index = KmerIndex(reference, k=k)
     seeder = Seeder(index, error_threshold, max_candidates_per_read)
-    for read in reads:
-        bases = read if isinstance(read, str) else read.bases
-        for location in seeder.candidates(bases):
-            yield bases, reference.segment(int(location), len(bases))
+    genome = reference.bases
+    reads = iter(reads)
+    while True:
+        block, error = _read_block(reads)
+        for bases, locations in zip(block, seeder.candidates_batch(block)):
+            length = len(bases)
+            last_start = len(genome) - length
+            for location in locations.tolist():
+                if 0 <= location <= last_start:
+                    yield bases, genome[location : location + length]
+                else:
+                    yield bases, reference.segment(location, length)
+        if error is not None:
+            raise error
+        if len(block) < SEED_BLOCK_READS:
+            return
+
+
+def _read_block(reads: Iterator[Read | Sequence | str]) -> tuple[list[str], Exception | None]:
+    """The bases of the next :data:`SEED_BLOCK_READS` reads, and the error that cut them short."""
+    block: list[str] = []
+    try:
+        for read in islice(reads, SEED_BLOCK_READS):
+            block.append(read if isinstance(read, str) else read.bases)
+    except Exception as exc:  # any read error: seeded_pairs re-raises it after the block
+        return block, exc
+    return block, None

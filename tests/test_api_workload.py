@@ -157,6 +157,13 @@ class TestValidationMessages:
                 "workload.input.dataset",
             ),
             ({"input": {"kind": "reads", "path": "r.fastq"}}, "workload.input.reference"),
+            (
+                {
+                    "input": {"kind": "reads", "path": "r.fastq", "reference": "g.fa",
+                              "seeding_k": 33},
+                },
+                "workload.input.seeding_k",
+            ),
             ({"input": {"kind": "tsv"}}, "workload.input.path"),
             ({"input": {"kind": "pairs"}}, "workload.input.pairs"),
             (

@@ -51,6 +51,8 @@ class TestKmerIndex:
             KmerIndex(ReferenceGenome("r", "ACGT"), k=0)
         with pytest.raises(ValueError):
             KmerIndex(ReferenceGenome("r", "ACGT"), k=10)
+        with pytest.raises(ValueError, match="at most 32"):
+            KmerIndex(ReferenceGenome("r", "ACGT" * 10), k=33)
 
     def test_occurrence_counts_reflect_repeats(self):
         index = KmerIndex(ReferenceGenome("r", "ACGTACGTACGT"), k=4)
@@ -82,10 +84,18 @@ class TestSeeder:
         read = reference.segment(2000, 100)
         assert len(seeder.candidates(read)) <= 5
 
+    def test_read_shorter_than_k_has_no_candidates(self):
+        seeder = Seeder(KmerIndex(ReferenceGenome("r", "ACGTACGTTTGGCCAATTACGT"), k=12), 2)
+        assert seeder.seeds_of("ACGTACG") == []
+        assert seeder.candidates("ACGTACG").size == 0
+        assert [c.size for c in seeder.candidates_batch(["", "ACGTACG"])] == [0, 0]
+
     def test_negative_threshold_raises(self, reference):
         index = KmerIndex(reference, k=12)
         with pytest.raises(ValueError):
             Seeder(index, error_threshold=-1)
+        with pytest.raises(ValueError, match="max_candidates"):
+            Seeder(index, error_threshold=2, max_candidates=0)
 
 
 class TestMrFastMapper:

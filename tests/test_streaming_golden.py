@@ -164,3 +164,18 @@ class TestStreamCli:
         assert payload["dataset"] == "golden_reads.fastq"  # named after the file
         in_memory = memory_run(session, golden_dataset, "sneakysnake")
         assert payload["summary"] == json.loads(in_memory.to_json())["summary"]
+
+
+class TestExampleReadsWorkload:
+    """``examples/workload_reads.toml``, the CI smoke run, reproduces the golden cascade."""
+
+    def test_example_matches_golden_cascade(self, session, monkeypatch, capsys):
+        from repro.api import Workload
+        from repro.cli import run_main
+
+        monkeypatch.chdir(DATA.parent.parent)  # its input paths are relative to the repo root
+        example = "examples/workload_reads.toml"
+        result = session.run(Workload.from_toml(example))
+        assert golden_layout(result) == GOLDEN["streaming"]["cascade:gatekeeper-gpu+sneakysnake"]
+        assert run_main([example, "--table"]) == 0
+        assert "GateKeeper-GPU -> SneakySnake on golden" in capsys.readouterr().out
