@@ -89,6 +89,8 @@ class ReferenceGenome:
         mrFAST handles boundary candidates.
         """
         end = start + length
+        if start >= 0 and end <= len(self.bases):
+            return self.bases[start:end]
         left_pad = max(0, -start)
         right_pad = max(0, end - len(self.bases))
         core = self.bases[max(0, start) : min(end, len(self.bases))]

@@ -10,14 +10,12 @@ filtering).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .index import KmerIndex, base_codes, kmer_keys
+from .index import KmerIndex
 
 __all__ = ["Seeder", "SeedHit"]
 
@@ -50,26 +48,26 @@ class Seeder:
         self.error_threshold = error_threshold
         self.max_candidates = max_candidates
 
-    def _seed_offsets(self, read_length: int) -> list[int]:
-        """Start offsets of the non-overlapping seeds of a ``read_length`` read.
+    def seed_offsets(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The non-overlapping seeds of reads of ``lengths`` bases, read by read.
 
+        Returns every seed's read row and start offset, seeds in read order.
         ``e + 1`` seeds of the index's k-mer length are taken when they fit;
         shorter reads fall back to as many non-overlapping seeds as fit, and a
-        read shorter than one k-mer has none.
+        read shorter than one k-mer has none.  Seeds are spread evenly from
+        offset 0 to the read's end (a lone seed sits at 0), so indels anywhere
+        are tolerated.
         """
         k = self.index.k
-        if read_length < k:
-            return []
-        n_seeds = min(self.error_threshold + 1, read_length // k)
-        # Spread the seeds across the read so indels anywhere are tolerated.
-        if n_seeds == 1:
-            return [0]
-        return np.linspace(0, read_length - k, n_seeds).astype(int).tolist()
-
-    def seeds_of(self, read: str) -> list[tuple[int, str]]:
-        """Non-overlapping ``(offset, kmer)`` seeds covering the read."""
-        k = self.index.k
-        return [(offset, read[offset : offset + k]) for offset in self._seed_offsets(len(read))]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        n_seeds = np.minimum(self.error_threshold + 1, lengths // k)
+        row = np.repeat(np.arange(lengths.size), n_seeds)
+        rank = np.arange(row.size) - np.repeat(np.cumsum(n_seeds) - n_seeds, n_seeds)
+        last, span = n_seeds[row] - 1, lengths[row] - k
+        # np.linspace(0, span, last + 1).astype(int), read for read: the same
+        # float products, and the last seed pinned to the read's end.
+        inner = (rank * (span / np.maximum(last, 1))).astype(np.int64)
+        return row, np.where((rank == last) & (last > 0), span, inner)
 
     def candidates(self, read: str) -> np.ndarray:
         """Sorted unique candidate locations of ``read`` on the reference."""
@@ -78,38 +76,28 @@ class Seeder:
     def candidates_batch(self, reads: Sequence[str]) -> list[np.ndarray]:
         """Sorted unique candidate locations of every read, in input order.
 
-        Reads of one length are seeded in one vector pass.  Each read keeps
-        its first ``max_candidates`` hits in seed order (positions ascending
-        within a seed); seeds holding a byte other than A/C/G/T propose
-        nothing.
+        The whole block is seeded in one vector pass whatever its read
+        lengths.  Each read keeps its first ``max_candidates`` hits in seed
+        order (positions ascending within a seed); seeds holding a byte other
+        than A/C/G/T propose nothing.
         """
-        out = [_NO_CANDIDATES] * len(reads)
-        rows_by_length: dict[int, list[int]] = defaultdict(list)
-        for row, read in enumerate(reads):
-            rows_by_length[len(read)].append(row)
-        for length, rows in rows_by_length.items():
-            found = self._candidates_of_length([reads[row] for row in rows], length)
-            for row, candidates in zip(rows, found):
-                out[row] = candidates
-        return out
-
-    def _candidates_of_length(self, reads: list[str], length: int) -> list[np.ndarray]:
-        """:meth:`candidates_batch` of reads that all have ``length`` bases."""
-        offsets = np.asarray(self._seed_offsets(length), dtype=np.int64)
-        if offsets.size == 0:
+        lengths = np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
+        row, offsets = self.seed_offsets(lengths)
+        if row.size == 0:
             return [_NO_CANDIDATES] * len(reads)
-        codes = base_codes("".join(reads)).reshape(len(reads), length)
-        keys, invalid = kmer_keys(sliding_window_view(codes, self.index.k, axis=1)[:, offsets])
-        # The keys of every seed of every read go through one index search.
-        lo, hi = self.index.ranges(keys)
-        hits = np.where(invalid, 0, hi - lo)
-        before = np.cumsum(hits, axis=1) - hits
-        take = np.minimum(hits, np.maximum(self.max_candidates - before, 0)).ravel()
-        # One entry per kept hit: its (read, seed) cell and its rank in that cell.
-        cell = np.repeat(np.arange(take.size), take)
-        rank = np.arange(cell.size) - np.repeat(np.cumsum(take) - take, take)
-        locations = self.index.positions[lo.ravel()[cell] + rank] - offsets[cell % offsets.size]
-        owner = cell // offsets.size
+        # The seeds of every read go through one index search of the joined block.
+        read_starts = np.cumsum(lengths) - lengths
+        lo, hi = self.index.ranges("".join(reads), read_starts[row] + offsets)
+        hits = hi - lo
+        # Hits of the read's earlier seeds: a running total restarted at each read.
+        ahead = np.cumsum(hits) - hits
+        before = ahead - ahead[np.searchsorted(row, row)]
+        take = np.minimum(hits, np.maximum(self.max_candidates - before, 0))
+        # One entry per kept hit: its seed and its rank among that seed's hits.
+        seed = np.repeat(np.arange(take.size), take)
+        rank = np.arange(seed.size) - np.repeat(np.cumsum(take) - take, take)
+        locations = self.index.positions[lo[seed] + rank] - offsets[seed]
+        owner = row[seed]
         order = np.lexsort((locations, owner))
         locations, owner = locations[order], owner[order]
         keep = np.ones(locations.size, dtype=bool)

@@ -170,18 +170,12 @@ def seeded_pairs(
     if index is None:
         index = KmerIndex(reference, k=k)
     seeder = Seeder(index, error_threshold, max_candidates_per_read)
-    genome = reference.bases
     reads = iter(reads)
     while True:
         block, error = _read_block(reads)
         for bases, locations in zip(block, seeder.candidates_batch(block)):
-            length = len(bases)
-            last_start = len(genome) - length
             for location in locations.tolist():
-                if 0 <= location <= last_start:
-                    yield bases, genome[location : location + length]
-                else:
-                    yield bases, reference.segment(location, length)
+                yield bases, reference.segment(location, len(bases))
         if error is not None:
             raise error
         if len(block) < SEED_BLOCK_READS:

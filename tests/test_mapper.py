@@ -63,11 +63,9 @@ class TestSeeder:
     def test_seeds_cover_read(self, reference):
         index = KmerIndex(reference, k=12)
         seeder = Seeder(index, error_threshold=4)
-        read = reference.segment(500, 100)
-        seeds = seeder.seeds_of(read)
-        assert len(seeds) == 5  # e + 1 seeds
-        assert all(len(kmer) == 12 for _, kmer in seeds)
-        assert seeds[0][0] == 0 and seeds[-1][0] == 88
+        row, offsets = seeder.seed_offsets(np.array([100]))
+        assert row.tolist() == [0] * 5  # e + 1 seeds
+        assert offsets.tolist() == [0, 22, 44, 66, 88]
 
     def test_candidates_include_true_location(self, reference):
         index = KmerIndex(reference, k=12)
@@ -86,7 +84,7 @@ class TestSeeder:
 
     def test_read_shorter_than_k_has_no_candidates(self):
         seeder = Seeder(KmerIndex(ReferenceGenome("r", "ACGTACGTTTGGCCAATTACGT"), k=12), 2)
-        assert seeder.seeds_of("ACGTACG") == []
+        assert seeder.seed_offsets(np.array([7]))[0].size == 0
         assert seeder.candidates("ACGTACG").size == 0
         assert [c.size for c in seeder.candidates_batch(["", "ACGTACG"])] == [0, 0]
 

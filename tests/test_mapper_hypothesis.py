@@ -137,6 +137,22 @@ def test_candidates_batch_matches_loop(data, genome, k, e, cap):
     assert seeder.candidates(reads[0]).tolist() == got[0].tolist()
 
 
+@settings(max_examples=150, **COMMON)
+@given(lengths=st.lists(st.integers(0, 400), max_size=20), k=st.integers(1, 32),
+       e=st.integers(0, 10))
+def test_seed_offsets_match_linspace(lengths, k, e):
+    seeder = Seeder(KmerIndex(ReferenceGenome("r", "ACGT" * 8), k), e)
+    row, offsets = seeder.seed_offsets(np.array(lengths, dtype=np.int64))
+    expected_row, expected = [], []
+    for read_row, length in enumerate(lengths):
+        n_seeds = min(e + 1, length // k)
+        placed = [0] if n_seeds == 1 else np.linspace(0, length - k, n_seeds).astype(int)
+        expected_row += [read_row] * n_seeds
+        expected += list(placed[:n_seeds])
+    assert row.tolist() == expected_row
+    assert offsets.tolist() == [int(offset) for offset in expected]
+
+
 # --------------------------------------------------------------------------- #
 # IUPAC codes: the one behaviour the array index changed
 # --------------------------------------------------------------------------- #
