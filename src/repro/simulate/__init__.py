@@ -1,4 +1,10 @@
-"""Synthetic data substrate: genomes, reads and candidate-pair pools."""
+"""Synthetic data substrate: genomes, reads and candidate-pair pools.
+
+Candidate-pair pools (:func:`generate_pair_dataset`, :func:`build_dataset`)
+are drawn in seeded blocks of ``pairs.PAIR_BLOCK`` pairs, so the pool for a
+smaller ``n_pairs`` is a row prefix of a larger one with the same seed.
+Reference genomes and simulated reads each draw from one seeded generator.
+"""
 
 from .._defaults import DEFAULT_N_PAIRS
 from .datasets import PAPER_DATASETS, DatasetSpec, build_dataset

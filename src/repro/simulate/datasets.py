@@ -70,7 +70,11 @@ def build_dataset(
     n_pairs: int = DEFAULT_N_PAIRS,
     seed: int = 0,
 ) -> PairDataset:
-    """Build a scaled-down analogue of one of the paper's data sets."""
+    """Build a scaled-down analogue of one of the paper's data sets.
+
+    The first ``n`` pairs do not depend on ``n_pairs``: a smaller build is a
+    row prefix of a larger one with the same ``seed``.
+    """
     try:
         spec = PAPER_DATASETS[name]
     except KeyError as exc:

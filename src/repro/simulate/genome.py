@@ -19,7 +19,7 @@ from ..genomics.alphabet import BASES, UNKNOWN_BASE
 from ..genomics.reference import ReferenceGenome
 from ..genomics.sequence import Sequence
 
-__all__ = ["GenomeProfile", "generate_reference", "generate_sequence"]
+__all__ = ["GenomeProfile", "generate_reference", "generate_sequence", "random_codes"]
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,35 @@ class GenomeProfile:
     n_island_length: int = 50
 
 
+_ACGT = np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)
+
+
+def random_codes(
+    shape: "int | tuple[int, ...]", rng: np.random.Generator, gc_content: float = 0.41
+) -> np.ndarray:
+    """Random 2-bit base codes (uint8, ``A=0 .. T=3``) with the given GC content.
+
+    One uniform per base, coded by how many cumulative-probability cuts lie
+    at or below it: the same stream and codes as ``rng.choice(4, p=...)``
+    without its int64 search.
+    """
+    at = (1.0 - gc_content) / 2.0
+    gc = gc_content / 2.0
+    probs = np.array([at, gc, gc, at])  # A, C, G, T
+    cuts = np.cumsum(probs / probs.sum())
+    cuts /= cuts[-1]
+    u = rng.random(shape)
+    codes = (u >= cuts[0]).astype(np.uint8)
+    codes += u >= cuts[1]
+    codes += u >= cuts[2]
+    return codes
+
+
 def generate_sequence(length: int, rng: np.random.Generator, gc_content: float = 0.41) -> str:
     """Generate a random DNA string with the requested GC content."""
     if length <= 0:
         return ""
-    at = (1.0 - gc_content) / 2.0
-    gc = gc_content / 2.0
-    probs = np.array([at, gc, gc, at])  # A, C, G, T
-    codes = rng.choice(4, size=length, p=probs / probs.sum())
-    lut = np.frombuffer("ACGT".encode("ascii"), dtype=np.uint8)
-    return lut[codes].tobytes().decode("ascii")
+    return _ACGT[random_codes(length, rng, gc_content)].tobytes().decode("ascii")
 
 
 def _mutate_copy(segment: np.ndarray, divergence: float, rng: np.random.Generator) -> np.ndarray:
@@ -92,10 +111,7 @@ def generate_reference(
     profile = profile or GenomeProfile()
     rng = np.random.default_rng(seed)
 
-    at = (1.0 - profile.gc_content) / 2.0
-    gc = profile.gc_content / 2.0
-    probs = np.array([at, gc, gc, at])
-    codes = rng.choice(4, size=length, p=probs / probs.sum()).astype(np.uint8)
+    codes = random_codes(length, rng, profile.gc_content)
 
     # Segmental duplications: copy an earlier block to a later location with
     # slight divergence, so reads from either copy have two candidate loci.
@@ -122,8 +138,7 @@ def generate_reference(
         tiled = np.tile(unit, repeats)[: end - start]
         codes[start:end] = tiled
 
-    lut = np.frombuffer("ACGT".encode("ascii"), dtype=np.uint8)
-    bases = bytearray(lut[codes].tobytes())
+    bases = bytearray(_ACGT[codes].tobytes())
 
     # N islands (assembly gaps).
     for _ in range(profile.n_island_count):

@@ -7,8 +7,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..genomics.alphabet import BASES
+from ..genomics.encoding import decode_from_codes, encode_to_codes
 
-__all__ = ["MutationProfile", "apply_profile", "apply_exact_edits"]
+__all__ = [
+    "MutationProfile",
+    "apply_profile",
+    "apply_exact_edits",
+    "EditDraws",
+    "draw_edits",
+    "edit_codes",
+]
 
 
 @dataclass(frozen=True)
@@ -71,35 +79,119 @@ def apply_profile(
     return mutated[: len(sequence)], edits
 
 
+#: Edit kinds of the exact-edit kernel (:func:`edit_codes`).
+SUBSTITUTION, DELETION, INSERTION = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class EditDraws:
+    """The pre-drawn randomness of up to ``K`` edits on each of ``n`` rows.
+
+    Every array has shape ``(n, K)``; column ``j`` drives a row's ``j``-th
+    edit.  ``kinds`` holds :data:`SUBSTITUTION`, :data:`DELETION` or
+    :data:`INSERTION`.  ``spots`` are uniform on [0, 1): the edit lands at
+    ``floor(spot * current length)``, a uniform position within the
+    sequence as it stands.  ``picks`` are uniform on 0..11: an inserted base
+    is code ``pick % 4`` and a substitution adds ``1 + pick % 3`` (mod 4),
+    so both are uniform over their choices.  ``filler`` holds uniform base
+    codes that back-fill the tail after net deletions.
+    """
+
+    kinds: np.ndarray
+    spots: np.ndarray
+    picks: np.ndarray
+    filler: np.ndarray
+
+
+def draw_edits(
+    rng: np.random.Generator, n_rows: int, max_edits: int, indel_fraction: float
+) -> EditDraws:
+    """Draw the randomness of ``max_edits`` edits on ``n_rows`` rows.
+
+    Half of the indel share are deletions and half insertions; the rest are
+    substitutions.
+    """
+    shape = (n_rows, max_edits)
+    u = rng.random(shape)
+    kinds = np.where(
+        u < indel_fraction / 2,
+        DELETION,
+        np.where(u < indel_fraction, INSERTION, SUBSTITUTION),
+    ).astype(np.uint8)
+    return EditDraws(
+        kinds=kinds,
+        spots=rng.random(shape),
+        picks=rng.integers(0, 12, size=shape, dtype=np.uint8),
+        filler=rng.integers(0, 4, size=shape, dtype=np.uint8),
+    )
+
+
+def edit_codes(codes: np.ndarray, n_edits: np.ndarray, draws: EditDraws) -> np.ndarray:
+    """Apply ``n_edits[i]`` edits to each row of the 2-bit ``codes`` block.
+
+    One vector pass per edit index applies that edit to every row that
+    still has edits left.  Rows with ``n_edits <= 0`` come back unchanged.
+    A deletion on a 1-base sequence falls back to an insertion.  Each row
+    works in a buffer of its bases followed by its ``filler``: a deletion
+    shifts the tail left (so filler bases pad a shortened row) and an
+    insertion shifts it right.  The first ``L`` columns are the result,
+    trimmed or padded back to the input length ``L``.
+    """
+    n_rows, length = codes.shape
+    n_edits = np.asarray(n_edits)
+    max_edits = draws.kinds.shape[1]
+    width = length + max_edits
+    # Rows sorted by edit count, most first: pass j's rows are a prefix.
+    order = np.argsort(-n_edits, kind="stable")
+    active = np.count_nonzero(n_edits[:, None] > np.arange(max_edits), axis=0)
+    buf = np.concatenate([codes, draws.filler], axis=1)[order]
+    kinds, spots, picks = draws.kinds[order], draws.spots[order], draws.picks[order]
+    size = np.full(n_rows, length, dtype=np.int64)
+    cols = np.arange(width)
+    for j, m in enumerate(active):
+        cur = size[:m]
+        pos = np.minimum((spots[:m, j] * cur).astype(np.int64), cur - 1)
+        kind = np.where((kinds[:m, j] == DELETION) & (cur == 1), INSERTION, kinds[:m, j])
+        pick = picks[:m, j]
+
+        r = np.flatnonzero(kind == SUBSTITUTION)
+        p = pos[r]
+        buf[r, p] = (buf[r, p] + 1 + pick[r] % 3) % 4
+
+        r = np.flatnonzero(kind != SUBSTITUTION)
+        p, ins = pos[r], kind[r] == INSERTION
+        step = np.where(ins, -1, 1)
+        # Column c >= p reads c + 1 after a deletion and c - 1 after an
+        # insertion, whose column p then takes the new base.
+        src = np.minimum(cols + step[:, None] * (cols >= p[:, None]), width - 1)
+        shifted = buf[r[:, None], src]
+        shifted[ins, p[ins]] = pick[r[ins]] % 4
+        buf[r] = shifted
+        size[r] -= step
+    out = np.empty((n_rows, length), dtype=np.uint8)
+    out[order] = buf[:, :length]
+    return out
+
+
 def apply_exact_edits(
     sequence: str,
     n_edits: int,
     rng: np.random.Generator,
     indel_fraction: float = 0.2,
 ) -> str:
-    """Apply exactly ``n_edits`` edit operations to ``sequence``.
+    """Apply exactly ``n_edits`` edit operations to an ``ACGT`` ``sequence``.
 
-    Substitutions always change the base (so each one is a real edit);
-    insertions and deletions shift the remainder of the sequence and the
-    result is trimmed / padded back to the original length.  The true edit
-    distance of the result from the input is at most ``n_edits`` (edits can
-    cancel or overlap), which is the correct direction for building data sets
-    with a controlled divergence profile.
+    A one-row call of :func:`edit_codes`, the kernel the pair simulator runs
+    over whole blocks.  Substitutions always change the base (so each one is
+    a real edit); insertions and deletions shift the remainder of the
+    sequence and the result is trimmed / padded back to the original length.
+    With ``i`` insertions and ``d`` deletions among the edits, the edit
+    distance of the result from the input is at most
+    ``n_edits + |i - d|``: edits can cancel or overlap, and the trimmed or
+    padded tail can add up to ``|i - d|``.
     """
-    seq = list(sequence)
-    n = len(seq)
-    for _ in range(n_edits):
-        kind = rng.random()
-        pos = int(rng.integers(0, max(1, len(seq))))
-        if kind < indel_fraction / 2 and len(seq) > 1:
-            del seq[pos]
-        elif kind < indel_fraction:
-            seq.insert(pos, _random_base(rng))
-        else:
-            if pos >= len(seq):
-                pos = len(seq) - 1
-            seq[pos] = _random_base(rng, exclude=seq[pos])
-    mutated = "".join(seq)
-    if len(mutated) < n:
-        mutated += "".join(_random_base(rng) for _ in range(n - len(mutated)))
-    return mutated[:n]
+    if not sequence:
+        return ""
+    codes = encode_to_codes(sequence)[None, :]
+    draws = draw_edits(rng, 1, max(n_edits, 0), indel_fraction)
+    return decode_from_codes(edit_codes(codes, np.array([n_edits]), draws)[0])

@@ -15,6 +15,14 @@ plus a configurable fraction of *undefined* pairs that contain an ``N`` base.
 The mixture weights differ per mapper profile (mrFAST low-/high-edit sets,
 Minimap2 chain-stage candidates, BWA-MEM pre-global-alignment candidates),
 reproducing the qualitative divergence distributions of the paper's data sets.
+
+Pools are generated in blocks of :data:`PAIR_BLOCK` pairs with array
+operations over the whole block (the edit kernel is
+:func:`repro.simulate.mutations.edit_codes`).  Block ``b`` draws from its own
+``np.random.default_rng([seed, b])`` and is always drawn whole, so pair ``i``
+depends only on ``(seed, i // PAIR_BLOCK)``: a smaller pool is a row prefix of
+a larger one with the same seed, and prefixes (planner probes, ``subset``)
+do not depend on the pool size.  The block stream dates from version 7.0.0.
 """
 
 from __future__ import annotations
@@ -26,10 +34,11 @@ import numpy as np
 from ..genomics.alphabet import UNKNOWN_BASE
 from ..genomics.encoding import EncodedPairBatch
 from ..genomics.sequence import SequencePair
-from .genome import generate_sequence
-from .mutations import apply_exact_edits
+from .genome import random_codes
+from .mutations import draw_edits, edit_codes
 
 __all__ = [
+    "PAIR_BLOCK",
     "PairProfile",
     "PairDataset",
     "generate_pair_dataset",
@@ -69,6 +78,31 @@ class PairProfile:
     repeat_max_edits: int = 20
     undefined_fraction: float = 0.001
     indel_fraction: float = 0.15
+
+    def __post_init__(self) -> None:
+        def check(field_name: str, ok: bool, rule: str) -> None:
+            if not ok:
+                value = getattr(self, field_name)
+                raise ValueError(f"PairProfile.{field_name}: must be {rule}, got {value!r}")
+
+        check("read_length", self.read_length >= 1, ">= 1")
+        fractions = ("true_fraction", "repeat_fraction", "random_fraction")
+        for name in fractions:
+            check(name, getattr(self, name) >= 0, ">= 0")
+        if not sum(getattr(self, name) for name in fractions) > 0:
+            raise ValueError(
+                "PairProfile.true_fraction/repeat_fraction/random_fraction: "
+                "must have a positive sum"
+            )
+        for name in ("undefined_fraction", "indel_fraction"):
+            check(name, 0 <= getattr(self, name) <= 1, "in [0, 1]")
+        check("true_mean_edits", self.true_mean_edits >= 0, ">= 0")
+        check("repeat_min_edits", self.repeat_min_edits >= 0, ">= 0")
+        check(
+            "repeat_max_edits",
+            self.repeat_max_edits >= self.repeat_min_edits,
+            f">= repeat_min_edits ({self.repeat_min_edits})",
+        )
 
     def weights(self) -> np.ndarray:
         w = np.array([self.true_fraction, self.repeat_fraction, self.random_fraction])
@@ -214,9 +248,52 @@ def bwamem_like_profile(read_length: int = 100) -> PairProfile:
     )
 
 
-def _inject_n(sequence: str, rng: np.random.Generator) -> str:
-    pos = int(rng.integers(0, len(sequence)))
-    return sequence[:pos] + UNKNOWN_BASE + sequence[pos + 1 :]
+#: Pairs per generator block.  Block ``b`` is drawn whole from its own
+#: ``default_rng([seed, b])`` and then truncated, so pair ``i`` depends only on
+#: ``(seed, i // PAIR_BLOCK)``.
+PAIR_BLOCK = 1024
+
+# The code of the one ``N`` an undefined pair holds, and the code -> base table.
+_N_CODE = 4
+_BASES_N = np.frombuffer(("ACGT" + UNKNOWN_BASE).encode("ascii"), dtype=np.uint8)
+
+
+def _pair_block(
+    rng: np.random.Generator, profile: PairProfile
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One block of ``PAIR_BLOCK`` pairs: read codes, segment codes, planned edits."""
+    n, length = PAIR_BLOCK, profile.read_length
+    # 0: genuine mapping, 1: repeat-induced candidate, 2: spurious candidate.
+    categories = rng.choice(3, size=n, p=profile.weights())
+    segments = random_codes((n, length), rng)
+    edits = np.where(
+        categories == 0,
+        rng.poisson(profile.true_mean_edits, size=n),
+        np.where(
+            categories == 1,
+            rng.integers(profile.repeat_min_edits, profile.repeat_max_edits + 1, size=n),
+            -1,
+        ),
+    )
+    draws = draw_edits(rng, n, int(edits.max(initial=0)), profile.indel_fraction)
+    reads = edit_codes(segments, edits, draws)
+    spurious = np.flatnonzero(categories == 2)  # reads unrelated to their segment
+    reads[spurious] = random_codes((spurious.size, length), rng)
+
+    undefined = rng.random(n) < profile.undefined_fraction
+    on_read = rng.random(n) < 0.5
+    spots = rng.integers(0, length, size=n)
+    rows = np.flatnonzero(undefined & on_read)
+    reads[rows, spots[rows]] = _N_CODE
+    rows = np.flatnonzero(undefined & ~on_read)
+    segments[rows, spots[rows]] = _N_CODE
+    return reads, segments, edits
+
+
+def _strings(codes: np.ndarray) -> list[str]:
+    length = codes.shape[1]
+    text = _BASES_N[codes].tobytes().decode("ascii")
+    return [text[i : i + length] for i in range(0, len(text), length)]
 
 
 def generate_pair_dataset(
@@ -225,40 +302,32 @@ def generate_pair_dataset(
     seed: int = 0,
     name: str = "pairs",
 ) -> PairDataset:
-    """Generate a candidate-pair pool according to ``profile``."""
-    rng = np.random.default_rng(seed)
-    length = profile.read_length
-    weights = profile.weights()
-    categories = rng.choice(3, size=n_pairs, p=weights)
+    """Generate a candidate-pair pool according to ``profile``.
 
+    Pairs are built in blocks of :data:`PAIR_BLOCK` with array operations
+    over the whole block.  Each block has its own
+    ``np.random.default_rng([seed, block])`` and is drawn whole, then the
+    last one is truncated, so the pool for a smaller ``n_pairs`` is a row
+    prefix of a larger one.
+    """
+    if n_pairs < 0:
+        raise ValueError(f"n_pairs: must be >= 0, got {n_pairs}")
     reads: list[str] = []
     segments: list[str] = []
     planned: list[int] = []
-    for category in categories:
-        segment = generate_sequence(length, rng)
-        if category == 0:  # genuine mapping
-            edits = int(rng.poisson(profile.true_mean_edits))
-        elif category == 1:  # repeat-induced candidate
-            edits = int(rng.integers(profile.repeat_min_edits, profile.repeat_max_edits + 1))
-        else:  # spurious candidate: unrelated sequence
-            edits = -1
-        if edits >= 0:
-            read = apply_exact_edits(segment, edits, rng, indel_fraction=profile.indel_fraction)
-        else:
-            read = generate_sequence(length, rng)
-        if rng.random() < profile.undefined_fraction:
-            if rng.random() < 0.5:
-                read = _inject_n(read, rng)
-            else:
-                segment = _inject_n(segment, rng)
-        reads.append(read)
-        segments.append(segment)
-        planned.append(edits)
+    for block in range(-(-n_pairs // PAIR_BLOCK)):
+        keep = min(PAIR_BLOCK, n_pairs - block * PAIR_BLOCK)
+        block_reads, block_segments, edits = _pair_block(
+            np.random.default_rng([seed, block]), profile
+        )
+        reads += _strings(block_reads[:keep])
+        segments += _strings(block_segments[:keep])
+        planned += edits[:keep].tolist()
     return PairDataset(
         name=name,
         reads=reads,
         segments=segments,
-        read_length=length,
+        read_length=profile.read_length,
         profile=profile,
         planned_edits=planned,
     )

@@ -1,11 +1,14 @@
 """Session semantics: resident state reuse, result schema, mode equivalence."""
 
 import json
+import re
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.api import SCHEMA_VERSION, InputSpec, Session, Workload
+from repro.genomics.fastq import read_fastq
 
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_FIXTURE = json.loads((DATA / "golden_expected.json").read_text())["fixture"]
@@ -98,6 +101,40 @@ class TestSessionReuse:
         session = Session()
         results = session.run_all([dataset_workload(), reads_workload()])
         assert [r.kind for r in results] == ["filter", "filter"]
+
+
+class TestFailedRun:
+    """A run that fails mid-stream leaves the session as a fresh one."""
+
+    def test_bad_fastq_record_with_prefetch(self, tmp_path):
+        reads = [read.bases for read in read_fastq(DATA / "golden_reads.fastq")] * 5
+        bad_record = 150
+
+        def streamed(path, bad=None):
+            """Write ``reads`` to ``path``; record ``bad`` loses its '+' line."""
+            records = []
+            for number, bases in enumerate(reads, start=1):
+                plus = "" if number == bad else "+\n"
+                records.append(f"@r{number}\n{bases}\n{plus}{'I' * len(bases)}\n")
+            path.write_text("".join(records))
+            return Workload.from_dict({
+                "input": {"kind": "reads", "path": str(path),
+                          "reference": str(DATA / "golden_reference.fasta")},
+                "filter": {"filter": "gatekeeper-gpu",
+                           "error_threshold": GOLDEN_FIXTURE["error_threshold"]},
+                "execution": {"mode": "streaming", "chunk_size": 16, "prefetch": True},
+            })
+
+        good = streamed(tmp_path / "good.fastq")
+        bad_path = tmp_path / "bad.fastq"
+        bad = streamed(bad_path, bad=bad_record)
+        session = Session()
+        # The bad record lies past the first chunk boundary.
+        assert len(session.probe_pairs(bad, 17)) == 17
+        with pytest.raises(ValueError, match=re.escape(f"{bad_path}: FASTQ record {bad_record}")):
+            session.run(bad)
+        assert not [t for t in threading.enumerate() if t.name == "repro-prefetch"]
+        assert session.run(good).to_json() == Session().run(good).to_json()
 
 
 class TestResultSchema:
