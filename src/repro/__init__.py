@@ -68,7 +68,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "7.0.0"
+__version__ = "8.0.0"
 
 __all__ = [
     "Result",

@@ -11,20 +11,6 @@ from .bitvector import (
     zero_run_lengths,
 )
 from .gatekeeper import GateKeeperFilter
-from .packed import (
-    amend_lanes,
-    count_lane_windows,
-    count_set_lanes,
-    lane_span_mask,
-    mismatch_lanes,
-    neighborhood_lanes,
-    pack_lanes,
-    popcount,
-    shift_lanes_left,
-    shift_lanes_right,
-    unpack_lanes,
-    zero_run_markers,
-)
 from .gatekeeper_gpu import GateKeeperGPUFilter
 from .magnet import MagnetFilter
 from .masks import EdgePolicy, MaskSet, build_mask_set, final_bitvector
@@ -43,18 +29,6 @@ __all__ = [
     "longest_zero_run",
     "shifted_mask",
     "zero_run_lengths",
-    "amend_lanes",
-    "count_lane_windows",
-    "count_set_lanes",
-    "lane_span_mask",
-    "mismatch_lanes",
-    "neighborhood_lanes",
-    "pack_lanes",
-    "popcount",
-    "shift_lanes_left",
-    "shift_lanes_right",
-    "unpack_lanes",
-    "zero_run_markers",
     "GateKeeperFilter",
     "GateKeeperGPUFilter",
     "MagnetFilter",

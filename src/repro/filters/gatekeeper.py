@@ -14,8 +14,9 @@ way the FPGA does, so an encoded read is an array of machine words and every
 shift repairs the bits that cross word boundaries with explicit carry
 transfers (paper Section 3.4: "there are 2e shifts and 2e carry-bit
 operations" per filtration).  The kernel does exactly that word-level
-arithmetic, vectorised over all pairs of a batch, and never leaves the packed
-``uint64`` lane representation of :mod:`repro.filters.packed`.  The per-base
+arithmetic on word-major arrays — word ``w`` of every pair of a batch is one
+row, as a warp reads it — and never leaves the packed ``uint64`` lane
+representation of :mod:`repro.filters.packed`.  The per-base
 mask pipeline of :mod:`repro.filters.masks` stays as the scalar reference
 (:meth:`GateKeeperFilter.estimate_edits_codes`); the property tests pin the
 kernel to it bit for bit.
@@ -34,6 +35,7 @@ from .packed import (
     count_lane_windows,
     lane_span_mask,
     shifted_mismatch_lanes,
+    word_major,
 )
 
 __all__ = ["GateKeeperFilter", "COUNT_WINDOW", "gatekeeper_kernel"]
@@ -54,39 +56,32 @@ def gatekeeper_kernel(
     """Pure-NumPy GateKeeper estimates for a batch of packed pairs.
 
     The registered reference implementation of the ``gatekeeper_kernel``
-    native pair: the ``2e+1`` masks are produced (shift with carry transfer,
-    XOR, OR-fold), amended, edge-forced (``edge_one``) and ANDed in the packed
-    ``uint64`` lane representation, then counted in ``count_window``-base
-    windows.  The returned int32 estimates are bit-identical to the Numba
-    twin's.
+    native pair.  The pair-major word arrays are transposed once to the
+    word-major layout of :mod:`repro.filters.packed`; each of the ``2e+1``
+    masks is then produced (shift with carry transfer, XOR, OR-fold),
+    amended, edge-forced (``edge_one``) and ANDed into one accumulator, and
+    the final mask is counted in ``count_window``-base windows.  The returned
+    int32 estimates are bit-identical to the Numba twin's.
     """
-    n_pairs, n_words = read_words.shape
-    e = int(error_threshold)
-    shifts = [0] + [s for k in range(1, e + 1) for s in (k, -k)]
-    valid = lane_span_mask(0, length, n_words)
-
-    masks = np.empty((len(shifts), n_pairs, n_words), dtype=np.uint64)
-    vacated_spans: list[np.ndarray | None] = []
-    for row, shift in enumerate(shifts):
+    read_words = word_major(read_words)
+    ref_words = word_major(ref_words)
+    valid = lane_span_mask(0, length, read_words.shape[0])
+    final = None
+    for shift in [0] + [s for k in range(1, int(error_threshold) + 1) for s in (k, -k)]:
         # Vacated positions carry garbage comparisons (shifted-in zero bits vs
         # reference); vacant_value=0 normalises them to the raw-mask
         # convention before amendment, exactly as the scalar reference does.
-        masks[row], vacated = shifted_mismatch_lanes(
+        mask, vacated = shifted_mismatch_lanes(
             read_words, ref_words, shift, length, vacant_value=0, valid=valid
         )
-        vacated_spans.append(vacated)
-
-    # One amendment pass over the whole (2e+1, n_pairs, n_words) mask stack —
-    # the streak repair is positionally local, so stacking the masks costs
-    # nothing semantically and collapses 2e+1 kernel invocations into one.
-    masks = amend_lanes(masks, valid, max_zero_run=max_zero_run)
-    if edge_one:
-        for row, vacated in enumerate(vacated_spans):
-            if vacated is not None:
-                masks[row] |= vacated
-    final = np.bitwise_and.reduce(masks, axis=0)
-
-    return count_lane_windows(final, length, window=count_window).astype(np.int32)
+        mask = amend_lanes(mask, max_zero_run=max_zero_run)
+        if edge_one and vacated is not None:
+            mask |= vacated
+        if final is None:
+            final = mask
+        else:
+            final &= mask
+    return count_lane_windows(final, length, window=count_window)
 
 
 class GateKeeperFilter(PreAlignmentFilter):

@@ -12,8 +12,8 @@ of occasionally rejecting a valid pair (the greedy extraction is not optimal),
 which matches the false rejects the paper observes for MAGNET.
 
 The batch path (:meth:`MagnetFilter.estimate_edits_words`) works on the
-packed word arrays: the ``2e+1`` masks are built bit-parallel, the zero-run
-boundaries are detected with packed shift/AND marker operations
+word-major packed arrays: the ``2e+1`` masks are built bit-parallel, the
+zero-run boundaries are detected with packed shift/AND marker operations
 (:func:`repro.filters.packed.zero_run_markers`) — only the tiny start/end
 marker bitmaps are ever unpacked — and the segment extraction runs *for all
 pairs at once*: the zero runs of every mask are gathered into one padded
@@ -36,10 +36,11 @@ from .base import PreAlignmentFilter
 from .bitvector import shifted_mask
 from .native import DEFAULT_KERNEL_TIER, resolve
 from .packed import (
+    count_set_lanes,
     lane_span_mask,
-    popcount,
     shifted_mismatch_lanes,
     unpack_group_values,
+    word_major,
     zero_run_markers,
 )
 
@@ -60,16 +61,16 @@ def magnet_kernel(
     bit-identical to the Numba twin's per-pair divide-and-conquer.
     """
     flt = MagnetFilter(error_threshold)
-    read_words = np.asarray(read_words, dtype=np.uint64)
-    ref_words = np.asarray(ref_words, dtype=np.uint64)
-    n_pairs, n_words = read_words.shape
+    read_words = word_major(read_words)
+    ref_words = word_major(ref_words)
+    n_words, n_pairs = read_words.shape
     valid = lane_span_mask(0, length, n_words)
     estimates = np.empty(n_pairs, dtype=np.int32)
     block_size = MagnetFilter._EXTRACT_BLOCK
     for start in range(0, n_pairs, block_size):
         block = slice(start, min(start + block_size, n_pairs))
         estimates[block] = flt._estimate_words_block(
-            read_words[block], ref_words[block], length, valid
+            read_words[:, block], ref_words[:, block], length, valid
         )
     return estimates
 
@@ -367,35 +368,34 @@ class MagnetFilter(PreAlignmentFilter):
         length: int,
         valid: np.ndarray,
     ) -> np.ndarray:
-        n_pairs, n_words = read_words.shape
+        n_words, n_pairs = read_words.shape
         e = self.error_threshold
         shifts = [0] + [s for k in range(1, e + 1) for s in (k, -k)]
-        # Pair-major mask stack: the flattened (mask, position) axis below is
-        # then contiguous per pair, so no transpose copy is ever needed.
-        masks = np.empty((n_pairs, len(shifts), n_words), dtype=np.uint64)
+        masks = np.empty((n_words, len(shifts), n_pairs), dtype=np.uint64)
         for row, shift in enumerate(shifts):
             # MAGNET treats vacant positions as mismatches (vacant_value=1) so
             # that edge errors are not hidden (one of its fixes over SHD).
             masks[:, row, :], _ = shifted_mismatch_lanes(
                 read_words, ref_words, shift, length, vacant_value=1, valid=valid
             )
-        start_marks, end_marks = zero_run_markers(masks, valid)
+        start_marks, end_marks = zero_run_markers(masks, valid[:, np.newaxis])
         # Runs per pair straight from the packed start markers: one popcount
         # over the marker words replaces _pad_runs' bincount over the (much
         # longer) per-run row list.
-        counts = popcount(start_marks).reshape(n_pairs, -1).sum(axis=1, dtype=np.int32)
+        counts = count_set_lanes(start_marks).sum(axis=0, dtype=np.int32)
         # Start and end markers share one unpack + nonzero pass: the end
         # marker rides in the unused high bit of each base's 2-bit group, so
         # one unpacked value per position says start (1), end (2) or both (3
-        # — a single-base run).  Row-major flatnonzero yields each pair's
-        # runs in the (mask, position) order the tie-breaking relies on, and
-        # because the per-pair span is a multiple of ``length``, a single
-        # modulo recovers the in-mask position.  All index arithmetic runs in
-        # int32 — the flat indices are far below 2**31 and the narrower lanes
-        # halve the memory traffic of the divides and compactions.
-        kinds = unpack_group_values(
-            start_marks | (end_marks << np.uint64(1)), length
-        ).reshape(-1)
+        # — a single-base run).  Unpacking the (n_words, n_pairs, n_masks)
+        # transpose puts each pair's masks back to back, so row-major
+        # flatnonzero yields each pair's runs in the (mask, position) order
+        # the tie-breaking relies on, and because the per-pair span is a
+        # multiple of ``length``, a single modulo recovers the in-mask
+        # position.  All index arithmetic runs in int32 — the flat indices
+        # are far below 2**31 and the narrower lanes halve the memory traffic
+        # of the divides and compactions.
+        start_marks |= end_marks << np.uint64(1)
+        kinds = unpack_group_values(start_marks.transpose(0, 2, 1), length).reshape(-1)
         flat = np.flatnonzero(kinds).astype(np.int32)
         values = kinds[flat]
         is_start = (values & 1).astype(bool)

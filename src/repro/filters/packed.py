@@ -6,12 +6,24 @@ verify.  This module is the *fast* implementation the engine actually runs:
 masks live in the same 2-bit-lane layout as the encoded sequences — one
 ``uint64`` word holds 32 bases, the per-base mask bit sits in the low bit of
 each base's 2-bit group, and the first base of a sequence occupies the most
-significant group of word 0.  Every hot operation of the filtering stack
-(shifted mismatch masks, streak amendment, edge forcing, the AND across
-masks, windowed edit counting, zero-run boundary detection for MAGNET and the
-neighborhood maps of Shouji/SneakySnake) is a handful of shifts, boolean word
-operations and popcounts on ``(n_pairs, n_words)`` arrays — roughly an order
-of magnitude less memory traffic than the per-base form.
+significant group of word 0.
+
+Every array here is **word-major**: shape ``(n_words, n_pairs)`` (or a stack
+of such arrays, one per diagonal or mask), so word ``w`` of every pair is one
+contiguous row — the way a GPU warp reads the same word of neighbouring
+pairs.  A shift with carry transfer is then a few operations on whole rows,
+not on short strided slices of 4 words per pair.
+The kernels transpose the pair-major ``(n_pairs, n_words)`` arrays of an
+:class:`~repro.genomics.encoding.EncodedPairBatch` once, on entry
+(:func:`word_major`).  Per-base arrays stay pair-major: :func:`pack_lanes`
+turns ``(..., length)`` into ``(n_words, ...)`` and :func:`unpack_lanes`
+turns it back.
+
+Every hot operation of the filtering stack (shifted mismatch masks, streak
+amendment, edge forcing, the AND across masks, windowed edit counting,
+zero-run boundary detection for MAGNET, the neighborhood maps of
+Shouji/SneakySnake and SneakySnake's next-obstacle search) is a handful of
+shifts, boolean word operations and popcounts on these arrays.
 
 Popcounts use :func:`numpy.bitwise_count` when available (NumPy >= 2.0) and
 fall back to a 256-entry byte lookup table on older NumPy builds.
@@ -31,8 +43,10 @@ from ..genomics.encoding import BASES_PER_WORD_64, words_per_read
 
 __all__ = [
     "LANE_MASK",
+    "word_major",
     "popcount",
     "count_set_lanes",
+    "first_set_lane",
     "shift_words_right_bits",
     "shift_words_left_bits",
     "shift_lanes_right",
@@ -58,6 +72,11 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
 
+def word_major(words: np.ndarray) -> np.ndarray:
+    """Contiguous ``(n_words, n_pairs)`` copy of a pair-major word array."""
+    return np.ascontiguousarray(np.asarray(words, dtype=_U64).T)
+
+
 def _popcount_lut(words: np.ndarray) -> np.ndarray:
     """Byte-LUT popcount fallback for NumPy builds without ``bitwise_count``."""
     words = np.asarray(words)
@@ -76,8 +95,24 @@ def popcount(words: np.ndarray) -> np.ndarray:
 
 
 def count_set_lanes(words: np.ndarray) -> np.ndarray:
-    """Set bits per row of a ``(..., n_words)`` mask (int32, summed over words)."""
-    return popcount(words).sum(axis=-1, dtype=np.int32)
+    """Set bits per pair of an ``(n_words, ...)`` mask (int32, summed over words)."""
+    return popcount(words).sum(axis=0, dtype=np.int32)
+
+
+def first_set_lane(words: np.ndarray) -> np.ndarray:
+    """Base index (0-31) of the first set lane of each word; 32 where none is set.
+
+    The leading-zero count of a lane-only word, read off its ``float32``
+    exponent (the position of its highest set bit).  Lanes sit on even bits
+    below bit 63, so the word is a non-negative ``int64`` below 4/3 of its
+    highest power of two, and rounding can never carry into the next
+    exponent.  A zero word has exponent field 0, which the final ``minimum``
+    maps to 32.  Returns int32.
+    """
+    words = np.asarray(words, dtype=_U64)
+    biased_exponent = words.view(np.int64).astype(np.float32).view(np.int32) >> 23
+    # Highest bit b = exponent - 127 is lane (62 - b) / 2.
+    return np.minimum((189 - biased_exponent) >> 1, 32)
 
 
 # --------------------------------------------------------------------------- #
@@ -86,7 +121,7 @@ def count_set_lanes(words: np.ndarray) -> np.ndarray:
 
 
 def shift_words_right_bits(words: np.ndarray, bits: int) -> np.ndarray:
-    """Shift a ``(..., n_words)`` bit-vector right by ``bits``, zeros shifted in.
+    """Shift an ``(n_words, ...)`` bit-vector right by ``bits``, zeros shifted in.
 
     "Right" moves content towards higher base indices (word 0 holds the first
     bases).  Any non-negative distance is supported: whole words are relocated
@@ -98,39 +133,40 @@ def shift_words_right_bits(words: np.ndarray, bits: int) -> np.ndarray:
     if bits == 0:
         return words.copy()
     word_shift, bit_shift = divmod(bits, _WORD_BITS)
-    n_words = words.shape[-1]
-    out = np.zeros_like(words)
+    n_words = words.shape[0]
+    out = np.empty_like(words)
+    out[:word_shift] = 0
     if word_shift >= n_words:
         return out
-    src = words[..., : n_words - word_shift]
+    src = words[: n_words - word_shift]
     if bit_shift == 0:
-        out[..., word_shift:] = src
+        out[word_shift:] = src
     else:
-        out[..., word_shift:] = src >> _U64(bit_shift)
-        out[..., word_shift + 1 :] |= src[..., :-1] << _U64(_WORD_BITS - bit_shift)
+        np.right_shift(src, _U64(bit_shift), out=out[word_shift:])
+        out[word_shift + 1 :] |= src[:-1] << _U64(_WORD_BITS - bit_shift)
     return out
 
 
 def shift_words_left_bits(words: np.ndarray, bits: int) -> np.ndarray:
-    """Shift a ``(..., n_words)`` bit-vector left by ``bits``, zeros shifted in."""
+    """Shift an ``(n_words, ...)`` bit-vector left by ``bits``, zeros shifted in."""
     if bits < 0:
         raise ValueError("bits must be non-negative")
     words = np.asarray(words, dtype=_U64)
     if bits == 0:
         return words.copy()
     word_shift, bit_shift = divmod(bits, _WORD_BITS)
-    n_words = words.shape[-1]
-    out = np.zeros_like(words)
+    n_words = words.shape[0]
+    out = np.empty_like(words)
+    out[max(n_words - word_shift, 0) :] = 0
     if word_shift >= n_words:
         return out
-    src = words[..., word_shift:]
+    src = words[word_shift:]
+    kept = n_words - word_shift
     if bit_shift == 0:
-        out[..., : n_words - word_shift] = src
+        out[:kept] = src
     else:
-        out[..., : n_words - word_shift] = src << _U64(bit_shift)
-        out[..., : n_words - word_shift - 1] |= src[..., 1:] >> _U64(
-            _WORD_BITS - bit_shift
-        )
+        np.left_shift(src, _U64(bit_shift), out=out[:kept])
+        out[: kept - 1] |= src[1:] >> _U64(_WORD_BITS - bit_shift)
     return out
 
 
@@ -163,10 +199,13 @@ def _lane_span_words(start: int, stop: int, n_words: int) -> tuple[int, ...]:
 
 
 def lane_span_mask(start: int, stop: int, n_words: int) -> np.ndarray:
-    """``(n_words,)`` uint64 mask with the lane bits of positions [start, stop) set."""
+    """``(n_words, 1)`` uint64 column with the lane bits of positions [start, stop) set.
+
+    The column broadcasts against any ``(n_words, n_pairs)`` word-major array.
+    """
     start = max(0, start)
     stop = max(start, stop)
-    return np.array(_lane_span_words(start, stop, n_words), dtype=_U64)
+    return np.array(_lane_span_words(start, stop, n_words), dtype=_U64)[:, np.newaxis]
 
 
 def mismatch_lanes(
@@ -178,7 +217,9 @@ def mismatch_lanes(
     only the ``valid`` lanes (positions inside the sequence).
     """
     x = np.bitwise_xor(np.asarray(a_words, dtype=_U64), np.asarray(b_words, dtype=_U64))
-    return (x | (x >> _U64(1))) & valid
+    x |= x >> _U64(1)
+    x &= valid
+    return x
 
 
 def shifted_mismatch_lanes(
@@ -198,7 +239,7 @@ def shifted_mismatch_lanes(
     vacant span (``None`` for the unshifted Hamming mask) so callers can apply
     their edge policy without recomputing it.
     """
-    n_words = read_words.shape[-1]
+    n_words = read_words.shape[0]
     if valid is None:
         valid = lane_span_mask(0, length, n_words)
     if shift == 0:
@@ -209,32 +250,37 @@ def shifted_mismatch_lanes(
     else:
         shifted = shift_lanes_left(read_words, -shift)
         vacated = lane_span_mask(length + shift, length, n_words)
-    lanes = mismatch_lanes(shifted, ref_words, valid)
-    lanes = (lanes | vacated) if vacant_value else (lanes & ~vacated)
+    if vacant_value:
+        lanes = mismatch_lanes(shifted, ref_words, valid)
+        lanes |= vacated
+    else:
+        lanes = mismatch_lanes(shifted, ref_words, valid & ~vacated)
     return lanes, vacated
 
 
-def amend_lanes(
-    masks: np.ndarray, valid: np.ndarray, max_zero_run: int = 2
-) -> np.ndarray:
+def amend_lanes(masks: np.ndarray, max_zero_run: int = 2) -> np.ndarray:
     """Packed equivalent of :func:`repro.filters.bitvector.amend_mask`.
 
     Flips zero runs of length <= ``max_zero_run`` flanked by ones on both
-    sides; runs touching either sequence boundary are left untouched (the
-    zeros shifted in at the edges provide exactly that semantics).
+    sides; runs touching either sequence boundary are left untouched.  A
+    zero is filled when a one sits at distance 1 on both sides, or (runs of
+    two) at distances 1 and 2; ``masks`` must be clear beyond the sequence
+    length, as every mask built here is, so the zeros shifted in at the
+    edges give exactly the boundary rule.
     """
     if max_zero_run not in (1, 2):
         raise ValueError("amend_lanes supports max_zero_run of 1 or 2")
     m = np.asarray(masks, dtype=_U64)
-    zeros = (~m) & valid
     prev1 = shift_lanes_right(m, 1)
     next1 = shift_lanes_left(m, 1)
-    amended = m | (zeros & prev1 & next1)
-    if max_zero_run >= 2:
-        next2 = shift_lanes_left(m, 2)
-        double = zeros & ((~next1) & valid) & prev1 & next2
-        amended |= double | shift_lanes_right(double, 1)
-    return amended
+    if max_zero_run == 1:
+        fill = prev1 & next1
+    else:
+        next2 = shift_lanes_left(next1, 1)
+        prev2 = shift_lanes_right(prev1, 1)
+        fill = (prev1 & (next1 | next2)) | (prev2 & next1)
+    fill |= m
+    return fill
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +295,7 @@ def _window_lsb_word(window: int) -> int:
 def count_lane_windows(
     masks: np.ndarray, length: int, window: int = 4
 ) -> np.ndarray:
-    """Non-overlapping ``window``-base windows containing a set lane, per row.
+    """Non-overlapping ``window``-base windows containing a set lane, per pair.
 
     The packed form of :func:`repro.filters.bitvector.count_set_windows`: for
     window widths dividing 32 every window lies inside one word, so an OR-fold
@@ -259,7 +305,7 @@ def count_lane_windows(
     """
     masks = np.asarray(masks, dtype=_U64)
     if length == 0:
-        return np.zeros(masks.shape[:-1], dtype=np.int32)
+        return np.zeros(masks.shape[1:], dtype=np.int32)
     if window >= 1 and BASES_PER_WORD_64 % window == 0:
         group_bits = 2 * window
         folded = masks.copy()
@@ -271,9 +317,9 @@ def count_lane_windows(
         return count_set_lanes(folded)
     per_base = unpack_lanes(masks, length)
     n_windows = -(-length // window)
-    padded = np.zeros(masks.shape[:-1] + (n_windows * window,), dtype=np.uint8)
+    padded = np.zeros(per_base.shape[:-1] + (n_windows * window,), dtype=np.uint8)
     padded[..., :length] = per_base
-    grouped = padded.reshape(masks.shape[:-1] + (n_windows, window))
+    grouped = padded.reshape(per_base.shape[:-1] + (n_windows, window))
     return np.any(grouped, axis=-1).sum(axis=-1, dtype=np.int32)
 
 
@@ -285,26 +331,28 @@ _LANE_BIT_POSITIONS = (62 - 2 * np.arange(BASES_PER_WORD_64)).astype(_U64)
 
 
 def pack_lanes(mask: np.ndarray) -> np.ndarray:
-    """Pack a per-base 0/1 mask ``(..., length)`` into lane words ``(..., n_words)``."""
+    """Pack a per-base 0/1 mask ``(..., length)`` into lane words ``(n_words, ...)``."""
     mask = np.asarray(mask, dtype=np.uint8)
     length = mask.shape[-1]
     n_words = words_per_read(length, _WORD_BITS)
-    padded_len = n_words * BASES_PER_WORD_64
-    padded = np.zeros(mask.shape[:-1] + (padded_len,), dtype=_U64)
+    padded = np.zeros(mask.shape[:-1] + (n_words * BASES_PER_WORD_64,), dtype=_U64)
     padded[..., :length] = mask
     grouped = padded.reshape(mask.shape[:-1] + (n_words, BASES_PER_WORD_64))
-    return (grouped << _LANE_BIT_POSITIONS).sum(axis=-1, dtype=_U64)
+    words = (grouped << _LANE_BIT_POSITIONS).sum(axis=-1, dtype=_U64)
+    return np.ascontiguousarray(np.moveaxis(words, -1, 0))
 
 
 def _unpack_word_bits(words: np.ndarray) -> np.ndarray:
     """All 64 bits of each word as a uint8 array ``(..., n_words * 64)``.
 
-    Big-endian bit order (bit 0 of the output is the word's most significant
-    bit), matching the lane layout's "first base in the top bits" rule —
-    :func:`numpy.unpackbits` over the byte view is a byte-wide C loop, far
-    cheaper than a 64x-expanded ``uint64`` shift broadcast.
+    ``words`` is word-major ``(n_words, ...)``; the output is pair-major with
+    the bits of word 0 first.  Big-endian bit order (bit 0 of the output is
+    the word's most significant bit), matching the lane layout's "first base
+    in the top bits" rule — :func:`numpy.unpackbits` over the byte view is a
+    byte-wide C loop, far cheaper than a 64x-expanded ``uint64`` shift
+    broadcast.
     """
-    words = np.asarray(words, dtype=_U64)
+    words = np.ascontiguousarray(np.moveaxis(np.asarray(words, dtype=_U64), 0, -1))
     n_words = words.shape[-1]
     as_bytes = words[..., np.newaxis].view(np.uint8)
     if np.little_endian:
@@ -322,14 +370,14 @@ def unpack_group_values(words: np.ndarray, length: int) -> np.ndarray:
     the *start* markers and recovers both with this one pass).
     """
     bits = _unpack_word_bits(words)
-    groups = bits.reshape(bits.shape[:-1] + (-1, 2))
+    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // 2, 2))
     values = groups[..., 0] << 1
     values |= groups[..., 1]
     return values[..., :length]
 
 
 def unpack_lanes(words: np.ndarray, length: int) -> np.ndarray:
-    """Unpack lane words ``(..., n_words)`` into a per-base uint8 mask ``(..., length)``.
+    """Unpack lane words ``(n_words, ...)`` into a per-base uint8 mask ``(..., length)``.
 
     Each base's lane bit is the low bit of its 2-bit group, i.e. every odd
     bit of the big-endian bit order produced by :func:`_unpack_word_bits`.
@@ -349,27 +397,26 @@ def neighborhood_lanes(
     length: int,
     error_threshold: int,
 ) -> np.ndarray:
-    """Packed neighborhood maps: ``(n_pairs, 2e+1, n_words)`` obstacle lanes.
+    """Packed neighborhood maps: ``(2e+1, n_words, n_pairs)`` obstacle lanes.
 
-    Row ``i`` marks the mismatches along diagonal ``d = i - e`` (position
-    ``j`` compares ``read[j]`` with ``ref[j + d]``); comparisons falling
-    outside the reference segment are obstacles (1), padding lanes beyond the
-    sequence length are 0.  This is the word-level form of
-    :func:`repro.filters.shouji.neighborhood_map_batch`, built from the
-    already-encoded word arrays with shifts and XORs only.
+    Entry ``i`` is the word-major mask of the mismatches along diagonal
+    ``d = i - e`` (position ``j`` compares ``read[j]`` with ``ref[j + d]``);
+    comparisons falling outside the reference segment are obstacles (1),
+    padding lanes beyond the sequence length are 0.  This is the word-level
+    form of :func:`repro.filters.shouji.neighborhood_map_batch`, built from
+    the already-encoded word arrays with shifts and XORs only.
     """
     read_words = np.asarray(read_words, dtype=_U64)
     ref_words = np.asarray(ref_words, dtype=_U64)
-    n_pairs, n_words = read_words.shape
     e = int(error_threshold)
-    valid = lane_span_mask(0, length, n_words)
-    out = np.empty((n_pairs, 2 * e + 1, n_words), dtype=_U64)
+    valid = lane_span_mask(0, length, read_words.shape[0])
+    out = np.empty((2 * e + 1,) + read_words.shape, dtype=_U64)
     for i in range(2 * e + 1):
         d = i - e
         # Comparing read[j] with ref[j + d] is the shifted mismatch mask with
         # the roles swapped and the shift negated; out-of-range positions are
         # obstacles (vacant_value=1).
-        out[:, i, :], _ = shifted_mismatch_lanes(
+        out[i], _ = shifted_mismatch_lanes(
             ref_words, read_words, -d, length, vacant_value=1, valid=valid
         )
     return out
@@ -383,7 +430,8 @@ def zero_run_markers(
     Returns ``(starts, ends)`` lane masks: a start bit at the first position
     of each maximal zero run and an end bit at its last position (both
     inclusive).  Runs touching the sequence boundaries are included, matching
-    the sentinel convention of MAGNET's reference extraction.
+    the sentinel convention of MAGNET's reference extraction.  ``valid`` is
+    the sequence's lane mask, broadcastable against ``masks``.
     """
     m = np.asarray(masks, dtype=_U64)
     zeros = (~m) & valid

@@ -10,11 +10,12 @@ by an accepted zero approximates the edit distance; if it exceeds the
 threshold the pair is rejected.
 
 The batch path (:meth:`ShoujiFilter.estimate_edits_words`) works on the
-packed word arrays: the default four-column window aligns exactly with the
-bytes of the 2-bit-lane representation, so the whole window scan collapses
-into per-byte popcounts plus an ``argmin`` over diagonals — no per-base array
-is built.  The per-base window scan (:meth:`ShoujiFilter.estimate_edits_codes`)
-is the scalar reference; both pick the leftmost diagonal on ties, so their
+word-major packed arrays: the default four-column window aligns exactly with
+the bytes of the 2-bit-lane representation, so the whole window scan
+collapses into per-byte popcounts plus a minimum over diagonals — no
+per-base array is built.  The per-base window scan
+(:meth:`ShoujiFilter.estimate_edits_codes`) is the scalar reference; a window
+contributes its best diagonal's count of ones on both paths, so their
 estimates are identical.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import PreAlignmentFilter
-from .packed import neighborhood_lanes, popcount, unpack_lanes
+from .packed import neighborhood_lanes, popcount, unpack_lanes, word_major
 
 __all__ = ["ShoujiFilter", "neighborhood_map", "neighborhood_map_batch"]
 
@@ -76,13 +77,16 @@ class ShoujiFilter(PreAlignmentFilter):
     error_threshold:
         Edit threshold.
     window:
-        Width of the sliding search window in columns (4 in the paper).
+        Width of the sliding search window in columns (4 in the paper); at
+        least 1.
     """
 
     name = "Shouji"
 
     def __init__(self, error_threshold: int, window: int = 4):
         super().__init__(error_threshold)
+        if int(window) < 1:
+            raise ValueError(f"window must be at least 1, got {window}")
         self.window = int(window)
 
     def estimate_edits_codes(self, read_codes: np.ndarray, ref_codes: np.ndarray) -> int:
@@ -119,26 +123,26 @@ class ShoujiFilter(PreAlignmentFilter):
         """Packed-word Shouji scan over pre-encoded word arrays.
 
         With the paper's four-column window, every window is exactly one byte
-        of the lane representation (4 bases x 2 bits): the per-diagonal zero
-        count of a window is ``4 - popcount(byte)``, the best diagonal is an
-        ``argmin`` over the byte popcounts (first minimum = leftmost diagonal,
-        matching the reference tie-break) and the estimate is the sum of the
-        chosen diagonals' popcounts.  Other window widths run the per-base
-        window scan on unpacked lanes.
+        of the word-major lane representation (4 bases x 2 bits): the
+        per-diagonal zero count of a window is ``4 - popcount(byte)``, the
+        best diagonal is the one with the fewest set lanes and the estimate is
+        the sum of those minima (which diagonal wins a tie does not change
+        the count).  Other window widths run the per-base window scan on
+        unpacked lanes.
         """
         n_pairs = read_words.shape[0]
         if length == 0:
             return np.zeros(n_pairs, dtype=np.int32)
-        lanes = neighborhood_lanes(read_words, ref_words, length, self.error_threshold)
+        lanes = neighborhood_lanes(
+            word_major(read_words), word_major(ref_words), length, self.error_threshold
+        )
         if self.window != 4:
             # Window widths other than one byte: reuse the per-base scan.
-            return self._scan_windows(unpack_lanes(lanes, length))
+            return self._scan_windows(unpack_lanes(lanes.transpose(1, 2, 0), length))
         # Bytes beyond the sequence length hold no lanes (neighborhood_lanes
         # clears padding), so they contribute zero to every diagonal and to
-        # the final sum alike.
-        window_counts = popcount(np.ascontiguousarray(lanes).view(np.uint8))
-        best_diag = window_counts.argmin(axis=1)
-        chosen = np.take_along_axis(
-            window_counts, best_diag[:, np.newaxis, :], axis=1
-        )[:, 0, :]
-        return chosen.sum(axis=-1, dtype=np.int32)
+        # the final sum alike.  The chosen diagonal's count is the minimum.
+        window_counts = popcount(lanes.view(np.uint8)).min(axis=0)
+        return window_counts.reshape(lanes.shape[1], n_pairs, 8).sum(
+            axis=(0, 2), dtype=np.int32
+        )

@@ -13,14 +13,16 @@ The optimal routing can be computed greedily: from the current column, find
 the diagonal with the longest run of obstacle-free cells, travel along it and
 pay one unit to cross the next column.  The batch path
 (:meth:`SneakySnakeFilter.estimate_edits_words`) builds the chip maze
-bit-parallel from the packed word arrays
-(:func:`repro.filters.packed.neighborhood_lanes`), precomputes the distance
-to the next obstacle at every column (one ``minimum.accumulate`` segment scan
-over pairs and diagonals — no per-column Python loop) and advances all pairs'
-greedy walks in lockstep.  It reproduces the scalar reference
-(:meth:`SneakySnakeFilter.estimate_edits_codes`, per-base neighborhood map)
-exactly, including the early exit once a pair's estimate exceeds the
-threshold.
+bit-parallel as word-major obstacle lanes
+(:func:`repro.filters.packed.neighborhood_lanes`) and advances all pairs'
+greedy walks in lockstep on those words: at each step a diagonal's next
+obstacle is the first set lane at or after the pair's column, which one
+leading-zero count of the first non-zero word finds
+(:func:`repro.filters.packed.first_set_lane`), so no per-base
+``(n_pairs, 2e+1, length)`` array is ever built.  It reproduces the scalar
+reference (:meth:`SneakySnakeFilter.estimate_edits_codes`, a
+``minimum.accumulate`` scan over the per-base neighborhood map) exactly,
+including the early exit once a pair's estimate exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ import numpy as np
 
 from .base import PreAlignmentFilter
 from .native import DEFAULT_KERNEL_TIER, resolve
-from .packed import neighborhood_lanes, unpack_lanes
+from .packed import first_set_lane, neighborhood_lanes, word_major
 from .shouji import neighborhood_map
 
 __all__ = ["SneakySnakeFilter", "sneakysnake_kernel"]
+
+_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _longest_free_runs(obstacles: np.ndarray) -> np.ndarray:
@@ -50,6 +54,53 @@ def _longest_free_runs(obstacles: np.ndarray) -> np.ndarray:
     return (next_obstacle - columns).max(axis=1)
 
 
+def _route_words(lanes: np.ndarray, n: int, error_threshold: int) -> np.ndarray:
+    """Greedy routing on the obstacle words, all pairs in lockstep.
+
+    ``lanes`` is the ``(2e+1, n_words, n_pairs)`` chip maze of
+    :func:`repro.filters.packed.neighborhood_lanes`.  From column ``c`` a
+    diagonal's next obstacle is the first set lane at or after ``c``: the
+    leading-zero count of its word with the lanes before ``c`` cleared, or,
+    when that word is clear, the diagonal's first obstacle in a later word
+    (precomputed once per word, back to front).  The signal travels to the
+    farthest next obstacle over all diagonals and pays one edit to cross it,
+    exactly as :meth:`SneakySnakeFilter._route` does on the per-base runs.
+    """
+    n_diagonals, n_words, n_pairs = lanes.shape
+    first_in_word = first_set_lane(lanes)
+    # next_from_word[:, w]: each diagonal's first obstacle in words >= w (n if none).
+    next_from_word = np.empty((n_diagonals, n_words + 1, n_pairs), dtype=np.int32)
+    next_from_word[:, n_words] = n
+    for w in range(n_words - 1, -1, -1):
+        next_from_word[:, w] = np.where(
+            first_in_word[:, w] < 32, first_in_word[:, w] + 32 * w, next_from_word[:, w + 1]
+        )
+    # Each step gathers one word per diagonal and pair, at flat index
+    # word * n_pairs + pair.
+    lanes = lanes.reshape(n_diagonals, n_words * n_pairs)
+    next_from_word = next_from_word.reshape(n_diagonals, (n_words + 1) * n_pairs)
+
+    edits = np.zeros(n_pairs, dtype=np.int32)
+    pairs = np.arange(n_pairs if n > 0 else 0)
+    column = np.zeros(pairs.size, dtype=np.int64)
+    while pairs.size:
+        word = column >> 5
+        at = word * n_pairs + pairs
+        # Clear the lanes before the column (bits above its 2-bit group).
+        tail = _ALL_ONES >> (2 * (column & 31)).astype(np.uint64)
+        in_word = first_set_lane(lanes.take(at, axis=1) & tail)
+        reach = np.where(
+            in_word < 32, in_word + 32 * word, next_from_word.take(at + n_pairs, axis=1)
+        ).max(axis=0)
+        # Must cross an obstacle column: one edit.
+        crossing = reach < n
+        edits[pairs] += crossing
+        column = reach + crossing
+        keep = (column < n) & (edits[pairs] <= error_threshold)
+        pairs, column = pairs[keep], column[keep]
+    return edits
+
+
 def sneakysnake_kernel(
     read_words: np.ndarray,
     ref_words: np.ndarray,
@@ -59,13 +110,14 @@ def sneakysnake_kernel(
     """Pure-NumPy SneakySnake estimates for a batch of packed pairs.
 
     The registered reference implementation of the ``sneakysnake_kernel``
-    native pair: the chip maze is built bit-parallel from the word arrays and
-    routed in lockstep, returning int32 estimates bit-identical to the Numba
-    twin's per-pair greedy walk.
+    native pair: the chip maze is built bit-parallel from the word-major
+    arrays and routed in lockstep on its obstacle words, returning int32
+    estimates bit-identical to the Numba twin's per-pair greedy walk.
     """
-    flt = SneakySnakeFilter(error_threshold)
-    lanes = neighborhood_lanes(read_words, ref_words, length, error_threshold)
-    return flt._route(_longest_free_runs(unpack_lanes(lanes, length)), length)
+    lanes = neighborhood_lanes(
+        word_major(read_words), word_major(ref_words), length, error_threshold
+    )
+    return _route_words(lanes, length, int(error_threshold))
 
 
 class SneakySnakeFilter(PreAlignmentFilter):
@@ -104,7 +156,7 @@ class SneakySnakeFilter(PreAlignmentFilter):
         return kernel(read_words, ref_words, length, self.error_threshold)
 
     def _route(self, longest_run: np.ndarray, n: int) -> np.ndarray:
-        """Greedy routing, all pairs in lockstep.
+        """Greedy routing on per-base longest runs (the reference walk).
 
         A pair leaves the loop when its signal reaches the last column or its
         estimate exceeds the threshold (the scalar early exit).

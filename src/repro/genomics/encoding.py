@@ -142,7 +142,7 @@ def pack_codes_to_words(codes: np.ndarray, word_bits: int = WORD_BITS_64) -> np.
     # reverse the bytes of every word so the little-endian view places base 0
     # in the most significant bits — a handful of uint8 passes instead of a
     # 64-bit multiply-accumulate over every base.
-    quads = padded.reshape(n, -1, 4)
+    quads = padded.reshape(n, padded_len // 4, 4)
     byte_view = (
         (quads[..., 0] << 6) | (quads[..., 1] << 4) | (quads[..., 2] << 2) | quads[..., 3]
     )
@@ -167,7 +167,8 @@ def unpack_words_to_codes(
     bases_per_word = word_bits // BITS_PER_BASE
     shifts = np.arange(bases_per_word - 1, -1, -1, dtype=np.uint64) * BITS_PER_BASE
     expanded = (words[:, :, np.newaxis].astype(np.uint64) >> shifts) & np.uint64(0b11)
-    codes = expanded.reshape(words.shape[0], -1)[:, :length].astype(np.uint8)
+    codes = expanded.reshape(words.shape[0], words.shape[1] * bases_per_word)
+    codes = codes[:, :length].astype(np.uint8)
     return codes[0] if single else codes
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.align import edit_distance
+from repro.engine import FilterEngine
 from repro.filters import (
     GateKeeperGPUFilter,
     MagnetFilter,
@@ -130,6 +131,13 @@ class TestShouji:
         segment = "ACGTACGTACGTACGT"
         f = ShoujiFilter(2, window=8)
         assert f.estimate_edits(segment, segment) == 0
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_rejects_window_below_one(self, window):
+        with pytest.raises(ValueError, match="window"):
+            ShoujiFilter(2, window=window)
+        with pytest.raises(ValueError, match="window"):
+            FilterEngine("shouji", 10, 2, window=window)
 
     def test_shouji_estimate_reasonable_for_two_substitutions(self):
         segment = "ACGGTTACGTACGTACCGTTAAGG"

@@ -69,9 +69,8 @@ class TestPackedPrimitiveProperties:
     def test_amend_lanes_matches_reference(self, mask, max_zero_run):
         length = mask.shape[1]
         lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
         got = packed.unpack_lanes(
-            packed.amend_lanes(lanes, valid, max_zero_run=max_zero_run), length
+            packed.amend_lanes(lanes, max_zero_run=max_zero_run), length
         )
         expect = np.stack([amend_mask(m, max_zero_run=max_zero_run) for m in mask])
         assert np.array_equal(got, expect)
@@ -91,10 +90,11 @@ class TestPackedPrimitiveProperties:
         read, ref = batch
         length = read.shape[1]
         lanes = packed.neighborhood_lanes(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
+            packed.word_major(pack_codes_to_words(read, 64)),
+            packed.word_major(pack_codes_to_words(ref, 64)),
             length, threshold,
         )
-        got = packed.unpack_lanes(lanes, length)
+        got = packed.unpack_lanes(lanes.transpose(1, 2, 0), length)
         expect = neighborhood_map_batch(read, ref, threshold)
         assert np.array_equal(got, expect)
 

@@ -2,17 +2,21 @@
 
 The per-base mask helpers of ``repro.filters.bitvector`` / ``repro.filters.masks``
 are the reference implementation; every packed ``uint64`` lane kernel in
-``repro.filters.packed`` (and every filter path built on it) must reproduce
-them exactly across read lengths {1, 8, 64, 100, 251} and thresholds
-{0, 2, 5}, including ``N``-containing pairs and length-1 edge cases, and
-one base either side of each code-word and lane-word boundary.
+``repro.filters.packed`` (word-major: ``(n_words, n_pairs)`` arrays) and
+every filter path built on it must reproduce them exactly across read
+lengths {1, 8, 64, 100, 251} and thresholds {0, 2, 5}, plus 10 and 33 for
+the every-filter test (a 33-base shift crosses more than one lane word and
+is wider than the 8 bp read), including ``N``-containing pairs,
+length-1 edge cases, empty batches, and one base either side of each
+code-word and lane-word boundary.
 """
 
 import numpy as np
 import pytest
 
 from repro.engine import FilterEngine, available_filters, get_filter
-from repro.filters import GateKeeperFilter, GateKeeperGPUFilter, packed
+from repro.filters import GateKeeperFilter, GateKeeperGPUFilter, native, packed
+from repro.filters.native import _kernels as native_kernels
 from repro.filters.bitvector import amend_mask, count_set_windows, shifted_mask
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
@@ -28,6 +32,8 @@ GATEKEEPER_BY_POLICY = {EdgePolicy.ZERO: GateKeeperFilter, EdgePolicy.ONE: GateK
 
 READ_LENGTHS = [8, 64, 100, 251]
 THRESHOLDS = [0, 2, 5]
+#: The every-filter test also runs above any realistic threshold.
+LARGE_THRESHOLDS = [10, 33]
 #: One base either side of the 32-base code word and the 64-base lane word.
 WORD_BOUNDARY_LENGTHS = [31, 33, 63, 65, 128, 129]
 
@@ -42,6 +48,26 @@ def _random_pairs(rng, n_pairs, length, mutate=0.15):
 
 def _codes_to_strings(codes):
     return ["".join("ACGT"[c] for c in row) for row in codes]
+
+
+def _word_major(codes):
+    return packed.word_major(pack_codes_to_words(codes, 64))
+
+
+@pytest.fixture(params=["numpy", "twins"])
+def kernel_tier(request, monkeypatch):
+    """A tier whose registered kernels are the NumPy ones or the uncompiled twins.
+
+    ``"twins"`` registers the plain-Python ``_kernels`` sources as the native
+    tier, so ``filter_batch`` runs them even where Numba is not installed.
+    """
+    if request.param == "numpy":
+        monkeypatch.setattr(native, "_AVAILABLE", False)
+        return "numpy"
+    monkeypatch.setattr(native, "_AVAILABLE", True)
+    for name in native.registered_kernels():
+        monkeypatch.setitem(native._REGISTRY[name], "native", getattr(native_kernels, name))
+    return "native"
 
 
 class TestPackedPrimitives:
@@ -59,7 +85,7 @@ class TestPackedPrimitives:
         rng = np.random.default_rng(length * 1000 + k)
         mask = (rng.random((9, length)) < 0.5).astype(np.uint8)
         lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
+        valid = packed.lane_span_mask(0, length, lanes.shape[0])
         expect_right = np.zeros_like(mask)
         expect_left = np.zeros_like(mask)
         if k < length:
@@ -74,8 +100,8 @@ class TestPackedPrimitives:
         # One T at the end of word 0; shifting right by one base must carry
         # its bits into the top of word 1.
         codes, _ = encode_batch_codes(["A" * 31 + "T" + "A" * 33])
-        words = pack_codes_to_words(codes, word_bits=64)
-        back = unpack_words_to_codes(packed.shift_lanes_right(words, 1), 65, word_bits=64)
+        shifted = packed.shift_lanes_right(_word_major(codes), 1)
+        back = unpack_words_to_codes(shifted.T, 65, word_bits=64)
         assert back[0, 32] == 3  # the T moved into the second word
         assert back[0, 31] == 0
 
@@ -84,7 +110,7 @@ class TestPackedPrimitives:
     def test_shifted_mismatch_lanes_match_reference(self, length, vacant_value):
         rng = np.random.default_rng(length * 10 + vacant_value)
         read, ref = _random_pairs(rng, 10, length)
-        read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
+        read_words, ref_words = _word_major(read), _word_major(ref)
         for shift in (-3, -1, 0, 1, 4):
             lanes, _ = packed.shifted_mismatch_lanes(
                 read_words, ref_words, shift, length, vacant_value=vacant_value
@@ -100,9 +126,8 @@ class TestPackedPrimitives:
         rng = np.random.default_rng(length * 10 + max_zero_run)
         mask = (rng.random((33, length)) < 0.5).astype(np.uint8)
         lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[-1])
         got = packed.unpack_lanes(
-            packed.amend_lanes(lanes, valid, max_zero_run=max_zero_run), length
+            packed.amend_lanes(lanes, max_zero_run=max_zero_run), length
         )
         expect = np.stack([amend_mask(m, max_zero_run=max_zero_run) for m in mask])
         assert np.array_equal(got, expect)
@@ -110,7 +135,7 @@ class TestPackedPrimitives:
     def test_amend_lanes_rejects_unsupported_run_length(self):
         lanes = packed.pack_lanes(np.zeros((1, 8), dtype=np.uint8))
         with pytest.raises(ValueError):
-            packed.amend_lanes(lanes, packed.lane_span_mask(0, 8, 1), max_zero_run=3)
+            packed.amend_lanes(lanes, max_zero_run=3)
 
     @pytest.mark.parametrize("length", [1, 7, 8, 64, 100, 251])
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 8, 16, 32])
@@ -141,11 +166,19 @@ class TestPackedPrimitives:
         rng = np.random.default_rng(length + threshold)
         read, ref = _random_pairs(rng, 25, length)
         lanes = packed.neighborhood_lanes(
-            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64),
-            length, threshold,
+            _word_major(read), _word_major(ref), length, threshold
         )
-        got = packed.unpack_lanes(lanes, length)
+        got = packed.unpack_lanes(lanes.transpose(1, 2, 0), length)
         expect = neighborhood_map_batch(read, ref, threshold)
+        assert np.array_equal(got, expect)
+
+    def test_first_set_lane_matches_per_base_search(self):
+        rng = np.random.default_rng(3)
+        mask = (rng.random((500, 32)) < rng.random((500, 1)) * 0.3).astype(np.uint8)
+        mask[:5] = 0
+        mask[5:37] = np.eye(32, dtype=np.uint8)
+        got = packed.first_set_lane(packed.pack_lanes(mask))[0]
+        expect = np.where(mask.any(axis=1), mask.argmax(axis=1), 32)
         assert np.array_equal(got, expect)
 
 
@@ -200,7 +233,7 @@ class TestAllFiltersAgainstReference:
 
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("length", READ_LENGTHS)
-    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    @pytest.mark.parametrize("threshold", THRESHOLDS + LARGE_THRESHOLDS)
     def test_batch_estimates_match_scalar(self, key, length, threshold):
         rng = np.random.default_rng(hash((key, length, threshold)) % 2**32)
         read, ref = _random_pairs(rng, 30, length)
@@ -214,10 +247,11 @@ class TestAllFiltersAgainstReference:
 
     @pytest.mark.parametrize("key", available_filters())
     @pytest.mark.parametrize("length", WORD_BOUNDARY_LENGTHS)
-    def test_word_kernel_at_word_boundaries(self, key, length):
-        rng = np.random.default_rng((length, available_filters().index(key)))
+    @pytest.mark.parametrize("threshold", [0, 3, 10])
+    def test_word_kernel_at_word_boundaries(self, key, length, threshold):
+        rng = np.random.default_rng((length, available_filters().index(key), threshold))
         read, ref = _random_pairs(rng, 20, length, mutate=0.05)
-        instance = get_filter(key, 3)
+        instance = get_filter(key, threshold)
         got = instance.estimate_edits_words(
             pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
         )
@@ -291,3 +325,28 @@ class TestAllFiltersAgainstReference:
             via_strings = instance.filter_pair(read_i, segment_i)
             assert bool(via_encoded.accepted[i]) == via_strings.accepted, (key, i)
             assert int(via_encoded.estimated_edits[i]) == via_strings.estimated_edits, (key, i)
+
+
+class TestEmptyBatches:
+    """Zero-pair batches yield empty int32 estimates and empty bool accepts."""
+
+    @pytest.mark.parametrize("word_bits, n_words", [(64, 2), (32, 4)])
+    def test_pack_codes_to_words_of_no_rows(self, word_bits, n_words):
+        words = pack_codes_to_words(np.zeros((0, 50), dtype=np.uint8), word_bits)
+        assert words.shape == (0, n_words)
+
+    @pytest.mark.parametrize("key", available_filters())
+    def test_every_filter(self, key, kernel_tier):
+        instance = get_filter(key, 3)
+        pairs = EncodedPairBatch.from_lists(["ACGT" * 10] * 3, ["ACGA" * 10] * 3)[2:2]
+        assert pairs.read_words.shape == (0, 2)
+        estimates, accepted = instance.filter_batch(pairs, tier=kernel_tier)
+        no_codes = np.zeros((0, 40), dtype=np.uint8)
+        batch = instance.estimate_edits_batch(no_codes, no_codes)
+        for got in (estimates, batch):
+            assert got.dtype == np.int32 and got.shape == (0,)
+        assert accepted.dtype == bool and accepted.shape == (0,)
+        if instance.native_kernel and kernel_tier == "native":
+            # A twin that raised would have been disabled by the fallback.
+            twin = getattr(native_kernels, instance.native_kernel)
+            assert native._REGISTRY[instance.native_kernel]["native"] is twin
