@@ -40,6 +40,11 @@ VERIFIED_REJECTS = "verified_rejects"
 MAPPINGS = "mappings"
 MAPPED_READS = "mapped_reads"
 N_READS = "n_reads"
+# Mapping rows (Table 3): one per mapper run, the NoFilter run first
+MRFAST_WITH = "mrFAST with"
+CANDIDATE_PAIRS = "candidate_pairs"
+VERIFICATION_PAIRS = "verification_pairs"
+REJECTED_PAIRS = "rejected_pairs"
 
 #: Every key a canonical ``summary`` section may carry.
 SUMMARY_KEYS = frozenset({
@@ -275,6 +280,10 @@ LINT_ENFORCED_KEYS = frozenset({
     VERIFIED_REJECTS,
     MAPPINGS,
     MAPPED_READS,
+    MRFAST_WITH,
+    CANDIDATE_PAIRS,
+    VERIFICATION_PAIRS,
+    REJECTED_PAIRS,
     N_INPUT,
     WALL_CLOCK_S,
     SERIAL_TIME_S,
@@ -314,6 +323,10 @@ __all__ = [
     "MAPPINGS",
     "MAPPED_READS",
     "N_READS",
+    "MRFAST_WITH",
+    "CANDIDATE_PAIRS",
+    "VERIFICATION_PAIRS",
+    "REJECTED_PAIRS",
     "STAGE",
     "FILTER",
     "N_INPUT",

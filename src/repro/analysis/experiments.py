@@ -4,13 +4,15 @@ Every function returns a list of plain dict rows (ready for
 :func:`repro.analysis.tables.format_table`), so the benchmark harness, the
 examples and the CLI all share the same drivers.  Accuracy experiments run the
 real filters on synthetic candidate pools; timing experiments evaluate the
-calibrated analytic device models at the paper's data-set sizes.
+calibrated analytic device models at the paper's data-set sizes.  The one
+experiment that runs the mapper, Table 3's whole-genome mapping information,
+is a ``kind = "mapping"`` workload: :meth:`repro.api.Session.run` returns its
+rows as ``Result.rows``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,18 +21,12 @@ from ..core.config import EncodingActor
 from ..engine.registry import get_filter
 from ..filters import GateKeeperGPUFilter, PreAlignmentFilter
 from ..genomics.alphabet import contains_unknown
-from ..genomics.encoding import words_per_read
 from ..gpusim.device import SETUP_1, SETUP_2, SystemSetup
 from ..gpusim.power import PowerModel
 from ..gpusim.profiler import KernelProfiler
 from ..gpusim.timing import CpuTimingModel, TimingModel
 from .._defaults import VERIFICATION_COST_PER_PAIR_S
-from ..mapper.mrfast import MrFastMapper
-from ..simulate.datasets import build_dataset
-from ..simulate.genome import generate_reference
-from ..simulate.mutations import MutationProfile
 from ..simulate.pairs import PairDataset
-from ..simulate.reads import simulate_reads
 from .accuracy import evaluate_decisions, labels_from_distances
 from .speedup import compute_speedup
 from .throughput import ThroughputEntry
@@ -42,7 +38,6 @@ __all__ = [
     "filter_comparison_rows",
     "table1_batch_size_rows",
     "table2_throughput_rows",
-    "whole_genome_mapping_rows",
     "table4_speedup_rows",
     "table5_overall_rows",
     "table6_power_rows",
@@ -263,99 +258,10 @@ def table2_throughput_rows(
 
 
 # --------------------------------------------------------------------------- #
-# Whole-genome experiments (Tables 3, 4, 5 and Sup. Tables S.24-S.26)
+# Whole-genome speedups (Tables 4 and 5).  Table 3 and Sup. Tables S.24-S.26,
+# the mapping information itself, come from a ``kind = "mapping"`` workload
+# run through repro.api.Session.
 # --------------------------------------------------------------------------- #
-@dataclass
-class WholeGenomeRun:
-    """Scaled-down whole-genome mapping run with and without the filter."""
-
-    no_filter: object
-    filtered: object
-    read_length: int
-    error_threshold: int
-
-
-def run_whole_genome(
-    n_reads: int = 400,
-    read_length: int = 100,
-    genome_length: int = 60_000,
-    error_threshold: int = 5,
-    substitution_rate: float = 0.01,
-    indel_rate: float = 0.001,
-    seed: int = 0,
-    seed_length: int = 8,
-    setup: SystemSetup = SETUP_1,
-    encoding: EncodingActor = EncodingActor.DEVICE,
-    filter_name: str = "gatekeeper-gpu",
-    n_devices: int = 1,
-) -> WholeGenomeRun:
-    """Map a simulated read set with and without pre-alignment filtering.
-
-    ``filter_name`` picks any registered filter (default GateKeeper-GPU, as in
-    the paper's Tables 3-5).  The default seed length (8) is shorter than
-    mrFAST's 12 so that, at the scaled-down genome size, seeding still
-    produces the paper-like situation of many spurious candidate locations per
-    read (on the real 3.1 Gbp genome a 12-mer already occurs thousands of
-    times).
-    """
-    from ..engine.engine import FilterEngine
-    from ..simulate.genome import GenomeProfile
-
-    reference = generate_reference(
-        genome_length,
-        seed=seed,
-        profile=GenomeProfile(duplication_fraction=0.12, duplication_length=400),
-    )
-    profile = MutationProfile(
-        substitution_rate=substitution_rate,
-        insertion_rate=indel_rate,
-        deletion_rate=indel_rate,
-    )
-    reads = simulate_reads(reference, n_reads, read_length, profile=profile, seed=seed + 1)
-
-    plain = MrFastMapper(reference, error_threshold, k=seed_length)
-    no_filter = plain.map_reads(reads)
-
-    engine = FilterEngine(
-        filter_name,
-        read_length=read_length,
-        error_threshold=error_threshold,
-        setup=setup,
-        n_devices=n_devices,
-        encoding=encoding,
-    )
-    filtered_mapper = MrFastMapper(
-        reference, error_threshold, k=seed_length, prefilter=engine
-    )
-    filtered = filtered_mapper.map_reads(reads)
-    return WholeGenomeRun(
-        no_filter=no_filter,
-        filtered=filtered,
-        read_length=read_length,
-        error_threshold=error_threshold,
-    )
-
-
-def whole_genome_mapping_rows(run: WholeGenomeRun) -> list[dict]:
-    """Table 3-style rows (mapping information with and without the filter)."""
-    rows = []
-    for result in (run.no_filter, run.filtered):
-        stats = result.stats
-        rows.append(
-            {
-                "mrFAST with": result.filter_name,
-                "error_threshold": run.error_threshold,
-                "mappings": stats.mappings,
-                "mapped_reads": stats.mapped_reads,
-                "candidate_pairs": stats.candidate_pairs,
-                "verification_pairs": stats.verification_pairs,
-                "rejected_pairs": stats.rejected_pairs,
-                "reduction_pct": round(100.0 * stats.reduction, 1),
-            }
-        )
-    return rows
-
-
 #: Extra kernel cost factor observed when the filter runs inside the mapper's
 #: workflow (smaller effective batches, per-batch synchronisation — Table 1).
 KERNEL_INTEGRATION_OVERHEAD = 2.5

@@ -15,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .. import _schema as K
 
 if TYPE_CHECKING:
+    from ..mapper.mrfast import MappingRunResult
     from .workload import Workload
 
 __all__ = ["SCHEMA_VERSION", "Result"]
@@ -63,7 +64,8 @@ class Result:
     chunks:
         Leading per-chunk accounting rows (``None`` when not collected).
     rows:
-        Mapping-information rows for ``kind="mapping"`` runs.
+        Table 3 mapping-information rows for ``kind="mapping"`` runs, one
+        per mapper run: the NoFilter run, then the filtered run.
     shard:
         Shard provenance for runs whose workload carries an
         ``execution.shard`` slice (:mod:`repro.cluster`): index, slice
@@ -71,9 +73,10 @@ class Result:
         timing triples ``repro merge`` replays.  ``None`` (and absent from
         :meth:`as_dict`) on unsharded and merged results.
     raw:
-        The underlying report object (the run's ``StreamingReport`` in both
-        execution modes, or a ``WholeGenomeRun``) for programmatic
-        consumers; never serialised.
+        The underlying report for programmatic consumers, never serialised:
+        a filtering run's ``StreamingReport`` (in both execution modes), or
+        a mapping run's list of
+        :class:`~repro.mapper.mrfast.MappingRunResult` (NoFilter first).
     wall_clock_s:
         Measured wall-clock of the run; excluded from :meth:`as_dict` so the
         serialised report is byte-reproducible.
@@ -217,20 +220,33 @@ class Result:
         )
 
     @classmethod
-    def from_mapping_run(
-        cls, run: Any, workload: "Workload", rows: list[dict[str, Any]]
+    def from_mapping_runs(
+        cls, runs: "Sequence[MappingRunResult]", workload: "Workload"
     ) -> "Result":
-        """Build from a whole-genome :class:`WholeGenomeRun` (a ``mapping`` workload).
+        """Build from the mapper runs of a ``mapping`` workload.
 
-        With ``input.prefilter = false`` the report describes the unfiltered
-        mapper run (``rows`` is then just the NoFilter row).
+        ``runs`` holds the unfiltered run, then, with ``input.prefilter``,
+        the filtered one.  Each run is one Table 3 row; the summary describes
+        the last run.
         """
-        prefilter = workload.input.prefilter
-        mapping = run.filtered if prefilter else run.no_filter
-        stats = mapping.stats
+        error_threshold = workload.filter.error_threshold
+        rows = [
+            {
+                K.MRFAST_WITH: run.filter_name,
+                K.ERROR_THRESHOLD: error_threshold,
+                K.MAPPINGS: run.stats.mappings,
+                K.MAPPED_READS: run.stats.mapped_reads,
+                K.CANDIDATE_PAIRS: run.stats.candidate_pairs,
+                K.VERIFICATION_PAIRS: run.stats.verification_pairs,
+                K.REJECTED_PAIRS: run.stats.rejected_pairs,
+                K.REDUCTION_PCT: round(100.0 * run.stats.reduction, 1),
+            }
+            for run in runs
+        ]
+        stats = runs[-1].stats
         summary = {
-            K.ERROR_THRESHOLD: run.error_threshold,
-            K.READ_LENGTH: run.read_length,
+            K.ERROR_THRESHOLD: error_threshold,
+            K.READ_LENGTH: workload.input.read_length,
             K.N_PAIRS: stats.candidate_pairs,
             K.N_ACCEPTED: stats.verification_pairs,
             K.N_REJECTED: stats.rejected_pairs,
@@ -244,9 +260,9 @@ class Result:
             kind="mapping",
             workload=workload.to_dict(),
             dataset=workload.input.display_name(),
-            filter=mapping.filter_name,
+            filter=runs[-1].filter_name,
             summary=summary,
-            rows=[dict(row) for row in rows],
-            raw=run,
-            wall_clock_s=run.filtered.times.wall_clock_s + run.no_filter.times.wall_clock_s,
+            rows=rows,
+            raw=list(runs),
+            wall_clock_s=sum(run.times.wall_clock_s for run in runs),
         )

@@ -4,7 +4,8 @@
 owns every piece of constructed state a workload run needs — filter engines
 and cascades (keyed by their full configuration), simulated pair datasets
 with their cached :class:`~repro.genomics.encoding.EncodedPairBatch`, loaded
-reference genomes and their k-mer seeding indexes — and reuses all of it
+reference genomes and their k-mer seeding indexes, and the simulated
+reference, reads and index of each mapping input — and reuses all of it
 across :meth:`run` calls, so a long-lived process (a queue worker, an HTTP
 service) pays construction cost once and filtration cost per request.
 
@@ -37,6 +38,12 @@ if TYPE_CHECKING:
     from ..exec.executor import Executor
 
 __all__ = ["Session"]
+
+#: Seed length of the ``mapping`` workload's index.  It is shorter than
+#: mrFAST's 12 so that, at the scaled-down genome size, seeding still produces
+#: the paper-like situation of many spurious candidate locations per read (on
+#: the real 3.1 Gbp genome a 12-mer already occurs thousands of times).
+MAPPING_SEED_LENGTH = 8
 
 
 def _setup_for(name: str) -> Any:
@@ -72,6 +79,7 @@ class Session:
         self.verification_cost_per_pair_s = verification_cost_per_pair_s
         self._engines: dict[tuple[Any, ...], Any] = {}
         self._datasets: dict[tuple[Any, ...], Any] = {}
+        self._mapping_inputs: dict[tuple[int, ...], "tuple[Any, list[Any], Any]"] = {}
         self._references: dict[str, Any] = {}
         self._indexes: dict[tuple[str, int], Any] = {}
         self._executors: dict[tuple[str, int], "Executor"] = {}
@@ -138,6 +146,35 @@ class Session:
                 dataset.encoded()  # encode once, inside the lock, not per-run
                 self._datasets[key] = dataset
             return dataset
+
+    def mapping_input_for(self, workload: Workload) -> "tuple[Any, list[Any], Any]":
+        """The cached ``(reference, reads, index)`` of a ``mapping`` input.
+
+        The reference carries segmental duplications, the reads follow the
+        default :class:`~repro.simulate.mutations.MutationProfile`, and the
+        index is the :data:`MAPPING_SEED_LENGTH`-mer :class:`KmerIndex` that
+        the unfiltered and filtered mapper runs share.
+        """
+        spec = workload.input
+        key = (spec.n_reads, spec.read_length, spec.genome_length, spec.seed)
+        with self._lock:
+            entry = self._mapping_inputs.get(key)
+            if entry is None:
+                from ..mapper.index import KmerIndex
+                from ..simulate.genome import GenomeProfile, generate_reference
+                from ..simulate.reads import simulate_reads
+
+                reference = generate_reference(
+                    spec.genome_length,
+                    seed=spec.seed,
+                    profile=GenomeProfile(duplication_fraction=0.12, duplication_length=400),
+                )
+                reads = simulate_reads(
+                    reference, spec.n_reads, spec.read_length, seed=spec.seed + 1
+                )
+                entry = (reference, reads, KmerIndex(reference, k=MAPPING_SEED_LENGTH))
+                self._mapping_inputs[key] = entry
+            return entry
 
     def reference_for(self, path: str) -> Any:
         """The cached :class:`ReferenceGenome` loaded from a FASTA path."""
@@ -237,6 +274,7 @@ class Session:
         return {
             "engines": len(self._engines),
             "datasets": len(self._datasets),
+            "mapping_inputs": len(self._mapping_inputs),
             "references": len(self._references),
             "indexes": len(self._indexes),
             "executors": len(self._executors),
@@ -388,23 +426,22 @@ class Session:
 
     # -- mapping path ---------------------------------------------------- #
     def _run_mapping(self, workload: Workload) -> Result:
-        from ..analysis import experiments
-        from ..core.config import EncodingActor
+        """Map the workload's reads without a filter, then with its filter.
 
-        spec = workload.input
-        run = experiments.run_whole_genome(
-            n_reads=spec.n_reads,
-            read_length=spec.read_length,
-            genome_length=spec.genome_length,
-            error_threshold=workload.filter.error_threshold,
-            seed=spec.seed,
-            setup=_setup_for(workload.execution.setup),
-            encoding=EncodingActor(workload.execution.encoding),
-            filter_name=workload.filter.filters[0],
-            n_devices=workload.execution.n_devices,
-        )
-        rows = experiments.whole_genome_mapping_rows(run)
-        if not spec.prefilter:
-            rows = rows[:1]  # just the NoFilter row
-        return Result.from_mapping_run(run, workload, rows)
+        The filtered run happens only with ``input.prefilter``.  Both runs
+        share the session-cached reference, reads and index, and the
+        filtered one takes the session's engine and executor.
+        """
+        from ..mapper.mrfast import MrFastMapper
 
+        spec, error_threshold = workload.input, workload.filter.error_threshold
+        reference, reads, index = self.mapping_input_for(workload)
+        runs = [MrFastMapper(reference, error_threshold, index=index).map_reads(reads)]
+        engine = None
+        if spec.prefilter:
+            engine = self.engine_for(workload, spec.read_length)
+            mapper = MrFastMapper(reference, error_threshold, prefilter=engine, index=index)
+            runs.append(mapper.map_reads(reads, executor=self.executor_for(workload)))
+        result = Result.from_mapping_runs(runs, workload)
+        result.kernel_tier = getattr(engine, "active_kernel_tier", None)
+        return result

@@ -631,15 +631,15 @@ class Workload:
         """Fully-resolved canonical dictionary recording exactly what runs.
 
         Only the fields that *apply* are emitted — kind-irrelevant input
-        fields, ``chunk_size`` for in-memory runs, and the
-        devices/chunking/verify knobs the mapping workload does not consume
-        are all dropped — so two workloads that behave identically serialise
-        identically regardless of how they were constructed (TOML file, JSON,
-        or CLI flags).  The ``executor`` / ``workers`` / ``prefetch`` /
-        ``kernel_tier`` backend knobs are excluded too: they never change a
-        result (byte-identical across backends and kernel tiers), so
-        workloads differing only in backend or tier produce byte-identical
-        reports.  Canonicalisation is idempotent:
+        fields, ``chunk_size`` for in-memory runs, and for mapping workloads
+        the ``batch_size`` / ``verify`` knobs, which cannot change a mapping
+        Result, are all dropped — so two workloads that behave identically
+        serialise identically regardless of how they were constructed (TOML
+        file, JSON, or CLI flags).  The ``executor`` / ``workers`` /
+        ``prefetch`` / ``kernel_tier`` backend knobs are excluded too: they
+        never change a result (byte-identical across backends and kernel
+        tiers), so workloads differing only in backend or tier produce
+        byte-identical reports.  Canonicalisation is idempotent:
         ``from_dict(w.to_dict()).to_dict() == w.to_dict()`` for every
         serialisable kind.  The exception is ``kind="pairs"``: in-memory
         pairs are represented by their count, so the emitted dict documents
@@ -678,8 +678,9 @@ class Workload:
         if mode == "streaming":
             execution_dict["chunk_size"] = self.execution.chunk_size
         if spec.kind != "mapping":
-            # The mapper owns its batching and always verifies; these knobs
-            # only apply to filtering workloads.
+            # A mapping run always verifies, and its engine's kernel batch
+            # size moves only modelled times, which a mapping Result does not
+            # carry; so both knobs are recorded for filtering workloads only.
             execution_dict["batch_size"] = self.execution.batch_size
             execution_dict["verify"] = self.execution.verify
         if self.execution.shard is not None:

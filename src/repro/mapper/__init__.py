@@ -3,7 +3,7 @@
 from .index import KmerIndex
 from .mrfast import MappingRunResult, MrFastMapper
 from .sam import SamRecord, write_sam
-from .seeding import SeedHit, Seeder
+from .seeding import Seeder
 from .stats import MappingStats, MappingTimes
 
 __all__ = [
@@ -12,7 +12,6 @@ __all__ = [
     "MrFastMapper",
     "SamRecord",
     "write_sam",
-    "SeedHit",
     "Seeder",
     "MappingStats",
     "MappingTimes",

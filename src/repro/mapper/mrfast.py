@@ -2,26 +2,29 @@
 
 The mapper follows the structure of mrFAST as described in the paper
 (Section 3.5): the reference is indexed once, reads are processed in batches,
-seeding proposes candidate locations, the candidate pairs are (optionally)
-passed through a pre-alignment filter in one batched kernel call, and only the
-surviving pairs are verified with the dynamic-programming verifier.  Both the
-measured Python wall clock and the paper-scale modelled times (verification
-cost per pair, filter kernel time, preprocessing) are reported so the
-whole-genome speedup tables can be regenerated.
+and seeding proposes each batch's candidate locations.  The batch's candidate
+pairs are encoded once, passed through the pre-alignment filter in one
+``filter_encoded`` call, and only the survivors are verified, in one
+:meth:`~repro.align.Verifier.verify_batch` pass: the two primitives every
+filtering workload's chunk runner uses.  A batch may mix read lengths; its
+candidates are then encoded, filtered and verified one read length at a time,
+and reported in candidate order.  Both the measured Python wall clock and the
+paper-scale modelled times (verification cost per pair, filter kernel time,
+preprocessing) are reported so the whole-genome speedup tables can be
+regenerated.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from ..align.banded import banded_edit_distance
-from ..filters.base import PreAlignmentFilter
+from ..align.verification import Verifier
 from ..genomics.encoding import EncodedPairBatch
 from ..genomics.reference import ReferenceGenome
 from ..genomics.sequence import Read
@@ -32,6 +35,7 @@ from .stats import MappingStats, MappingTimes
 
 if TYPE_CHECKING:
     from ..engine import FilterCascade, FilterEngine
+    from ..exec.executor import Executor
 
 __all__ = ["MappingRunResult", "MrFastMapper"]
 
@@ -71,15 +75,16 @@ class MrFastMapper:
     k:
         Seed length of the k-mer index.
     prefilter:
-        ``None`` (no pre-alignment filter), a filtering engine
-        (:class:`repro.engine.FilterEngine` or
-        :class:`repro.engine.FilterCascade`), a bare
-        :class:`PreAlignmentFilter` instance, or a registry name string such
-        as ``"shouji"`` (resolved to a :class:`~repro.engine.FilterEngine`
-        when the first read batch fixes the read length).
+        ``None`` (no pre-alignment filter) or a filtering engine,
+        :class:`repro.engine.FilterEngine` or
+        :class:`repro.engine.FilterCascade`, built for the reads' length.
     max_reads_per_batch:
         Number of reads whose candidates are pooled into one filter batch
         (the Table 1 knob; 100,000 in the paper's best configuration).
+    index:
+        A prebuilt :class:`KmerIndex` over ``reference`` (e.g. a
+        :class:`repro.api.Session` cache entry), used instead of building one;
+        ``k`` is then ignored.
     """
 
     def __init__(
@@ -87,85 +92,46 @@ class MrFastMapper:
         reference: ReferenceGenome,
         error_threshold: int,
         k: int = 12,
-        prefilter: "FilterEngine | FilterCascade | PreAlignmentFilter | str | None" = None,
+        prefilter: "FilterEngine | FilterCascade | None" = None,
         max_candidates_per_read: int = 2048,
         max_reads_per_batch: int = 100_000,
         verification_cost_per_pair_s: float = VERIFICATION_COST_PER_PAIR_S,
+        index: KmerIndex | None = None,
     ):
+        if max_reads_per_batch < 1:
+            raise ValueError(
+                f"max_reads_per_batch must be at least 1, got {max_reads_per_batch}"
+            )
+        if prefilter is not None and not hasattr(prefilter, "filter_encoded"):
+            raise TypeError(
+                "prefilter must be a FilterEngine, a FilterCascade or None, "
+                f"not {type(prefilter).__name__}"
+            )
         self.reference = reference
         self.error_threshold = int(error_threshold)
-        self.index = KmerIndex(reference, k=k)
+        self.index = KmerIndex(reference, k=k) if index is None else index
         self.seeder = Seeder(self.index, self.error_threshold, max_candidates_per_read)
-        # Name specs are resolved into a FilterEngine lazily, when the first
-        # read batch fixes the read length.
-        self._prefilter_name = prefilter if isinstance(prefilter, str) else None
-        self.prefilter = None if isinstance(prefilter, str) else prefilter
+        self.prefilter = prefilter
         self.max_reads_per_batch = max_reads_per_batch
         self.verification_cost_per_pair_s = verification_cost_per_pair_s
 
-    # ------------------------------------------------------------------ #
-    # Filtering stage
-    # ------------------------------------------------------------------ #
     @property
     def filter_name(self) -> str:
-        if self._prefilter_name is not None:
-            from ..engine.registry import get_filter_class
+        return "NoFilter" if self.prefilter is None else self.prefilter.name
 
-            return get_filter_class(self._prefilter_name).name
-        if self.prefilter is None:
-            return "NoFilter"
-        return self.prefilter.name
-
-    def _resolve_prefilter(self, read_length: int):
-        """Resolve a registry-name prefilter into an engine.
-
-        The engine is rebuilt if a batch arrives with a different read length
-        (the name spec is kept so the rebuild is transparent).
-        """
-        if self._prefilter_name is not None and (
-            self.prefilter is None or self.prefilter.read_length != read_length
-        ):
-            from ..engine.engine import FilterEngine
-
-            self.prefilter = FilterEngine(
-                self._prefilter_name,
-                read_length=read_length,
-                error_threshold=self.error_threshold,
-                max_reads_per_batch=self.max_reads_per_batch,
-            )
-        return self.prefilter
-
-    def _apply_filter(
-        self, reads: list[str], segments: list[str]
-    ) -> tuple[np.ndarray, float, float, int]:
-        """Return (accept mask, kernel_s, filter_s, undefined count) of the filter stage."""
-        n = len(reads)
-        if (self.prefilter is None and self._prefilter_name is None) or n == 0:
-            return np.ones(n, dtype=bool), 0.0, 0.0, 0
-        prefilter = self._resolve_prefilter(len(reads[0]))
-        # Seeded candidate pairs are encoded exactly once per batch; engines
-        # and bare filters alike consume the encoded batch directly.
-        pairs = EncodedPairBatch.from_lists(reads, segments)
-        if hasattr(prefilter, "filter_encoded"):
-            result = prefilter.filter_encoded(pairs)
-            return result.accepted, result.kernel_time_s, result.filter_time_s, result.n_undefined
-        # Bare PreAlignmentFilter instance: run its batch kernel (identical
-        # decisions to filter_pair, an order of magnitude faster).
-        _, accepted = prefilter.filter_batch(pairs)
-        return accepted, 0.0, 0.0, int(pairs.undefined.sum())
-
-    # ------------------------------------------------------------------ #
-    # Mapping
-    # ------------------------------------------------------------------ #
     def map_reads(
-        self, reads: "Sequence[Read | str] | Iterable[Read | str] | str | Path"
+        self,
+        reads: "Sequence[Read | str] | Iterable[Read | str] | str | Path",
+        executor: "Executor | None" = None,
     ) -> MappingRunResult:
         """Map a read set and report mappings, statistics and times.
 
         ``reads`` may be a sequence of :class:`Read`/strings, any lazy
         iterator of them, or a FASTQ/FASTA file path: iterators and paths are
         consumed one batch (``max_reads_per_batch`` reads) at a time, so
-        arbitrarily large read files are mapped in bounded memory.
+        arbitrarily large read files are mapped in bounded memory.  Each
+        filter call fans out across ``executor``'s workers (one serial share
+        when ``None``); the mapping is the same for every backend.
         """
         if isinstance(reads, (str, Path)):
             from ..runtime.sources import iter_reads
@@ -174,10 +140,10 @@ class MrFastMapper:
         stats = MappingStats()
         times = MappingTimes()
         records: list[SamRecord] = []
+        verifier = Verifier(self.error_threshold)
         wall_start = time.perf_counter()
 
         read_iterator = iter(reads)
-        read_index = 0
         length_factor = 1.0
 
         while True:
@@ -185,69 +151,69 @@ class MrFastMapper:
             if not raw_batch:
                 break
             batch = [
-                r if isinstance(r, Read) else Read(name=f"read_{read_index + i}", bases=r)
+                r if isinstance(r, Read) else Read(name=f"read_{stats.n_reads + i}", bases=r)
                 for i, r in enumerate(raw_batch)
             ]
-            if read_index == 0:
+            if stats.n_reads == 0:
                 length_factor = (len(batch[0].bases) / 100.0) ** 2
-            read_index += len(batch)
             stats.n_reads += len(batch)
 
             # --- Seeding: collect candidate pairs for the whole batch. ----- #
-            pair_reads: list[str] = []
-            pair_segments: list[str] = []
-            pair_owner: list[int] = []
-            pair_location: list[int] = []
-            batch_candidates = self.seeder.candidates_batch([read.bases for read in batch])
-            for local_index, (read, locations) in enumerate(zip(batch, batch_candidates)):
-                for location in locations.tolist():
-                    segment = self.reference.segment(location, len(read.bases))
-                    pair_reads.append(read.bases)
-                    pair_segments.append(segment)
-                    pair_owner.append(local_index)
-                    pair_location.append(location)
-            stats.candidate_pairs += len(pair_reads)
+            bases = [read.bases for read in batch]
+            candidates = self.seeder.candidates_batch(bases)
+            owner = np.repeat(np.arange(len(batch)), [c.size for c in candidates])
+            locations = np.concatenate(candidates)
+            lengths = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases))[owner]
+            n_candidates = owner.size
+            stats.candidate_pairs += n_candidates
             times.seeding_s += len(batch) * SEEDING_COST_PER_READ_S
-
-            # --- Pre-alignment filtering (one batched call). -------------- #
-            accepted, kernel_s, filter_s, undefined = self._apply_filter(
-                pair_reads, pair_segments
-            )
-            stats.undefined_pairs += undefined
-            times.filter_kernel_s += kernel_s
-            times.filter_total_s += filter_s
             if self.prefilter is not None:
-                times.preprocess_s += len(pair_reads) * PREPROCESS_COST_PER_PAIR_S
+                times.preprocess_s += n_candidates * PREPROCESS_COST_PER_PAIR_S
 
-            survivors = np.flatnonzero(accepted)
-            stats.verification_pairs += int(len(survivors))
-            stats.rejected_pairs += int(len(pair_reads) - len(survivors))
-
-            # --- Verification of surviving pairs. -------------------------- #
-            mapped_in_batch: set[int] = set()
-            for index in survivors:
-                read_bases = pair_reads[int(index)]
-                segment = pair_segments[int(index)]
-                distance = banded_edit_distance(read_bases, segment, self.error_threshold)
-                if distance <= self.error_threshold:
-                    owner = pair_owner[int(index)]
-                    mapped_in_batch.add(owner)
-                    stats.mappings += 1
-                    records.append(
-                        SamRecord(
-                            query_name=batch[owner].name,
-                            reference_name=self.reference.name,
-                            position=pair_location[int(index)],
-                            mapping_quality=255,
-                            cigar=f"{len(read_bases)}M",
-                            sequence=read_bases,
-                            edit_distance=distance,
-                        )
-                    )
-            stats.mapped_reads += len(mapped_in_batch)
+            # --- Filter (one batched call), then verify the survivors. ----- #
+            # One encoded batch per read length; distances above e mark
+            # candidates that were rejected or failed verification.
+            distances = np.full(n_candidates, self.error_threshold + 1, dtype=np.int32)
+            n_survivors = 0
+            for length in np.unique(lengths).tolist():
+                rows = np.flatnonzero(lengths == length)
+                pair_reads = [bases[i] for i in owner[rows].tolist()]
+                pair_segments = self.reference.segments(locations[rows], length)
+                pairs = EncodedPairBatch.from_lists(pair_reads, pair_segments)
+                survivors = np.arange(rows.size)
+                if self.prefilter is not None:
+                    result = self.prefilter.filter_encoded(pairs, executor=executor)
+                    stats.undefined_pairs += result.n_undefined
+                    times.filter_kernel_s += result.kernel_time_s
+                    times.filter_total_s += result.filter_time_s
+                    survivors = np.flatnonzero(result.accepted)
+                distances[rows[survivors]] = verifier.verify_batch(
+                    pairs, pair_reads, pair_segments, survivors
+                )
+                n_survivors += survivors.size
+            stats.verification_pairs += n_survivors
+            stats.rejected_pairs += n_candidates - n_survivors
             times.verification_s += (
-                len(survivors) * self.verification_cost_per_pair_s * length_factor
+                n_survivors * self.verification_cost_per_pair_s * length_factor
             )
+
+            # --- Mappings, in candidate order. ----------------------------- #
+            mapped = np.flatnonzero(distances <= self.error_threshold)
+            stats.mappings += mapped.size
+            stats.mapped_reads += np.unique(owner[mapped]).size
+            for row in mapped.tolist():
+                read = batch[owner[row]]
+                records.append(
+                    SamRecord(
+                        query_name=read.name,
+                        reference_name=self.reference.name,
+                        position=int(locations[row]),
+                        mapping_quality=255,
+                        cigar=f"{len(read.bases)}M",
+                        sequence=read.bases,
+                        edit_distance=int(distances[row]),
+                    )
+                )
 
         times.other_s = stats.n_reads * 1.0e-6  # input parsing / output writing
         times.wall_clock_s = time.perf_counter() - wall_start

@@ -10,30 +10,16 @@ filtering).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .index import KmerIndex
 
-__all__ = ["Seeder", "SeedHit"]
+__all__ = ["Seeder"]
 
 _NO_CANDIDATES = np.empty(0, dtype=np.int64)
 _NO_CANDIDATES.flags.writeable = False
-
-
-@dataclass(frozen=True)
-class SeedHit:
-    """One candidate mapping location produced by seeding."""
-
-    read_offset: int
-    reference_position: int
-
-    @property
-    def candidate_location(self) -> int:
-        """Reference position where the whole read would start."""
-        return self.reference_position - self.read_offset
 
 
 class Seeder:

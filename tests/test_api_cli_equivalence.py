@@ -212,6 +212,39 @@ class TestRunTable:
         assert table_titles(out) == titles
 
 
+class TestExampleMappingWorkload:
+    """``examples/workload_mapping.toml``, the CI smoke run, is the pair of
+    mapper runs ``examples/whole_genome_mapping.py`` makes directly."""
+
+    def test_example_matches_the_library_mapper(self, capsys):
+        from repro.engine import FilterEngine
+        from repro.mapper import MrFastMapper
+        from repro.simulate import GenomeProfile, generate_reference, simulate_reads
+
+        example = DATA.parent.parent / "examples" / "workload_mapping.toml"
+        result = Session().run(example)
+        reference = generate_reference(
+            60_000, seed=11,
+            profile=GenomeProfile(duplication_fraction=0.12, duplication_length=400),
+        )
+        reads = simulate_reads(reference, 300, 100, seed=12)
+        runs = [
+            MrFastMapper(reference, 5, k=8, prefilter=prefilter).map_reads(reads)
+            for prefilter in (None, FilterEngine("gatekeeper-gpu", 100, 5))
+        ]
+        assert [
+            (row["mrFAST with"], row["mappings"], row["candidate_pairs"], row["verification_pairs"])
+            for row in result.rows
+        ] == [
+            (run.filter_name, run.stats.mappings, run.stats.candidate_pairs,
+             run.stats.verification_pairs)
+            for run in runs
+        ]
+        assert result.rows[0]["mappings"] == result.rows[1]["mappings"]
+        out = cli_stdout(capsys, run_main, [str(example), "--table"])
+        assert table_titles(out) == ["Whole-genome mapping information"]
+
+
 class TestDispatcher:
     @pytest.mark.parametrize("command", ["frobnicate", "filter"])
     def test_unknown_command(self, capsys, command):

@@ -76,6 +76,7 @@ class TestSessionReuse:
         assert info == {
             "engines": 1,
             "datasets": 0,
+            "mapping_inputs": 0,
             "references": 1,
             "indexes": 1,
             "executors": 0,
@@ -87,6 +88,36 @@ class TestSessionReuse:
         session.run(workload)
         assert session.cache_info == info
         assert session.engine_for(workload, GOLDEN_FIXTURE["read_length"]) is engine
+
+    def test_second_mapping_run_simulates_and_indexes_nothing(self, monkeypatch):
+        import repro.simulate.genome as genome
+        import repro.simulate.reads as reads
+        from repro.mapper import KmerIndex
+
+        calls = {"reference": 0, "reads": 0, "index": 0}
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            genome, "generate_reference", counted("reference", genome.generate_reference)
+        )
+        monkeypatch.setattr(reads, "simulate_reads", counted("reads", reads.simulate_reads))
+        monkeypatch.setattr(KmerIndex, "__init__", counted("index", KmerIndex.__init__))
+        workload = Workload.from_dict(
+            {"input": {"kind": "mapping", "n_reads": 20, "genome_length": 8_000}}
+        )
+        session = Session()
+        first = session.run(workload).to_json()
+        # The unfiltered and the filtered mapper share one index.
+        assert calls == {"reference": 1, "reads": 1, "index": 1}
+        assert session.run(workload).to_json() == first
+        assert calls == {"reference": 1, "reads": 1, "index": 1}
+        assert session.cache_info["mapping_inputs"] == 1
 
     def test_dataset_and_encoded_batch_are_built_once(self):
         workload = dataset_workload()
@@ -236,6 +267,19 @@ class TestResultSchema:
         assert unfiltered.rows[0]["mrFAST with"] == "NoFilter"
         assert unfiltered.summary["n_rejected"] == 0
         assert unfiltered.workload["input"]["prefilter"] is False
+        assert unfiltered.kernel_tier is None  # no filter kernel ran
+
+    def test_filtered_mapping_reports_the_engine_kernel_tier(self):
+        workload = Workload.from_dict(
+            {
+                "input": {"kind": "mapping", "n_reads": 20, "genome_length": 8_000},
+                "execution": {"kernel_tier": "numpy"},
+            }
+        )
+        session = Session()
+        result = session.run(workload)
+        engine = session.engine_for(workload, workload.input.read_length)
+        assert result.kernel_tier == engine.active_kernel_tier == "numpy"
 
     def test_tsv_input_rejects_read_files_with_actionable_error(self):
         workload = Workload.from_dict(

@@ -364,12 +364,14 @@ class TestSessionWithAnyFilter:
 
 class TestMapperWithRegistry:
     def test_mapper_accepts_filter_name(self):
-        from repro.analysis import experiments
-
-        run = experiments.run_whole_genome(
-            n_reads=40, genome_length=8_000, filter_name="shouji", seed=3
-        )
-        rows = experiments.whole_genome_mapping_rows(run)
+        rows = Session().run(
+            Workload.from_dict(
+                {
+                    "input": {"kind": "mapping", "n_reads": 40, "genome_length": 8_000, "seed": 3},
+                    "filter": {"filter": "shouji"},
+                }
+            )
+        ).rows
         assert rows[1]["mrFAST with"] == "Shouji"
         # The filter saves verifications but must not lose mappings.
         assert rows[1]["mappings"] == rows[0]["mappings"]

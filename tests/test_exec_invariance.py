@@ -239,20 +239,27 @@ class TestSessionResultInvariance:
     across all executor backends and worker counts."""
 
     @staticmethod
-    def _workload(kind, workers, **execution):
-        return Workload.from_dict(
-            {
-                "input": {"kind": "dataset", "dataset": "Set 1",
-                          "n_pairs": N_PAIRS, "seed": 11},
-                "filter": {"cascade": ["gatekeeper-gpu", "sneakysnake"],
+    def _workload(kind, workers, mapping=False, **execution):
+        source = {
+            "input": {"kind": "dataset", "dataset": "Set 1",
+                      "n_pairs": N_PAIRS, "seed": 11},
+            "filter": {"cascade": ["gatekeeper-gpu", "sneakysnake"],
+                       "error_threshold": ERROR_THRESHOLD},
+        }
+        if mapping:
+            source = {
+                "input": {"kind": "mapping", "n_reads": 30,
+                          "genome_length": 12_000, "seed": 11},
+                "filter": {"filter": "gatekeeper-gpu",
                            "error_threshold": ERROR_THRESHOLD},
-                "execution": {"executor": kind, "workers": workers, **execution},
             }
+        return Workload.from_dict(
+            {**source, "execution": {"executor": kind, "workers": workers, **execution}}
         )
 
-    @pytest.mark.parametrize("mode", ["memory", "streaming"])
+    @pytest.mark.parametrize("mode", ["memory", "streaming", "mapping"])
     def test_results_byte_identical_across_backends(self, mode):
-        execution = {"mode": mode}
+        execution = {"mapping": True} if mode == "mapping" else {"mode": mode}
         if mode == "streaming":
             execution["chunk_size"] = 128
         with Session() as session:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import experiments
+from repro.api import Session, Workload
 from repro.gpusim import SETUP_1
 from repro.simulate import build_dataset
 
@@ -119,10 +120,14 @@ class TestTimingExperiments:
 
 class TestWholeGenomeExperiment:
     def test_run_and_rows(self):
-        run = experiments.run_whole_genome(
-            n_reads=80, genome_length=20_000, error_threshold=5, seed=3
-        )
-        rows = experiments.whole_genome_mapping_rows(run)
+        rows = Session().run(
+            Workload.from_dict(
+                {
+                    "input": {"kind": "mapping", "n_reads": 80, "genome_length": 20_000, "seed": 3},
+                    "filter": {"filter": "gatekeeper-gpu", "error_threshold": 5},
+                }
+            )
+        ).rows
         assert len(rows) == 2
         no_filter, filtered = rows
         # The filter must not change what gets mapped, only what gets verified.

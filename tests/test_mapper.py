@@ -24,6 +24,14 @@ def reads(reference):
     )
 
 
+@pytest.fixture(scope="module")
+def mixed_reads(reference):
+    """60 and 80 bp reads, alternating, so every batch mixes read lengths."""
+    short = simulate_reads(reference, 15, 60, seed=8)
+    long = simulate_reads(reference, 15, 80, seed=9)
+    return [read for pair in zip(short, long) for read in pair]
+
+
 class TestKmerIndex:
     def test_lookup_finds_planted_kmer(self):
         ref = ReferenceGenome("r", "ACGTACGTTTGGCCAATT")
@@ -124,13 +132,26 @@ class TestMrFastMapper:
         assert filtered.stats.rejected_pairs > 0
         assert filtered.times.verification_s <= no_filter.times.verification_s
 
-    def test_scalar_prefilter_supported(self, reference, reads):
+    def test_sneakysnake_engine_prefilter(self, reference, reads):
         mapper = MrFastMapper(
-            reference, error_threshold=5, k=10, prefilter=SneakySnakeFilter(5)
+            reference,
+            error_threshold=5,
+            k=10,
+            prefilter=FilterEngine("sneakysnake", read_length=100, error_threshold=5),
         )
         result = mapper.map_reads(reads[:20])
         assert result.filter_name == "SneakySnake"
         assert result.stats.verification_pairs <= result.stats.candidate_pairs
+
+    @pytest.mark.parametrize("prefilter", ["sneakysnake", SneakySnakeFilter(5)])
+    def test_prefilter_must_be_an_engine(self, reference, prefilter):
+        with pytest.raises(TypeError, match="prefilter must be a FilterEngine"):
+            MrFastMapper(reference, error_threshold=5, k=10, prefilter=prefilter)
+
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_rejects_non_positive_batch_size(self, reference, size):
+        with pytest.raises(ValueError, match="max_reads_per_batch"):
+            MrFastMapper(reference, error_threshold=5, k=10, max_reads_per_batch=size)
 
     @pytest.mark.parametrize(
         "key, label", [("gatekeeper-gpu", "GateKeeper-GPU"), ("gatekeeper", "GateKeeper")]
@@ -143,13 +164,28 @@ class TestMrFastMapper:
         ).map_reads(reads[:5])
         assert result.filter_name == engine.name == label
 
-    def test_batching_does_not_change_results(self, reference, reads):
-        big = MrFastMapper(reference, error_threshold=5, k=10).map_reads(reads[:30])
-        small = MrFastMapper(
-            reference, error_threshold=5, k=10, max_reads_per_batch=7
-        ).map_reads(reads[:30])
+    @pytest.mark.parametrize("read_set", ["reads", "mixed_reads"])
+    def test_batching_does_not_change_results(self, reference, request, read_set):
+        inputs = request.getfixturevalue(read_set)[:30]
+        index = KmerIndex(reference, k=10)
+        big, small, alone = (
+            MrFastMapper(
+                reference, error_threshold=5, index=index, max_reads_per_batch=size
+            ).map_reads(inputs)
+            for size in (100_000, 7, 1)
+        )
         assert big.stats.mappings == small.stats.mappings
         assert big.stats.candidate_pairs == small.stats.candidate_pairs
+        # Every read mapped on its own yields the same records, in order.
+        assert big.records == small.records == alone.records
+        assert big.stats == small.stats == alone.stats
+        assert big.stats.mappings > 0
+
+    def test_engine_rejects_other_read_lengths(self, reference, mixed_reads):
+        engine = FilterEngine("gatekeeper-gpu", read_length=60, error_threshold=5)
+        mapper = MrFastMapper(reference, error_threshold=5, k=10, prefilter=engine)
+        with pytest.raises(ValueError, match="read_length=60"):
+            mapper.map_reads(mixed_reads)
 
     def test_accepts_plain_strings(self, reference):
         mapper = MrFastMapper(reference, error_threshold=2)
