@@ -37,9 +37,11 @@ nothing to add back.  It runs as ``2e`` vector ``minimum`` calls along the
 band, which at survivor-batch sizes is several times faster than
 ``np.minimum.accumulate`` along either axis.
 
-Undefined pairs (an ``N`` on either side) have zero-filled codes, so the
-batch form would score them as if every ``N`` were an ``A``;
-:meth:`repro.align.Verifier.verify_batch` sends them to the string path.
+Codes are compared for equality only.  Batch codes keep every non-ACGT
+byte distinct (two bases get equal codes exactly when their upper-cased
+bytes are equal), so undefined pairs (an ``N`` on either side) are scored
+here too, exactly as the string form scores their upper-cased strings:
+an ``N`` matches only an ``N``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Verification stage and ground-truth labelling.
 
 The :class:`Verifier` is the verification stage (banded edit distance against
-a threshold): :meth:`Verifier.verify_batch` checks every survivor of a chunk
-in one vectorised pass, :meth:`Verifier.verify` checks one pair of strings.
+a threshold): :meth:`Verifier.verify_batch` checks every survivor of a chunk,
+undefined (``N``) pairs included, in vectorised passes over the batch's
+codes, which keep every non-ACGT byte distinct; :meth:`Verifier.verify`
+checks one pair of strings and is the batch form's test oracle.
 :func:`ground_truth_labels` produces the Edlib-style accept/reject labels used
 by the accuracy experiments: a pair is labelled *accept* if its exact global
 edit distance is within the threshold, *reject* otherwise.  Undefined pairs
@@ -66,40 +68,25 @@ class Verifier:
             edit_distance=distance, accepted=distance <= self.error_threshold
         )
 
-    def verify_batch(
-        self,
-        pairs: EncodedPairBatch,
-        reads: Sequence[str],
-        segments: Sequence[str],
-        rows: np.ndarray,
-    ) -> np.ndarray:
+    def verify_batch(self, pairs: EncodedPairBatch, rows: np.ndarray) -> np.ndarray:
         """Capped edit distances (int32) of the pairs ``rows`` of ``pairs``.
 
-        Defined rows are verified together by
+        Every row, undefined ones included, is verified by
         :func:`~repro.align.banded.banded_edit_distances` over the batch's
         codes, :data:`BLOCK_PAIRS` rows per pass so the working memory stays
-        bounded however many rows a chunk has.  Undefined rows, whose codes
-        are zero-filled, go through :meth:`verify` on their ``reads`` /
-        ``segments`` strings (where ``N`` matches only ``N``).  The 2-bit
-        codes fold case, so the strings are upper-cased too: entry ``r`` is
-        what :meth:`verify` reports on the upper-cased pair ``rows[r]``.
+        bounded however many rows a chunk has.  Equal codes mean equal
+        upper-cased bytes (an ``N`` matches only an ``N``), so entry ``r`` is
+        what :meth:`verify` reports on the upper-cased strings of pair
+        ``rows[r]``.
         """
         rows = np.asarray(rows, dtype=np.intp)
         distances = np.empty(len(rows), dtype=np.int32)
-        undefined = pairs.undefined[rows]
-        defined = np.flatnonzero(~undefined)
-        for lo in range(0, len(defined), BLOCK_PAIRS):
-            block = defined[lo : lo + BLOCK_PAIRS]
-            selected = rows[block]
-            distances[block] = banded_edit_distances(
+        for lo in range(0, len(rows), BLOCK_PAIRS):
+            selected = rows[lo : lo + BLOCK_PAIRS]
+            distances[lo : lo + BLOCK_PAIRS] = banded_edit_distances(
                 pairs.read_codes[selected], pairs.ref_codes[selected], self.error_threshold
             )
-        self.pairs_verified += len(defined)
-        for index in np.flatnonzero(undefined):
-            row = int(rows[index])
-            distances[index] = self.verify(
-                reads[row].upper(), segments[row].upper()
-            ).edit_distance
+        self.pairs_verified += len(rows)
         return distances
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..api.result import SCHEMA_VERSION
 from ..api.workload import Workload
@@ -36,42 +36,36 @@ from ..gpusim.multi_gpu import split_evenly
 from .errors import ShardPlanError
 from .jobgen import local_script, shard_stem, slurm_script
 
+if TYPE_CHECKING:
+    from ..api.session import Session
+
 __all__ = ["ShardPlan", "count_pairs", "plan_shards", "write_plan"]
 
 #: Subdirectory (under the plan directory) where job scripts put results.
 RESULTS_DIR = "out"
 
 
-def count_pairs(workload: Workload) -> int:
+def count_pairs(workload: Workload, session: "Session | None" = None) -> int:
     """The total number of candidate pairs the workload's input produces.
 
-    ``dataset`` inputs declare their count; file-backed inputs are counted
-    with one streaming pass over the same source iterator ``repro run``
-    consumes (deterministic, O(1) memory — but for ``reads`` inputs the pass
-    re-seeds every read, so plan once and reuse the plan).
+    ``dataset`` and ``pairs`` inputs declare their count; file-backed inputs
+    are counted by summing the pairs of the encoded blocks ``repro run``
+    consumes (deterministic, O(block) memory — but for ``reads`` inputs the
+    pass re-seeds every read, so plan once and reuse the plan).  A
+    ``session`` lends its cached reference and index; without one, a fresh
+    session builds them.
     """
     spec = workload.input
     if spec.kind == "dataset":
         return int(spec.n_pairs)
     if spec.kind == "pairs":
         return len(spec.pairs or ())
-    if spec.kind == "tsv":
-        from ..runtime.sources import ensure_pairs_path, pairs_from_tsv
+    if spec.kind in ("tsv", "reads"):
+        if session is None:
+            from ..api.session import Session
 
-        return sum(1 for _ in pairs_from_tsv(ensure_pairs_path(str(spec.path))))
-    if spec.kind == "reads":
-        from ..runtime.sources import load_reference, seeded_pairs
-
-        return sum(
-            1
-            for _ in seeded_pairs(
-                str(spec.path),
-                load_reference(str(spec.reference)),
-                workload.filter.error_threshold,
-                k=spec.seeding_k,
-                max_candidates_per_read=spec.max_candidates_per_read,
-            )
-        )
+            session = Session()
+        return sum(block.n_pairs for block in session.input_blocks(workload))
     raise ShardPlanError(
         f"workload.input.kind: cannot count pairs of kind {spec.kind!r}"
     )

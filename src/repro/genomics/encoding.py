@@ -12,6 +12,14 @@ seven words (Section 3.3 of the paper).  This module provides
   whole filtering stack passes around so every sequence is encoded exactly
   once at ingest (the encode-once data flow).
 
+Batch codes are one byte per base: ``A/C/G/T`` (either case) are 0-3, and
+every other byte keeps its identity as a value of at least 4 (its upper-case
+ASCII value; the bytes 0x00-0x03 take the values ``A/C/G/T`` leave free).
+Two bases have equal codes exactly when their upper-cased bytes are equal,
+so an ``N`` matches only an ``N`` and verification needs no strings.  A row
+holding any code above 3 is *undefined*; its packed words are those of the
+row with every such code read as 0.
+
 The word layout places the first base of the sequence in the most significant
 bits of word 0, exactly as the FPGA/CUDA implementations do, so that a logical
 left shift of the whole bit-vector corresponds to shifting the read towards
@@ -20,11 +28,12 @@ lower indices (insertions) and a right shift to deletions.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .alphabet import BASE_TO_CODE, BITS_PER_BASE, CODE_TO_BASE, encode_lookup_table
+from .alphabet import BASE_TO_CODE, BASES, BITS_PER_BASE, CODE_TO_BASE, encode_lookup_table
 
 __all__ = [
     "WORD_BITS_32",
@@ -40,6 +49,10 @@ __all__ = [
     "unpack_words_to_codes",
     "encode_batch",
     "encode_batch_codes",
+    "encode_codes",
+    "non_acgt_positions",
+    "gather_windows",
+    "decode_pairs",
     "EncodedBatch",
     "EncodedPairBatch",
 ]
@@ -50,6 +63,26 @@ BASES_PER_WORD_32 = WORD_BITS_32 // BITS_PER_BASE
 BASES_PER_WORD_64 = WORD_BITS_64 // BITS_PER_BASE
 
 _ASCII_CODE = encode_lookup_table()
+
+
+def _byte_codes() -> np.ndarray:
+    """The batch code of every byte: A/C/G/T -> 0-3, any other -> its upper case.
+
+    The bytes 0x00-0x03 take the values 65/67/71/84 (``A``/``C``/``G``/``T``),
+    which no other byte uses.  The table swaps those eight values and is
+    otherwise the upper-case map, so it also decodes: ``_CODES[code]`` is the
+    upper-cased byte the code came from.
+    """
+    table = np.arange(256, dtype=np.uint8)
+    table[ord("a") : ord("z") + 1] -= ord("a") - ord("A")
+    for code, base in enumerate(BASES):
+        table[[ord(base), ord(base.lower())]] = code
+        table[code] = ord(base)
+    return table
+
+
+_CODES = _byte_codes()
+_CODE_BYTES = _CODES.tobytes()
 
 
 def words_per_read(read_length: int, word_bits: int = WORD_BITS_32) -> int:
@@ -178,16 +211,18 @@ class EncodedBatch:
     The batch carries both representations the filtering stack works in:
 
     ``codes``
-        ``(n_sequences, length)`` uint8 array of per-base 2-bit codes (rows of
-        undefined sequences are zero-filled).
+        ``(n_sequences, length)`` uint8 array of per-base codes: 0-3 for
+        ``A/C/G/T``, and at least 4 for any other byte, which keeps its
+        identity (see the module docstring).
     ``words``
         ``(n_sequences, n_words)`` packed word array (2 bits per base, first
         base in the most significant bits of word 0).  Packed lazily from
         ``codes`` on first access and cached, so filters that never touch the
-        word form do not pay for the packing.
+        word form do not pay for the packing.  An undefined row packs with
+        its non-ACGT codes read as 0.
     ``undefined``
-        Boolean mask marking sequences that contained an ``N`` (or any other
-        non-ACGT character) and therefore could not be encoded.
+        Boolean mask marking sequences that contain an ``N`` (or any other
+        non-ACGT byte), which have no 2-bit encoding.
     ``length`` / ``lengths``
         Bases per sequence (one shared value; ``lengths`` is the broadcast
         per-sequence view for callers that want an array).
@@ -228,7 +263,15 @@ class EncodedBatch:
     def words(self) -> np.ndarray:
         """Packed word array; computed from ``codes`` on first access."""
         if self._words is None:
-            self._words = pack_codes_to_words(self.codes, word_bits=self.word_bits)
+            words = pack_codes_to_words(self.codes, word_bits=self.word_bits)
+            rows = np.flatnonzero(self.undefined)
+            if rows.size:
+                # Only the undefined rows are copied: their non-ACGT codes
+                # would spill into the neighbouring bases' bits.
+                defined = self.codes[rows]
+                defined[defined > 3] = 0
+                words[rows] = pack_codes_to_words(defined, word_bits=self.word_bits)
+            self._words = words
         return self._words
 
     @property
@@ -268,8 +311,10 @@ class EncodedPairBatch:
 
     This is the unit the encode-once pipeline threads through
     :class:`repro.engine.FilterEngine`, :class:`repro.engine.FilterCascade`,
-    the streaming runtime and the mapper: built once from strings at ingest,
-    then only sliced (device shares) or index-selected (cascade survivors).
+    the streaming runtime and the mapper: built once at ingest (from strings,
+    or from code rows gathered out of encoded reads and the encoded
+    reference), then only sliced (device shares), index-selected (cascade
+    survivors) or concatenated (chunks cut across ingest blocks).
     """
 
     __slots__ = ("reads", "refs", "undefined")
@@ -306,6 +351,31 @@ class EncodedPairBatch:
         return cls(
             EncodedBatch.from_strings(reads, word_bits=word_bits),
             EncodedBatch.from_strings(segments, word_bits=word_bits),
+        )
+
+    @classmethod
+    def from_codes(
+        cls,
+        reads: "tuple[np.ndarray, np.ndarray]",
+        refs: "tuple[np.ndarray, np.ndarray]",
+    ) -> "EncodedPairBatch":
+        """Wrap already-encoded ``(codes, undefined)`` rows of each side."""
+        return cls(EncodedBatch(*reads), EncodedBatch(*refs))
+
+    @classmethod
+    def concatenate(cls, parts: "Sequence[EncodedPairBatch]") -> "EncodedPairBatch":
+        """The rows of ``parts`` (of one length) in order; one part is returned as is."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.from_lists([], [])
+
+        def joined(sides: "list[EncodedBatch]") -> "tuple[np.ndarray, np.ndarray]":
+            codes = np.concatenate([side.codes for side in sides])
+            return codes, np.concatenate([side.undefined for side in sides])
+
+        return cls.from_codes(
+            joined([part.reads for part in parts]), joined([part.refs for part in parts])
         )
 
     # ------------------------------------------------------------------ #
@@ -349,6 +419,14 @@ class EncodedPairBatch:
         return self[indices]
 
 
+def encode_codes(sequence: "str | bytes") -> np.ndarray:
+    """The 1-D batch codes of one sequence (any bytes; see the module docstring)."""
+    raw = sequence if isinstance(sequence, (bytes, bytearray)) else sequence.encode("ascii")
+    # bytes.translate is one C pass: 0.11 ms per 100 kB against 0.33 ms for a
+    # NumPy table lookup (2-vCPU x86 host, NumPy 2.4).
+    return np.frombuffer(bytearray(raw.translate(_CODE_BYTES)), dtype=np.uint8)
+
+
 def encode_batch_codes(
     sequences: "Sequence[str | bytes]",
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -358,9 +436,9 @@ def encode_batch_codes(
     strings — or of ``bytes``/raw ASCII lines, which are consumed directly
     without a bytes → str → bytes round trip.  No list copy is forced on the
     caller.  Returns ``(codes, undefined)`` where ``codes`` is ``(n, length)``
-    uint8 (rows of undefined sequences are zero-filled) and ``undefined``
-    marks the sequences containing non-ACGT characters; the lookup table is
-    case-insensitive, so no per-sequence ``upper()`` pass is needed.
+    uint8 — 0-3 for ``A/C/G/T`` in either case, at least 4 for any other
+    byte, so ``encode_batch_codes(["ACGNACGT"])`` is ``[0, 1, 2, 78, 0, 1,
+    2, 3]`` — and ``undefined`` marks the sequences holding a code above 3.
     """
     n = len(sequences)
     if n == 0:
@@ -373,15 +451,51 @@ def encode_batch_codes(
         joined = b"".join(sequences)
     else:
         joined = "".join(sequences).encode("ascii")
-    raw = np.frombuffer(joined, dtype=np.uint8).reshape(n, length)
-    codes = _ASCII_CODE[raw]
-    invalid = codes == 255
-    undefined = np.any(invalid, axis=1)
-    if undefined.any():
-        # Zero-fill only when an undefined row exists (the common all-ACGT
-        # batch skips the extra full-array pass entirely).
-        codes[invalid] = 0
-    return codes, undefined
+    codes = encode_codes(joined)
+    undefined = np.zeros(n, dtype=bool)
+    if length:
+        undefined[non_acgt_positions(codes) // length] = True
+    return codes.reshape(n, length), undefined
+
+
+def non_acgt_positions(codes: np.ndarray) -> np.ndarray:
+    """Sorted positions of the bytes other than A/C/G/T in 1-D batch ``codes``."""
+    return np.flatnonzero(codes > 3)
+
+
+def gather_windows(
+    codes: np.ndarray, undefined_positions: np.ndarray, starts: np.ndarray, length: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``codes[start : start + length]`` of a 1-D code array, and their undefined mask.
+
+    Every window must lie inside ``codes``.  ``undefined_positions`` are
+    :func:`non_acgt_positions` of ``codes``, and a row is undefined when it
+    holds one of them: no ``(rows, length)`` index matrix is built.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    rows = sliding_window_view(codes, length)[starts]
+    undefined = np.searchsorted(undefined_positions, starts) != np.searchsorted(
+        undefined_positions, starts + length
+    )
+    return rows, undefined
+
+
+def decode_pairs(blocks: "Iterable[EncodedPairBatch]") -> Iterator[tuple[str, str]]:
+    """The upper-cased ``(read, segment)`` strings of every row of ``blocks``, in order.
+
+    The one way back from codes to strings, for callers that want strings
+    (oracles and fixtures); blocks are decoded as they are pulled.
+    """
+
+    def rows(batch: EncodedBatch) -> list[str]:
+        text = _CODES[batch.codes].tobytes().decode("latin-1")
+        step = batch.length
+        if step == 0:
+            return [""] * batch.n_sequences
+        return [text[at : at + step] for at in range(0, len(text), step)]
+
+    for block in blocks:
+        yield from zip(rows(block.reads), rows(block.refs))
 
 
 def encode_batch(
@@ -390,7 +504,8 @@ def encode_batch(
     """Encode a list of equal-length sequences into an :class:`EncodedBatch`.
 
     Sequences containing ``N`` (or any non-ACGT character) are flagged in the
-    ``undefined`` mask and stored as all-zero codes/words; the GateKeeper-GPU
-    kernel gives such pairs a direct pass, mirroring the paper's design choice.
+    ``undefined`` mask; their codes keep each such byte's identity and their
+    words read it as 0.  The filters give such pairs a direct pass with an
+    estimate of 0, mirroring the paper's design choice.
     """
     return EncodedBatch.from_strings(sequences, word_bits=word_bits)

@@ -3,7 +3,10 @@
 The mrFAST integration (paper Section 3.5) encodes and loads the reference
 into unified memory once, recording the locations of ``N`` bases so that
 candidate segments overlapping them can be passed through the filter
-unevaluated.  This class provides the host-side equivalent.
+unevaluated.  This class provides the host-side equivalent: it keeps the
+reference's batch codes (one byte per base) and the sorted positions of its
+non-ACGT bases, and :meth:`ReferenceGenome.segment_codes` gathers the coded
+segments of a block of candidate locations from them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alphabet import UNKNOWN_BASE
-from .encoding import encode_batch
+from .encoding import encode_codes, gather_windows, non_acgt_positions
 from .sequence import Sequence
 
 __all__ = ["ReferenceGenome"]
@@ -29,16 +32,29 @@ class ReferenceGenome:
         Contig / genome name.
     bases:
         The reference sequence as an upper-case string.
+
+    Attributes
+    ----------
+    codes:
+        The batch codes of :attr:`bases`, one byte per base
+        (:func:`~repro.genomics.encoding.encode_codes`), computed once.
+    undefined_positions:
+        Sorted positions of the bases other than A/C/G/T.
     """
 
     name: str
     bases: str
+    codes: np.ndarray = field(init=False, repr=False, compare=False)
+    undefined_positions: np.ndarray = field(init=False, repr=False, compare=False)
     _n_positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.bases = self.bases.upper()
-        raw = np.frombuffer(self.bases.encode("ascii"), dtype=np.uint8)
-        self._n_positions = np.flatnonzero(raw == ord(UNKNOWN_BASE))
+        self.codes = encode_codes(self.bases)
+        self.undefined_positions = non_acgt_positions(self.codes)
+        self._n_positions = self.undefined_positions[
+            self.codes[self.undefined_positions] == ord(UNKNOWN_BASE)
+        ]
 
     # ------------------------------------------------------------------ #
     # Basic container protocol
@@ -96,10 +112,33 @@ class ReferenceGenome:
         core = self.bases[max(0, start) : min(end, len(self.bases))]
         return UNKNOWN_BASE * left_pad + core + UNKNOWN_BASE * right_pad
 
-    def segments(self, starts: np.ndarray | list[int], length: int) -> list[str]:
-        """Extract many candidate segments of equal ``length``."""
-        return [self.segment(int(s), length) for s in starts]
+    def segment_codes(
+        self, starts: np.ndarray, length: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Batch codes and undefined mask of the segments at ``starts``.
 
-    def encode_segments(self, starts: np.ndarray | list[int], length: int, word_bits: int = 64):
-        """Encode many segments into a word-array batch (device-style encoding)."""
-        return encode_batch(self.segments(starts, length), word_bits=word_bits)
+        Row ``i`` equals the codes of :meth:`segment` ``(starts[i], length)``:
+        a segment that runs off either end is padded with ``N`` and is
+        undefined, as is one holding a base other than A/C/G/T.  In-bounds
+        rows are gathered from :attr:`codes` by
+        :func:`~repro.genomics.encoding.gather_windows`.
+        """
+        starts = np.asarray(starts, dtype=np.int64)
+        last = self.codes.size - length
+        outside = np.flatnonzero((starts < 0) | (starts > last))
+        if last < 0:  # every segment runs past the reference
+            codes = np.full((starts.size, length), ord(UNKNOWN_BASE), dtype=np.uint8)
+            undefined = np.ones(starts.size, dtype=bool)
+        else:
+            codes, undefined = gather_windows(
+                self.codes, self.undefined_positions, np.clip(starts, 0, last), length
+            )
+        # Boundary candidates are a handful per block: pad each with N.
+        for row in outside.tolist():
+            start = int(starts[row])
+            lo, hi = max(start, 0), min(start + length, self.codes.size)
+            codes[row] = ord(UNKNOWN_BASE)
+            if hi > lo:
+                codes[row, lo - start : hi - start] = self.codes[lo:hi]
+        undefined[outside] = True
+        return codes, undefined

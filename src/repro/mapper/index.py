@@ -6,7 +6,9 @@ they occur.  Here the table is two arrays: every k-mer packed 2 bits per base
 into a uint64 key, sorted, beside the reference position it starts at, so a
 lookup is a binary search and a batch of lookups is one vector call.
 k-mers holding any byte other than A/C/G/T (``N`` or an IUPAC code) are not
-indexed.
+indexed.  Keys are built from the reference's cached batch codes
+(:attr:`~repro.genomics.reference.ReferenceGenome.codes`), and queries take
+batch codes too, so the reads are encoded once for seeding and filtering.
 """
 
 from __future__ import annotations
@@ -15,22 +17,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .._defaults import MAX_SEEDING_K
-from ..genomics.alphabet import encode_lookup_table
+from ..genomics.encoding import encode_codes
 from ..genomics.reference import ReferenceGenome
 
 __all__ = ["KmerIndex"]
 
-_CODES = encode_lookup_table()
-_INVALID = 255
-
-
-def _base_codes(bases: str) -> np.ndarray:
-    """2-bit codes of ``bases`` (any case); 255 marks a byte other than A/C/G/T."""
-    return _CODES[np.frombuffer(bases.encode("ascii", "replace"), dtype=np.uint8)]
-
 
 def _kmer_keys(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pack the last axis of ``windows`` (2-bit codes) into uint64 k-mer keys.
+    """Pack the last axis of ``windows`` (batch codes) into uint64 k-mer keys.
 
     Returns the keys and a mask of the windows holding a byte other than
     A/C/G/T; the keys of those windows are meaningless.
@@ -41,7 +35,7 @@ def _kmer_keys(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         codes = windows[..., j]
         keys <<= np.uint64(2)
         keys |= codes & 3
-        invalid |= codes == _INVALID
+        invalid |= codes > 3
     return keys, invalid
 
 
@@ -63,7 +57,7 @@ class KmerIndex:
             raise ValueError("k cannot exceed the reference length")
         self.reference = reference
         self.k = k
-        keys, invalid = _kmer_keys(sliding_window_view(_base_codes(reference.bases), k))
+        keys, invalid = _kmer_keys(sliding_window_view(reference.codes, k))
         positions = np.flatnonzero(~invalid).astype(np.int64, copy=False)
         keys = keys[positions]
         # Stable, so the positions of one k-mer stay in ascending order.
@@ -81,13 +75,15 @@ class KmerIndex:
     def __contains__(self, kmer: str) -> bool:
         return len(kmer) == self.k and self.lookup(kmer).size > 0
 
-    def ranges(self, bases: str, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``[lo, hi)`` slices of :attr:`positions` for the k-mers of ``bases`` at ``starts``.
+    def ranges(self, codes: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``[lo, hi)`` slices of :attr:`positions` for the k-mers of ``codes`` at ``starts``.
 
-        Every start is searched in one vector call; a k-mer holding a byte
-        other than A/C/G/T gets an empty slice.
+        ``codes`` are 1-D batch codes
+        (:func:`~repro.genomics.encoding.encode_codes`).  Every start is
+        searched in one vector call; a k-mer holding a byte other than
+        A/C/G/T gets an empty slice.
         """
-        keys, invalid = _kmer_keys(sliding_window_view(_base_codes(bases), self.k)[starts])
+        keys, invalid = _kmer_keys(sliding_window_view(codes, self.k)[starts])
         # Ascending queries let each binary search start where the last one
         # ended.  For the 6,144 seeds of 1,024 100 bp reads against a 500 kbp,
         # k = 10 index, the argsort and both searches take 1.0-1.3 ms, against
@@ -103,7 +99,8 @@ class KmerIndex:
         """Reference positions where ``kmer`` occurs, ascending (possibly empty)."""
         if len(kmer) != self.k:
             raise ValueError(f"kmer length {len(kmer)} does not match index k={self.k}")
-        (lo,), (hi,) = self.ranges(kmer, np.zeros(1, dtype=np.int64))
+        codes = encode_codes(kmer.encode("ascii", "replace"))
+        (lo,), (hi,) = self.ranges(codes, np.zeros(1, dtype=np.int64))
         return self.positions[lo:hi]
 
     def occurrence_counts(self) -> np.ndarray:

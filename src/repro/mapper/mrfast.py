@@ -1,17 +1,18 @@
 """mrFAST-like short read mapper with optional pre-alignment filtering.
 
 The mapper follows the structure of mrFAST as described in the paper
-(Section 3.5): the reference is indexed once, reads are processed in batches,
-and seeding proposes each batch's candidate locations.  The batch's candidate
-pairs are encoded once, passed through the pre-alignment filter in one
-``filter_encoded`` call, and only the survivors are verified, in one
-:meth:`~repro.align.Verifier.verify_batch` pass: the two primitives every
-filtering workload's chunk runner uses.  A batch may mix read lengths; its
-candidates are then encoded, filtered and verified one read length at a time,
-and reported in candidate order.  Both the measured Python wall clock and the
-paper-scale modelled times (verification cost per pair, filter kernel time,
-preprocessing) are reported so the whole-genome speedup tables can be
-regenerated.
+(Section 3.5): the reference is encoded and indexed once, reads are processed
+in batches, and seeding proposes each batch's candidate locations.  A batch's
+reads are encoded once; its candidate pairs are code rows gathered from the
+batch's and the reference's codes (no segment strings), passed through the
+pre-alignment filter in one ``filter_encoded`` call, and only the survivors
+are verified, in one :meth:`~repro.align.Verifier.verify_batch` pass: the
+two primitives every filtering workload's chunk runner uses.  A batch may
+mix read lengths; its candidates are then gathered, filtered and verified
+one read length at a time, and reported in candidate order.  Both the
+measured Python wall clock and the paper-scale modelled times (verification
+cost per pair, filter kernel time, preprocessing) are reported so the
+whole-genome speedup tables can be regenerated.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from ..align.verification import Verifier
-from ..genomics.encoding import EncodedPairBatch
+from ..genomics.encoding import (
+    EncodedPairBatch,
+    encode_codes,
+    gather_windows,
+    non_acgt_positions,
+)
 from ..genomics.reference import ReferenceGenome
 from ..genomics.sequence import Read
 from .index import KmerIndex
@@ -159,11 +165,13 @@ class MrFastMapper:
             stats.n_reads += len(batch)
 
             # --- Seeding: collect candidate pairs for the whole batch. ----- #
-            bases = [read.bases for read in batch]
-            candidates = self.seeder.candidates_batch(bases)
-            owner = np.repeat(np.arange(len(batch)), [c.size for c in candidates])
-            locations = np.concatenate(candidates)
-            lengths = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases))[owner]
+            codes = encode_codes("".join(read.bases for read in batch))
+            read_lengths = np.fromiter(
+                (len(read.bases) for read in batch), dtype=np.int64, count=len(batch)
+            )
+            read_starts = np.cumsum(read_lengths) - read_lengths
+            owner, locations = self.seeder.candidates_batch(codes, read_lengths)
+            lengths = read_lengths[owner]
             n_candidates = owner.size
             stats.candidate_pairs += n_candidates
             times.seeding_s += len(batch) * SEEDING_COST_PER_READ_S
@@ -175,11 +183,15 @@ class MrFastMapper:
             # candidates that were rejected or failed verification.
             distances = np.full(n_candidates, self.error_threshold + 1, dtype=np.int32)
             n_survivors = 0
+            undefined_positions = non_acgt_positions(codes)
             for length in np.unique(lengths).tolist():
                 rows = np.flatnonzero(lengths == length)
-                pair_reads = [bases[i] for i in owner[rows].tolist()]
-                pair_segments = self.reference.segments(locations[rows], length)
-                pairs = EncodedPairBatch.from_lists(pair_reads, pair_segments)
+                pairs = EncodedPairBatch.from_codes(
+                    gather_windows(
+                        codes, undefined_positions, read_starts[owner[rows]], length
+                    ),
+                    self.reference.segment_codes(locations[rows], length),
+                )
                 survivors = np.arange(rows.size)
                 if self.prefilter is not None:
                     result = self.prefilter.filter_encoded(pairs, executor=executor)
@@ -187,9 +199,7 @@ class MrFastMapper:
                     times.filter_kernel_s += result.kernel_time_s
                     times.filter_total_s += result.filter_time_s
                     survivors = np.flatnonzero(result.accepted)
-                distances[rows[survivors]] = verifier.verify_batch(
-                    pairs, pair_reads, pair_segments, survivors
-                )
+                distances[rows[survivors]] = verifier.verify_batch(pairs, survivors)
                 n_survivors += survivors.size
             stats.verification_pairs += n_survivors
             stats.rejected_pairs += n_candidates - n_survivors

@@ -10,16 +10,12 @@ filtering).
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
+from ..genomics.encoding import encode_codes
 from .index import KmerIndex
 
 __all__ = ["Seeder"]
-
-_NO_CANDIDATES = np.empty(0, dtype=np.int64)
-_NO_CANDIDATES.flags.writeable = False
 
 
 class Seeder:
@@ -57,23 +53,31 @@ class Seeder:
 
     def candidates(self, read: str) -> np.ndarray:
         """Sorted unique candidate locations of ``read`` on the reference."""
-        return self.candidates_batch([read])[0]
+        codes = encode_codes(read.encode("ascii", "replace"))
+        _owner, locations = self.candidates_batch(codes, np.array([codes.size]))
+        return locations
 
-    def candidates_batch(self, reads: Sequence[str]) -> list[np.ndarray]:
-        """Sorted unique candidate locations of every read, in input order.
+    def candidates_batch(
+        self, codes: np.ndarray, lengths: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate locations of a block of reads, as flat ``(owner, locations)``.
 
-        The whole block is seeded in one vector pass whatever its read
-        lengths.  Each read keeps its first ``max_candidates`` hits in seed
-        order (positions ascending within a seed); seeds holding a byte other
-        than A/C/G/T propose nothing.
+        ``codes`` are the block's reads joined, as 1-D batch codes
+        (:func:`~repro.genomics.encoding.encode_codes`), and ``lengths`` the
+        reads' lengths.  Entry ``i`` says read ``owner[i]`` (its row in the
+        block) may map at ``locations[i]``.  Owners ascend, and each read's
+        locations ascend without repeats.  The whole block is seeded in one
+        vector pass whatever its read lengths.  Each read keeps its first
+        ``max_candidates`` hits in seed order (positions ascending within a
+        seed); seeds holding a byte other than A/C/G/T propose nothing.
         """
-        lengths = np.fromiter(map(len, reads), dtype=np.int64, count=len(reads))
+        lengths = np.asarray(lengths, dtype=np.int64)
         row, offsets = self.seed_offsets(lengths)
         if row.size == 0:
-            return [_NO_CANDIDATES] * len(reads)
-        # The seeds of every read go through one index search of the joined block.
+            return row, offsets
+        # The seeds of every read go through one index search of the block.
         read_starts = np.cumsum(lengths) - lengths
-        lo, hi = self.index.ranges("".join(reads), read_starts[row] + offsets)
+        lo, hi = self.index.ranges(codes, read_starts[row] + offsets)
         hits = hi - lo
         # Hits of the read's earlier seeds: a running total restarted at each read.
         ahead = np.cumsum(hits) - hits
@@ -82,11 +86,13 @@ class Seeder:
         # One entry per kept hit: its seed and its rank among that seed's hits.
         seed = np.repeat(np.arange(take.size), take)
         rank = np.arange(seed.size) - np.repeat(np.cumsum(take) - take, take)
-        locations = self.index.positions[lo[seed] + rank] - offsets[seed]
-        owner = row[seed]
-        order = np.lexsort((locations, owner))
-        locations, owner = locations[order], owner[order]
-        keep = np.ones(locations.size, dtype=bool)
-        keep[1:] = (locations[1:] != locations[:-1]) | (owner[1:] != owner[:-1])
-        locations, owner = locations[keep], owner[keep]
-        return np.split(locations, np.searchsorted(owner, np.arange(1, len(reads))))
+        # Sort and deduplicate (owner, location) as one int64 key: a location
+        # is at least -max(offsets), so shifting by that keeps keys ordered.
+        shift = int(offsets.max())
+        shifted = self.index.positions[lo[seed] + rank] + (shift - offsets[seed])
+        span = int(shifted.max(initial=0)) + 1
+        keys = np.sort(row[seed] * span + shifted)
+        keep = np.ones(keys.size, dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        owner, shifted = np.divmod(keys[keep], span)
+        return owner, shifted - shift

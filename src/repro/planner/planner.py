@@ -198,14 +198,9 @@ def _candidate_cascades(planner: PlannerSpec) -> "list[tuple[str, ...]]":
 
 
 def _total_pairs(session: "Session", workload: Workload) -> int:
-    spec = workload.input
-    if spec.kind == "dataset":
-        return int(spec.n_pairs)
-    if spec.kind == "pairs":
-        return len(spec.pairs or ())
     from ..cluster.plan import count_pairs
 
-    return count_pairs(workload)
+    return count_pairs(workload, session)
 
 
 # --------------------------------------------------------------------------- #
@@ -215,20 +210,16 @@ def _compute_plan(
     session: "Session", workload: Workload, planner: PlannerSpec
 ) -> Plan:
     from ..exec.reduce import modelled_verification_times
-    from ..genomics.encoding import EncodedPairBatch
 
-    probe = session.probe_pairs(workload, planner.sample_pairs)
-    if not probe:
+    batch = session.probe_pairs(workload, planner.sample_pairs)
+    if not batch.n_pairs:
         raise ValueError(
             "workload.input: cannot plan an empty input "
             "(the probe prefix produced no pairs)"
         )
-    probe_n = len(probe)
-    read_length = len(probe[0][0])
+    probe_n = batch.n_pairs
+    read_length = batch.length
     total = max(_total_pairs(session, workload), probe_n)
-    batch = EncodedPairBatch.from_lists(
-        [read for read, _segment in probe], [segment for _read, segment in probe]
-    )
 
     cascades = _candidate_cascades(planner)
     probed_names = sorted({name for cascade in cascades for name in cascade})

@@ -4,8 +4,9 @@
 :class:`~repro.runtime.streaming.StreamingPipeline`, which
 :class:`repro.api.Session` constructs for every filtering workload (one chunk
 in memory mode, ``chunk_size`` chunks in streaming mode).  This package
-exports the candidate-pair sources it consumes: FASTQ/FASTA readers, pairs
-TSVs and the mapper-index seeding source.  To run a file, declare it as a
+exports the sources of the encoded pair blocks it consumes: the FASTQ/FASTA
+read stream, pairs TSVs with their block encoder, and the mapper-index
+seeding source.  To run a file, declare it as a
 workload:
 
 >>> from repro.api import Session, Workload
@@ -23,7 +24,7 @@ is the CLI front end.
 from .sources import (
     iter_reads,
     load_reference,
-    pairs_from_dataset,
+    pair_blocks,
     pairs_from_tsv,
     seeded_pairs,
 )
@@ -31,7 +32,7 @@ from .sources import (
 __all__ = [
     "iter_reads",
     "load_reference",
-    "pairs_from_dataset",
+    "pair_blocks",
     "pairs_from_tsv",
     "seeded_pairs",
 ]

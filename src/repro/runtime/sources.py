@@ -1,22 +1,24 @@
 """Candidate-pair sources for the streaming runtime.
 
-The :class:`~repro.runtime.streaming.StreamingPipeline` consumes a plain
-iterator of ``(read, reference_segment)`` string tuples, so any pair producer
-can drive it.  This module provides the three producers the experiments need:
+The :class:`~repro.runtime.streaming.StreamingPipeline` consumes an iterable
+of :class:`~repro.genomics.encoding.EncodedPairBatch` blocks, so any pair
+producer can drive it.  Strings end here, at ingest:
 
+* :func:`seeded_pairs` — the mapper-index source: parse a FASTQ (or FASTA)
+  read file a block of :data:`SEED_BLOCK_READS` reads at a time, encode each
+  block's reads once, seed them against a reference genome with the
+  mrFAST-style :class:`~repro.mapper.seeding.Seeder`, and yield one encoded
+  batch of the block's candidate pairs, its segment codes gathered from the
+  reference's cached codes;
+* :func:`pair_blocks` — encode ``(read, segment)`` string pairs (a pairs
+  TSV from :func:`pairs_from_tsv`, or in-memory pairs) a block at a time,
+  so a malformed line or a length mismatch fails the block that holds it;
 * :func:`iter_reads` — stream :class:`~repro.genomics.sequence.Read` records
   from a FASTQ or FASTA file (format detected from the file name, ``.gz``
-  transparently supported);
-* :func:`pairs_from_tsv` — stream pre-extracted pairs from a two-column
-  tab-separated file (one ``read<TAB>segment`` per line), the on-disk
-  equivalent of a :class:`~repro.simulate.pairs.PairDataset`;
-* :func:`seeded_pairs` — the mapper-index source: stream reads against a
-  reference genome, propose candidate locations with the mrFAST-style
-  :class:`~repro.mapper.seeding.Seeder`, and emit one pair per candidate.
+  transparently supported), for callers that want records.
 
-All producers are generators: nothing is materialised beyond the record in
-flight (a block of reads for :func:`seeded_pairs`), which is what gives the
-streaming pipeline its O(chunk) footprint.
+All producers are generators: nothing is materialised beyond the block in
+flight, which is what gives the streaming pipeline its O(chunk) footprint.
 """
 
 from __future__ import annotations
@@ -25,9 +27,17 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .._defaults import DEFAULT_MAX_CANDIDATES_PER_READ, DEFAULT_SEEDING_K
+from ..genomics.encoding import (
+    EncodedPairBatch,
+    encode_codes,
+    gather_windows,
+    non_acgt_positions,
+)
 from ..genomics.fasta import iter_fasta, read_fasta
-from ..genomics.fastq import iter_fastq
+from ..genomics.fastq import iter_fastq, iter_fastq_blocks
 from ..genomics.opener import open_text
 from ..genomics.reference import ReferenceGenome
 from ..genomics.sequence import Read, Sequence
@@ -38,7 +48,7 @@ __all__ = [
     "ensure_pairs_path",
     "iter_reads",
     "load_reference",
-    "pairs_from_dataset",
+    "pair_blocks",
     "pairs_from_tsv",
     "seeded_pairs",
 ]
@@ -110,11 +120,6 @@ def load_reference(path: str | Path) -> ReferenceGenome:
     return ReferenceGenome.concatenate(records)
 
 
-def pairs_from_dataset(dataset) -> Iterator[tuple[str, str]]:
-    """Stream the pairs of an in-memory :class:`~repro.simulate.pairs.PairDataset`."""
-    yield from zip(dataset.reads, dataset.segments)
-
-
 def pairs_from_tsv(path: str | Path) -> Iterator[tuple[str, str]]:
     """Stream ``(read, segment)`` pairs from a two-column tab-separated file.
 
@@ -141,6 +146,17 @@ def pairs_from_tsv(path: str | Path) -> Iterator[tuple[str, str]]:
             yield read, segment
 
 
+def pair_blocks(
+    pairs: Iterable[tuple[str, str]], block_pairs: int
+) -> Iterator[EncodedPairBatch]:
+    """Encode ``(read, segment)`` string pairs, ``block_pairs`` pairs per batch."""
+    pairs = iter(pairs)
+    while block := list(islice(pairs, block_pairs)):
+        yield EncodedPairBatch.from_lists(
+            [read for read, _segment in block], [segment for _read, segment in block]
+        )
+
+
 def seeded_pairs(
     reads: Iterable[Read | Sequence | str] | str | Path,
     reference: ReferenceGenome | str | Path,
@@ -148,46 +164,91 @@ def seeded_pairs(
     k: int = DEFAULT_SEEDING_K,
     max_candidates_per_read: int = DEFAULT_MAX_CANDIDATES_PER_READ,
     index: KmerIndex | None = None,
-) -> Iterator[tuple[str, str]]:
-    """Stream candidate pairs proposed by the mapper index (seed-and-extend).
+) -> Iterator[EncodedPairBatch]:
+    """Stream encoded candidate pairs proposed by the mapper index (seed-and-extend).
 
     Every read is seeded against a :class:`~repro.mapper.index.KmerIndex` of
-    ``reference``; each candidate location yields one ``(read, segment)``
-    pair, exactly the pool an mrFAST-style mapper would hand to the
-    pre-alignment filter.  ``reads`` may be a FASTQ/FASTA path or any
-    iterable of read records / strings; the index is built once, and the
-    reads are read and seeded one block of :data:`SEED_BLOCK_READS` at a
-    time, so memory stays bounded by the block.  A read that fails to parse
-    ends the stream only after every pair of the reads before it, so a
-    consumer that stops earlier never sees the error.  A prebuilt ``index``
-    over the same reference (e.g. a :class:`repro.api.Session` cache entry)
-    skips the index construction entirely.
+    ``reference``, and each candidate location becomes one pair: exactly the
+    pool an mrFAST-style mapper would hand to the pre-alignment filter.
+    ``reads`` may be a FASTQ/FASTA path or any iterable of read records /
+    strings.  The index is built once, and the reads are parsed, encoded
+    and seeded one block of :data:`SEED_BLOCK_READS` at a time, so memory
+    stays bounded by the block.  Each block yields one
+    :class:`~repro.genomics.encoding.EncodedPairBatch`: its rows are the
+    block's pairs, read by read and each read's locations ascending; the
+    read rows repeat the block's codes by owner, and the segment rows are
+    gathered by :meth:`~repro.genomics.reference.ReferenceGenome.segment_codes`.
+    Every read with a candidate must have the length of the first such
+    read; :func:`repro.genomics.encoding.decode_pairs` gives the pairs back
+    as strings.
+
+    A read that fails to parse, or that has candidates but a different
+    length (a :class:`ValueError` naming ``workload.input.path`` and both
+    lengths), ends the stream only after every pair of the reads before
+    it, so a consumer that stops earlier never sees the error.  A prebuilt
+    ``index`` over the same reference (e.g. a :class:`repro.api.Session`
+    cache entry) skips the index construction entirely.
     """
-    if isinstance(reads, (str, Path)):
-        reads = iter_reads(reads)
+    source = str(reads) if isinstance(reads, (str, Path)) else "reads"
     if isinstance(reference, (str, Path)):
         reference = load_reference(reference)
     if index is None:
         index = KmerIndex(reference, k=k)
     seeder = Seeder(index, error_threshold, max_candidates_per_read)
-    reads = iter(reads)
-    while True:
-        block, error = _read_block(reads)
-        for bases, locations in zip(block, seeder.candidates_batch(block)):
-            for location in locations.tolist():
-                yield bases, reference.segment(location, len(bases))
+    length = None
+    seen = 0
+    for bases, error in _base_blocks(reads):
+        lengths = np.fromiter(map(len, bases), dtype=np.int64, count=len(bases))
+        codes = encode_codes(b"".join(bases))
+        owner, locations = seeder.candidates_batch(codes, lengths)
+        if owner.size:
+            if length is None:
+                length = int(lengths[owner[0]])
+            mixed = np.flatnonzero(lengths[owner] != length)
+            if mixed.size:
+                bad = int(owner[mixed[0]])
+                error = ValueError(
+                    f"workload.input.path: {source}: read {seen + bad + 1} has "
+                    f"{lengths[bad]} bases, but the reads before it have {length}; "
+                    f"a reads input takes one read length"
+                )
+                owner, locations = owner[: mixed[0]], locations[: mixed[0]]
+        if owner.size:
+            read_starts = np.cumsum(lengths) - lengths
+            yield EncodedPairBatch.from_codes(
+                gather_windows(
+                    codes, non_acgt_positions(codes), read_starts[owner], length
+                ),
+                reference.segment_codes(locations, length),
+            )
         if error is not None:
             raise error
+        seen += len(bases)
+
+
+def _base_blocks(
+    reads: Iterable[Read | Sequence | str] | str | Path,
+) -> Iterator[tuple[list[bytes], Exception | None]]:
+    """The bases of each block of :data:`SEED_BLOCK_READS` reads, and the error that cut it short.
+
+    A FASTQ path goes through the block parser,
+    :func:`~repro.genomics.fastq.iter_fastq_blocks`; FASTA paths and
+    iterables are read record by record.  Nothing follows a block with an
+    error.
+    """
+    if isinstance(reads, (str, Path)) and _format_suffix(reads) in FASTQ_SUFFIXES:
+        for block in iter_fastq_blocks(reads, SEED_BLOCK_READS):
+            yield block.bases, block.error
+        return
+    records = iter_reads(reads) if isinstance(reads, (str, Path)) else iter(reads)
+    while True:
+        block: list[bytes] = []
+        try:
+            for read in islice(records, SEED_BLOCK_READS):
+                block.append((read if isinstance(read, str) else read.bases).encode("ascii"))
+        except Exception as exc:  # any read error: raised after the block's pairs
+            yield block, exc
+            return
+        yield block, None
         if len(block) < SEED_BLOCK_READS:
             return
-
-
-def _read_block(reads: Iterator[Read | Sequence | str]) -> tuple[list[str], Exception | None]:
-    """The bases of the next :data:`SEED_BLOCK_READS` reads, and the error that cut them short."""
-    block: list[str] = []
-    try:
-        for read in islice(reads, SEED_BLOCK_READS):
-            block.append(read if isinstance(read, str) else read.bases)
-    except Exception as exc:  # any read error: seeded_pairs re-raises it after the block
-        return block, exc
-    return block, None

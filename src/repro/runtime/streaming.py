@@ -3,17 +3,19 @@
 :class:`StreamingPipeline` is the loop every filtering workload runs through;
 :class:`repro.api.Session` is its only constructor.  In memory mode the whole
 input is one chunk; in streaming mode each chunk holds ``chunk_size`` pairs,
-so peak memory is O(chunk) regardless of the input size.  Two entry points
-feed the same loop:
+so peak memory is O(chunk) regardless of the input size.  The loop takes
+only encoded batches: :func:`cut_blocks` re-cuts an iterable of
+:class:`~repro.genomics.encoding.EncodedPairBatch` blocks into chunks (a
+chunk inside one block is a row view of it; a chunk that spans blocks
+concatenates their codes).  Two entry points feed it:
 
-* :meth:`StreamingPipeline.run_encoded` takes an already-encoded
-  :class:`~repro.genomics.encoding.EncodedPairBatch` (a simulated dataset's
-  cached batch) and hands the engine row-slice views of it — nothing is
-  encoded again, however often the batch is run.
-* :meth:`StreamingPipeline.run_pairs` takes any iterator of ``(read,
-  segment)`` pairs — a FASTQ/FASTA read file seeded against a reference, a
-  pairs TSV, in-memory pairs — and encodes each chunk exactly once,
-  optionally in a prefetching producer thread.
+* :meth:`StreamingPipeline.run_encoded` takes one already-encoded batch (a
+  simulated dataset's cached batch) and hands the engine row-slice views of
+  it — nothing is encoded or packed again, however often the batch is run.
+* :meth:`StreamingPipeline.run_pairs` takes any iterable of encoded blocks —
+  a read file seeded against a reference, a pairs TSV or in-memory pairs
+  encoded at parse (:mod:`repro.runtime.sources`) — and cuts and packs each
+  chunk, optionally in a prefetching producer thread.
 
 Every chunk goes through ``engine.filter_encoded(batch, executor=...)``
 (a :class:`~repro.engine.FilterEngine` or
@@ -47,7 +49,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -64,14 +66,51 @@ from ..genomics.encoding import EncodedPairBatch
 from ..gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
 from ..gpusim.timing import FilterTiming
 
-__all__ = ["ChunkReport", "StreamingReport", "StreamingPipeline"]
+__all__ = ["ChunkReport", "StreamingReport", "StreamingPipeline", "cut_blocks"]
 
 #: Encoded chunks a prefetching producer may queue ahead of the consumer.
 PREFETCH_DEPTH = 2
 
-#: One chunk as the loop consumes it: the strings (the verifier checks
-#: undefined survivors on them) and the encoded batch the engine filters.
-Chunk = tuple[Sequence[str], Sequence[str], EncodedPairBatch]
+
+def cut_blocks(
+    blocks: Iterable[EncodedPairBatch],
+    size: int,
+    start: int = 0,
+    stop: int | None = None,
+) -> Iterator[EncodedPairBatch]:
+    """Re-cut the rows ``[start, stop)`` of ``blocks`` into batches of ``size`` pairs.
+
+    The blocks' rows are taken as one stream, in order; every batch but the
+    last holds ``size`` rows.  A batch inside one block is a row view of it,
+    and one that spans blocks concatenates their codes.  No block is pulled
+    once ``stop`` rows are reached, so an error a later block would raise
+    never surfaces.
+    """
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    want = None if stop is None else stop - start
+    if want is not None and want <= 0:
+        return
+    skip = start
+    taken = filled = 0
+    parts: list[EncodedPairBatch] = []
+    for block in blocks:
+        lo = min(skip, block.n_pairs)
+        skip -= lo
+        end = block.n_pairs if want is None else min(block.n_pairs, lo + want - taken)
+        while lo < end:
+            hi = min(end, lo + size - filled)
+            parts.append(block[lo:hi])
+            filled += hi - lo
+            taken += hi - lo
+            lo = hi
+            if filled == size:
+                yield EncodedPairBatch.concatenate(parts)
+                parts, filled = [], 0
+        if taken == want:
+            break
+    if parts:
+        yield EncodedPairBatch.concatenate(parts)
 
 
 @dataclass(frozen=True)
@@ -169,10 +208,10 @@ class StreamingPipeline:
         modelled times and batch counts are byte-identical for every
         backend/worker count.
     prefetch:
-        For :meth:`run_pairs`: a producer thread parses and encodes chunk
-        ``N + 1`` while chunk ``N`` filters (the host-side analogue of the
-        modelled H2D/kernel overlap — but measured).  Results are
-        unaffected; only wall-clock changes.
+        For :meth:`run_pairs`: a producer thread parses, seeds, encodes and
+        packs chunk ``N + 1`` while chunk ``N`` filters (the host-side
+        analogue of the modelled H2D/kernel overlap — but measured).
+        Results are unaffected; only wall-clock changes.
     """
 
     def __init__(
@@ -210,85 +249,58 @@ class StreamingPipeline:
     # ------------------------------------------------------------------ #
     def run_pairs(
         self,
-        pairs: Iterable[tuple[str, str]],
+        blocks: Iterable[EncodedPairBatch],
         name: str = "stream",
         verify: bool = True,
     ) -> StreamingReport:
-        """Stream ``(read, segment)`` pairs through filter + verification.
+        """Stream encoded pair blocks through filter + verification.
 
-        The entry point for iterator inputs: each chunk is encoded exactly
-        once — in a producer thread when ``prefetch`` is on.
+        The entry point for iterator inputs: the blocks are cut into
+        chunks, and each chunk's words are packed once the engine is known to
+        use them — in a producer thread when ``prefetch`` is on, which then
+        also runs the blocks' parsing, seeding and encoding.
         """
-        return self._run(self._iter_prepared(pairs), name, verify)
+        return self._run(self._iter_prepared(blocks), name, verify)
 
     def run_encoded(
-        self,
-        batch: EncodedPairBatch,
-        reads: Sequence[str],
-        segments: Sequence[str],
-        name: str = "stream",
-        verify: bool = True,
+        self, batch: EncodedPairBatch, name: str = "stream", verify: bool = True
     ) -> StreamingReport:
         """Run an already-encoded batch; chunks are row-slice views of it.
 
-        ``reads`` / ``segments`` are the batch's strings, which verification
-        of undefined survivors needs.  Nothing is encoded: when the engine
-        consumes packed words they are materialised once on ``batch`` itself,
-        so every chunk view — and every later run over the same cached
-        batch — inherits them.
+        Nothing is encoded: when the engine consumes packed words they are
+        materialised once on ``batch`` itself, so every chunk view — and
+        every later run over the same cached batch — inherits them.
         """
-        n, step = batch.n_pairs, self.chunk_size
-        if n and wants_word_arrays(self._engine_for(batch.length)):
+        if batch.n_pairs and wants_word_arrays(self._engine_for(batch.length)):
             batch.read_words
             batch.ref_words
-        chunks = (
-            (reads[lo : lo + step], segments[lo : lo + step], batch[lo : lo + step])
-            for lo in range(0, n, step)
-        )
-        return self._run(chunks, name, verify)
+        return self._run(cut_blocks([batch], self.chunk_size), name, verify)
 
     # ------------------------------------------------------------------ #
     # Chunk preparation (iterator inputs)
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _iter_chunks(
-        pairs: Iterable[tuple[str, str]], chunk_size: int
-    ) -> Iterator[tuple[list[str], list[str]]]:
-        reads: list[str] = []
-        segments: list[str] = []
-        for read, segment in pairs:
-            reads.append(read)
-            segments.append(segment)
-            if len(reads) >= chunk_size:
-                yield reads, segments
-                reads, segments = [], []
-        if reads:
-            yield reads, segments
+    def _cut_and_pack(self, blocks: Iterable[EncodedPairBatch]) -> Iterator[EncodedPairBatch]:
+        """Chunks of ``blocks``, their words packed once the engine wants them.
 
-    def _encode_chunk(self, reads: list[str], segments: list[str]) -> Chunk:
-        """Encode one chunk ahead of filtration (the producer-side work).
-
-        Once the engine is known to consume the packed word form, the words
-        are packed here too, so the *whole* input-side cost sits in the
-        producer thread under ``prefetch=True``.
+        So under ``prefetch=True`` the *whole* input-side cost sits in the
+        producer thread.
         """
-        batch = EncodedPairBatch.from_lists(reads, segments)
-        if self.engine is not None and wants_word_arrays(self.engine):
-            batch.read_words
-            batch.ref_words
-        return reads, segments, batch
+        for chunk in cut_blocks(blocks, self.chunk_size):
+            if self.engine is not None and wants_word_arrays(self.engine):
+                chunk.read_words
+                chunk.ref_words
+            yield chunk
 
-    def _iter_prepared(self, pairs: Iterable[tuple[str, str]]) -> Iterator[Chunk]:
-        """Yield encoded chunks, prefetching if enabled.
+    def _iter_prepared(self, blocks: Iterable[EncodedPairBatch]) -> Iterator[EncodedPairBatch]:
+        """Yield prepared chunks, prefetching if enabled.
 
-        Without prefetch, chunks are encoded inline.  With prefetch, a
-        producer thread reads the pair iterator and encodes chunk ``N + 1``
-        while the caller filters chunk ``N``; the queue is bounded by
+        Without prefetch, chunks are prepared inline.  With prefetch, a
+        producer thread pulls the blocks and prepares chunk ``N + 1`` while
+        the caller filters chunk ``N``; the queue is bounded by
         :data:`PREFETCH_DEPTH` so memory stays O(chunk).
         """
         if not self.prefetch:
-            for reads, segments in self._iter_chunks(pairs, self.chunk_size):
-                yield self._encode_chunk(reads, segments)
+            yield from self._cut_and_pack(blocks)
             return
 
         work: "queue.Queue[Any]" = queue.Queue(maxsize=PREFETCH_DEPTH)
@@ -306,8 +318,8 @@ class StreamingPipeline:
 
         def _produce() -> None:
             try:
-                for reads, segments in self._iter_chunks(pairs, self.chunk_size):
-                    if not _put(self._encode_chunk(reads, segments)):
+                for chunk in self._cut_and_pack(blocks):
+                    if not _put(chunk):
                         return
                 _put(done)
             except BaseException as exc:  # propagate parse errors to the consumer
@@ -365,7 +377,9 @@ class StreamingPipeline:
             )
         return timings
 
-    def _run(self, chunks: Iterable[Chunk], name: str, verify: bool) -> StreamingReport:
+    def _run(
+        self, chunks: Iterable[EncodedPairBatch], name: str, verify: bool
+    ) -> StreamingReport:
         wall_start = time.perf_counter()
         engine: Any = None
         verifier: Any = None
@@ -385,7 +399,7 @@ class StreamingPipeline:
         host_time = 0.0
         chunk_timings: list[list[list[float]]] = []
 
-        for chunk_index, (reads, segments, batch) in enumerate(chunks):
+        for chunk_index, batch in enumerate(chunks):
             chunk_start = time.perf_counter()
             n = batch.n_pairs
             if engine is None:
@@ -405,9 +419,7 @@ class StreamingPipeline:
                     )
 
             if verify and result.n_accepted:
-                distances = verifier.verify_batch(
-                    batch, reads, segments, np.flatnonzero(result.accepted)
-                )
+                distances = verifier.verify_batch(batch, np.flatnonzero(result.accepted))
                 chunk_verified = int(np.count_nonzero(distances <= verifier.error_threshold))
                 verified_accepts += chunk_verified
                 verified_rejects += len(distances) - chunk_verified

@@ -137,16 +137,19 @@ def write_input_files() -> None:
 def expected_from_files() -> dict:
     from repro.analysis import experiments
     from repro.api import Session
+    from repro.genomics import decode_pairs
     from repro.runtime import load_reference, seeded_pairs
     from repro.simulate.pairs import PairDataset
 
     reference = load_reference(HERE / "golden_reference.fasta")
     pairs = list(
-        seeded_pairs(
-            HERE / "golden_reads.fastq",
-            reference,
-            ERROR_THRESHOLD,
-            k=SEEDING_K,
+        decode_pairs(
+            seeded_pairs(
+                HERE / "golden_reads.fastq",
+                reference,
+                ERROR_THRESHOLD,
+                k=SEEDING_K,
+            )
         )
     )
     dataset = PairDataset(

@@ -3,8 +3,10 @@
 :func:`repro.align.banded_edit_distances` must return, row for row, what the
 per-pair :func:`repro.align.banded_edit_distance` returns on the same bases;
 :meth:`repro.align.Verifier.verify_batch` must return what per-pair
-:meth:`~repro.align.Verifier.verify` returns, also for undefined (``N``)
-rows, which take the string path, and across several row blocks.  Hypothesis
+:meth:`~repro.align.Verifier.verify` returns on the upper-cased strings,
+also for undefined rows (``N``, lower-case ``n``, IUPAC codes and the bytes
+0x00-0x03, which keep their identity in the batch codes), and across several
+row blocks.  Hypothesis
 drives random substitutions, insertions and deletions, thresholds 0..10,
 read lengths 100/150/250 and reads shorter than the band (``2e + 1``); every
 short two-letter pair is checked exhaustively.  Runs are derandomised (fixed
@@ -103,10 +105,15 @@ def test_empty_batch():
     assert distances.shape == (0,) and distances.dtype == np.int32
 
 
+#: Bytes other than A/C/G/T that pairs may hold: ``N`` in both cases, IUPAC
+#: codes, and the bytes 0x00-0x03, whose codes must not alias A/C/G/T.
+UNDEFINED_BASES = "NnRYKMSWn\x00\x01\x02\x03"
+
+
 @st.composite
 def verify_batches(draw) -> tuple[int, list[str], list[str], list[int]]:
-    """Pairs with ``N`` bases (some opposite each other) and lower-case rows,
-    plus the rows to verify, in any order."""
+    """Pairs with non-ACGT bytes (some opposite each other, some equal up to
+    case) and lower-case rows, plus the rows to verify, in any order."""
     band, reads, segments = draw(pair_batches().filter(lambda b: len(b[1]) > 0))
     length = len(reads[0])
     for index in range(len(reads)):
@@ -114,10 +121,11 @@ def verify_batches(draw) -> tuple[int, list[str], list[str], list[int]]:
         for _ in range(draw(st.integers(0, 2)) if length else 0):
             at = draw(st.integers(0, length - 1))
             side = draw(st.sampled_from(["read", "segment", "both"]))
+            base = draw(st.sampled_from(UNDEFINED_BASES))
             if side != "segment":
-                read[at] = "N"
+                read[at] = base
             if side != "read":
-                segment[at] = "N"
+                segment[at] = draw(st.sampled_from([base, base.swapcase()]))
         reads[index], segments[index] = "".join(read), "".join(segment)
         if draw(st.integers(0, 7)) == 0:
             reads[index] = reads[index].lower()
@@ -132,7 +140,7 @@ def test_verify_batch_equals_per_pair_verify(batch):
     pairs = EncodedPairBatch.from_lists(reads, segments)
     verifier = Verifier(band)
     with mock.patch.object(verification, "BLOCK_PAIRS", 2):
-        distances = verifier.verify_batch(pairs, reads, segments, np.array(rows, dtype=np.intp))
+        distances = verifier.verify_batch(pairs, np.array(rows, dtype=np.intp))
     assert verifier.pairs_verified == len(rows)
     oracle = Verifier(band)
     assert distances.tolist() == [
@@ -154,10 +162,8 @@ def test_verify_batch_runs_one_pass_per_block(monkeypatch, rng):
     monkeypatch.setattr(verification, "BLOCK_PAIRS", 4)
     monkeypatch.setattr(verification, "banded_edit_distances", counting)
     verifier = Verifier(5)
-    distances = verifier.verify_batch(
-        EncodedPairBatch.from_lists(reads, segments), reads, segments, np.arange(11)
-    )
-    assert passes == [4, 4, 2]  # ten defined rows; the N row takes the string path
+    distances = verifier.verify_batch(EncodedPairBatch.from_lists(reads, segments), np.arange(11))
+    assert passes == [4, 4, 3]  # the N row is verified with the others
     assert verifier.pairs_verified == 11
     assert distances.tolist() == [
         banded_edit_distance(read, segment, 5) for read, segment in zip(reads, segments)

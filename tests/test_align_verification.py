@@ -24,7 +24,7 @@ class TestVerifier:
         pairs = [mutated_pair(60, rng.randrange(0, 12), rng) for _ in range(15)]
         reads, segments = [p[0] for p in pairs], [p[1] for p in pairs]
         distances = Verifier(5).verify_batch(
-            EncodedPairBatch.from_lists(reads, segments), reads, segments, np.arange(15)
+            EncodedPairBatch.from_lists(reads, segments), np.arange(15)
         )
         for (read, segment), distance in zip(pairs, distances):
             assert (distance <= 5) == (edit_distance(read, segment) <= 5)
@@ -34,7 +34,7 @@ class TestVerifier:
         pairs = [mutated_pair(40, 1, rng) for _ in range(6)] + [("N" * 40, "A" * 40)]
         reads, segments = [p[0] for p in pairs], [p[1] for p in pairs]
         batch = EncodedPairBatch.from_lists(reads, segments)
-        verifier.verify_batch(batch, reads, segments, np.arange(7))
+        verifier.verify_batch(batch, np.arange(7))
         assert verifier.pairs_verified == 7
 
     def test_negative_threshold_raises(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.genomics import (
     BASE_TO_CODE,
     EncodedBatch,
+    EncodedPairBatch,
     UNKNOWN_BASE,
     base_to_code,
     code_to_base,
@@ -13,10 +14,12 @@ from repro.genomics import (
     contains_unknown,
     encode_batch,
     encode_batch_codes,
+    encode_codes,
     encode_to_codes,
     encode_to_int,
     decode_from_codes,
     decode_from_int,
+    decode_pairs,
     is_valid_sequence,
     pack_codes_to_words,
     reverse_complement,
@@ -153,8 +156,8 @@ class TestBatchEncoding:
         codes, undefined = encode_batch_codes(["ACGT", "NNNN"])
         assert codes.shape == (2, 4)
         assert undefined.tolist() == [False, True]
-        # Undefined rows are zero-filled so downstream math stays valid.
-        assert codes[1].tolist() == [0, 0, 0, 0]
+        # Non-ACGT bytes keep their identity: N is its ASCII value.
+        assert codes[1].tolist() == [ord("N")] * 4
 
     def test_encode_batch_requires_equal_lengths(self):
         with pytest.raises(ValueError):
@@ -168,3 +171,59 @@ class TestBatchEncoding:
         codes, undefined = encode_batch_codes(["acgt"])
         assert codes[0].tolist() == [0, 1, 2, 3]
         assert not undefined[0]
+
+
+class TestBatchCodesKeepNonAcgtBytes:
+    """Batch codes fold case on A/C/G/T and keep every other byte distinct,
+    while the packed words stay those of the 2-bit encoding."""
+
+    def test_equal_codes_exactly_when_upper_cased_bytes_are_equal(self):
+        every_byte = bytes(range(256))
+        codes = encode_codes(every_byte)
+        upper = every_byte.upper()
+        for a in range(256):
+            for b in range(256):
+                assert (codes[a] == codes[b]) == (upper[a] == upper[b]), (a, b)
+        acgt = {ord(base) for base in "ACGTacgt"}
+        assert [int(code) <= 3 for code in codes] == [byte in acgt for byte in range(256)]
+
+    def test_undefined_is_any_code_above_three(self):
+        codes, undefined = encode_batch_codes([b"ACGT", b"ACnT", b"AC\x00T", b"RCGT"])
+        assert undefined.tolist() == [False, True, True, True]
+        assert undefined.tolist() == (codes > 3).any(axis=1).tolist()
+
+    @pytest.mark.parametrize("word_bits", [32, 64])
+    def test_words_equal_the_2bit_packing_with_non_acgt_read_as_zero(self, word_bits):
+        rng = np.random.default_rng(3)
+        alphabet = np.frombuffer(b"ACGTacgtNnRYK\x00\x01\x02\x03", dtype=np.uint8)
+        raw = rng.choice(np.frombuffer(b"ACGT", dtype=np.uint8), size=(40, 70))
+        holes = rng.random(raw.shape) < 0.02
+        raw[holes] = rng.choice(alphabet, size=int(holes.sum()))
+        sequences = [row.tobytes() for row in raw]
+        batch = encode_batch(sequences, word_bits=word_bits)
+        assert batch.undefined.any() and not batch.undefined.all()
+        # The 2-bit encoding of the lookup table, with every other byte as 0.
+        two_bit = encode_lookup_table()[raw]
+        two_bit[two_bit == 255] = 0
+        expected = pack_codes_to_words(two_bit, word_bits=word_bits)
+        assert np.array_equal(batch.words, expected)
+        assert np.array_equal(batch[5:30].words, expected[5:30])
+
+    def test_decode_pairs_gives_upper_cased_strings(self):
+        reads = ["ACGTnacg", "rrNNacgt", "\x00\x01\x02\x03ACGT"]
+        segments = ["acgtacgt", "NNNNNNNN", "TTTTtttt"]
+        pairs = EncodedPairBatch.from_lists(reads, segments)
+        decoded = list(decode_pairs([pairs[:1], pairs[1:]]))
+        assert decoded == [(r.upper(), s.upper()) for r, s in zip(reads, segments)]
+
+    def test_concatenate_keeps_row_order_and_masks(self):
+        reads = ["ACGT", "ACNT", "GGGG", "TTTT", "CCCC"]
+        segments = ["ACGT", "ACGT", "GGNG", "TTTT", "CCCA"]
+        pairs = EncodedPairBatch.from_lists(reads, segments)
+        joined = EncodedPairBatch.concatenate([pairs[:2], pairs[2:3], pairs[3:]])
+        assert np.array_equal(joined.read_codes, pairs.read_codes)
+        assert np.array_equal(joined.ref_codes, pairs.ref_codes)
+        assert joined.undefined.tolist() == [False, True, True, False, False]
+        assert np.array_equal(joined.ref_words, pairs.ref_words)
+        assert EncodedPairBatch.concatenate([pairs]) is pairs
+        assert EncodedPairBatch.concatenate([]).n_pairs == 0

@@ -415,7 +415,7 @@ class TestCli:
             [sys.executable, "-m", "repro.cli", "lint", str(tmp_path)],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"},
         )
         assert proc.returncode == 1
         assert "determinism-hazards" in proc.stdout

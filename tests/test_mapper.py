@@ -5,7 +5,7 @@ import pytest
 
 from repro.engine import FilterEngine
 from repro.filters import SneakySnakeFilter
-from repro.genomics import ReferenceGenome, Read
+from repro.genomics import ReferenceGenome, Read, encode_codes
 from repro.mapper import KmerIndex, MappingStats, MrFastMapper, SamRecord, Seeder, write_sam
 from repro.simulate import GenomeProfile, MutationProfile, generate_reference, simulate_reads
 
@@ -94,7 +94,8 @@ class TestSeeder:
         seeder = Seeder(KmerIndex(ReferenceGenome("r", "ACGTACGTTTGGCCAATTACGT"), k=12), 2)
         assert seeder.seed_offsets(np.array([7]))[0].size == 0
         assert seeder.candidates("ACGTACG").size == 0
-        assert [c.size for c in seeder.candidates_batch(["", "ACGTACG"])] == [0, 0]
+        owner, locations = seeder.candidates_batch(encode_codes("ACGTACG"), np.array([0, 7]))
+        assert owner.size == locations.size == 0
 
     def test_negative_threshold_raises(self, reference):
         index = KmerIndex(reference, k=12)

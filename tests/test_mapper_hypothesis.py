@@ -3,15 +3,17 @@
 :class:`repro.mapper.KmerIndex` must answer ``lookup``, ``len`` and
 ``occurrence_counts`` (as a multiset) exactly as a per-position dict of the
 reference's A/C/G/T k-mers does, and :meth:`repro.mapper.Seeder.candidates_batch`
-must return, read for read, what a per-read, per-seed loop over that dict
-returns, ``max_candidates`` cap included.  Hypothesis drives references with
+must return, read for read (its flat ``(owner, locations)`` grouped by
+owner), what a per-read, per-seed loop over that dict returns,
+``max_candidates`` cap included.  Hypothesis drives references with
 ``N`` runs and repeats, reads with ``N``, lower case and lengths below k,
 caps 1/3/2048, k in 1..16 and e in 0..6.  Runs are derandomised (fixed
 example corpus) so the tier-1 suite stays deterministic.
 
 Also pinned here: :func:`repro.runtime.seeded_pairs` reads its input a block
-at a time yet stays lazy around a malformed FASTQ record, and k-mers holding
-IUPAC codes are neither indexed nor matched.
+at a time yet stays lazy around a malformed FASTQ record or a read of
+another length, and k-mers holding IUPAC codes are neither indexed nor
+matched.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.align import Verifier
 from repro.api import Session, Workload
-from repro.genomics import ReferenceGenome
+from repro.genomics import ReferenceGenome, decode_pairs, encode_codes
 from repro.mapper import KmerIndex, Seeder
 from repro.runtime import load_reference, seeded_pairs
 from repro.runtime.sources import SEED_BLOCK_READS
@@ -129,12 +132,14 @@ def test_candidates_batch_matches_loop(data, genome, k, e, cap):
     reads = data.draw(reads_from(genome))
     seeder = Seeder(KmerIndex(ReferenceGenome("r", genome), k), e, cap)
     oracle = dict_index(genome, k)
-    got = seeder.candidates_batch(reads)
-    assert len(got) == len(reads)
-    for read, candidates in zip(reads, got):
-        assert candidates.dtype == np.int64
-        assert candidates.tolist() == loop_candidates(oracle, k, read, e, cap), read
-    assert seeder.candidates(reads[0]).tolist() == got[0].tolist()
+    lengths = np.array([len(read) for read in reads])
+    owner, locations = seeder.candidates_batch(encode_codes("".join(reads)), lengths)
+    assert owner.dtype == locations.dtype == np.int64
+    assert np.all(np.diff(owner) >= 0)
+    for row, read in enumerate(reads):
+        candidates = locations[owner == row].tolist()
+        assert candidates == loop_candidates(oracle, k, read, e, cap), read
+    assert seeder.candidates(reads[0]).tolist() == locations[owner == 0].tolist()
 
 
 @settings(max_examples=150, **COMMON)
@@ -209,7 +214,7 @@ def test_seeded_pairs_stays_lazy_around_a_bad_record(tmp_path, golden_reference,
     write_fastq(path, reads, bad_record)
 
     def stream(source):
-        return seeded_pairs(source, golden_reference, ERROR_THRESHOLD, k=SEEDING_K)
+        return decode_pairs(seeded_pairs(source, golden_reference, ERROR_THRESHOLD, k=SEEDING_K))
 
     before = list(stream(reads[: bad_record - 1]))
     assert len(before) >= bad_record - 1  # so 100 pairs end before the bad record
@@ -223,21 +228,58 @@ def test_seeded_pairs_stays_lazy_around_a_bad_record(tmp_path, golden_reference,
     assert got == before
 
 
+@pytest.mark.parametrize("mixed_read", [300, SEED_BLOCK_READS + 40])
+def test_mixed_read_lengths_end_the_stream_after_the_reads_before(
+    tmp_path, golden_reference, mixed_read
+):
+    reads = sampled_reads(golden_reference, mixed_read + 20)
+    reads[mixed_read - 1] = reads[mixed_read - 1][:40]
+    path = tmp_path / "reads.fastq"
+    write_fastq(path, reads)
+
+    def stream(source):
+        return decode_pairs(seeded_pairs(source, golden_reference, ERROR_THRESHOLD, k=SEEDING_K))
+
+    before = list(stream(reads[: mixed_read - 1]))
+    got = []
+    message = re.escape(
+        f"workload.input.path: {path}: read {mixed_read} has 40 bases, "
+        f"but the reads before it have 48"
+    )
+    with pytest.raises(ValueError, match=message):
+        for pair in stream(path):
+            got.append(pair)
+    assert got == before
+
+    # A probe or a shard that ends before the mixed read still succeeds.
+    shard = {"index": 0, "n_shards": 2, "start": 0, "stop": 200, "total": 5000}
+    with Session() as session:
+        assert list(decode_pairs([session.probe_pairs(reads_workload(path), 200)])) == before[:200]
+        for prefetch in (False, True):
+            result = session.run(reads_workload(path, prefetch=prefetch, shard=shard))
+            assert result.summary["n_pairs"] == 200
+        with pytest.raises(ValueError, match=message):
+            session.run(reads_workload(path, prefetch=True))
+
+
 def test_seeded_pairs_skips_reads_shorter_than_k(tmp_path, golden_reference):
     reads = sampled_reads(golden_reference, 6)
     path = tmp_path / "reads.fastq"
     write_fastq(path, reads[:3] + ["ACGTACG"] + reads[3:])
-    pairs = list(seeded_pairs(path, golden_reference, ERROR_THRESHOLD, k=SEEDING_K))
-    assert pairs == list(seeded_pairs(reads, golden_reference, ERROR_THRESHOLD, k=SEEDING_K))
+    pairs = list(decode_pairs(seeded_pairs(path, golden_reference, ERROR_THRESHOLD, k=SEEDING_K)))
+    assert pairs == list(
+        decode_pairs(seeded_pairs(reads, golden_reference, ERROR_THRESHOLD, k=SEEDING_K))
+    )
     assert pairs
 
 
-def reads_workload(path, **execution) -> Workload:
+def reads_workload(path, output=None, **execution) -> Workload:
     return Workload.from_dict({
         "input": {"kind": "reads", "path": str(path), "reference": str(GOLDEN_REFERENCE),
                   "seeding_k": SEEDING_K},
         "filter": {"filters": ["gatekeeper-gpu"], "error_threshold": ERROR_THRESHOLD},
         "execution": {"mode": "streaming", "chunk_size": 64, **execution},
+        "output": output or {},
     })
 
 
@@ -249,7 +291,8 @@ def test_probe_and_shard_that_end_before_a_bad_record_succeed(tmp_path, golden_r
                  for prefetch in (False, True)]
 
     def outputs(session: Session) -> list:
-        return [session.probe_pairs(reads_workload(path), 300)] + [
+        probe = session.probe_pairs(reads_workload(path), 300)
+        return [list(decode_pairs([probe]))] + [
             session.run(workload).to_json() for workload in workloads]
 
     with Session() as session:
@@ -259,3 +302,31 @@ def test_probe_and_shard_that_end_before_a_bad_record_succeed(tmp_path, golden_r
         assert outputs(session) == expected
         with pytest.raises(ValueError, match="FASTQ record 650"):
             session.run(reads_workload(path))
+
+
+def test_streamed_n_bearing_run_verifies_like_the_string_dp(tmp_path, golden_reference):
+    """Undefined pairs are verified on their codes exactly as the scalar DP
+    scores their upper-cased strings."""
+    island = int(golden_reference.n_positions[0])
+    reads = sampled_reads(golden_reference, 300) + [
+        golden_reference.bases[start : start + 48] for start in range(island - 40, island + 8, 3)
+    ]
+    reads = [read[:9] + "N" + read[10:] if i % 7 == 0 else read for i, read in enumerate(reads)]
+    reads = [read[:20] + read[20:].lower() if i % 5 == 0 else read for i, read in enumerate(reads)]
+    path = tmp_path / "reads.fastq"
+    write_fastq(path, reads)
+    result = Session().run(
+        reads_workload(path, output={"collect_decisions": True}, verify=True, prefetch=True)
+    )
+    pairs = list(decode_pairs(seeded_pairs(path, golden_reference, ERROR_THRESHOLD, k=SEEDING_K)))
+    accepted = result.raw.accepted
+    undefined = result.raw.undefined
+    assert len(pairs) == accepted.size == result.summary["n_pairs"]
+    assert undefined[accepted].sum() > 10  # undefined survivors are verified too
+    verifier = Verifier(ERROR_THRESHOLD)
+    expected = sum(
+        verifier.verify(read, segment).accepted
+        for (read, segment), kept in zip(pairs, accepted.tolist())
+        if kept
+    )
+    assert result.summary["verified_accepts"] == expected

@@ -256,6 +256,41 @@ class TestPlanning:
         with pytest.raises(ValueError, match="workload.input"):
             plan_workload(session, workload)
 
+    def test_cold_auto_reads_run_loads_the_reference_once(self, monkeypatch):
+        """Counting a reads input's pairs reuses the session's reference and index."""
+        from repro.mapper import index as index_module
+        from repro.runtime import sources
+
+        calls = {"KmerIndex": 0, "load_reference": 0}
+        build_index, load_reference = index_module.KmerIndex.__init__, sources.load_reference
+
+        def counting_index(self, *args, **kwargs):
+            calls["KmerIndex"] += 1
+            build_index(self, *args, **kwargs)
+
+        def counting_load(path):
+            calls["load_reference"] += 1
+            return load_reference(path)
+
+        monkeypatch.setattr(index_module.KmerIndex, "__init__", counting_index)
+        monkeypatch.setattr(sources, "load_reference", counting_load)
+        data = Path(__file__).resolve().parent / "data"
+        workload = Workload.from_dict(
+            {
+                "input": {"kind": "reads", "path": str(data / "golden_reads.fastq"),
+                          "reference": str(data / "golden_reference.fasta"), "seeding_k": 12},
+                "filter": {"filter": "auto", "error_threshold": 3,
+                           "planner": {"sample_pairs": 64}},
+                "execution": {"chunk_size": 100},
+            }
+        )
+        with Session() as session:
+            result = session.run(workload)
+        assert calls == {"KmerIndex": 1, "load_reference": 1}
+        assert result.plan is not None
+        assert result.plan[K.PROBE_PAIRS] == 64
+        assert result.summary["n_pairs"] > 100
+
 
 # --------------------------------------------------------------------------- #
 # Determinism matrix

@@ -29,7 +29,7 @@ from repro.align import ground_truth_labels
 from repro.engine import available_filters
 from repro.gpusim.device import GTX_1080_TI
 from repro.gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
-from repro.runtime import iter_reads, pairs_from_dataset, pairs_from_tsv
+from repro.runtime import iter_reads, pairs_from_tsv
 from repro.simulate.pairs import PairProfile, generate_pair_dataset
 
 ERROR_THRESHOLD = 4
@@ -63,7 +63,7 @@ def workload_for(
     """A filtering workload over a dataset's pairs (or an explicit input spec)."""
     if not isinstance(source, InputSpec):
         source = InputSpec(
-            kind="pairs", pairs=list(pairs_from_dataset(source)), name=source.name
+            kind="pairs", pairs=list(zip(source.reads, source.segments)), name=source.name
         )
     return Workload(
         input=source,
@@ -319,10 +319,10 @@ class TestFileSources:
         path = tmp_path / "pairs.tsv"
         with open(path, "w") as fh:
             fh.write("# read\tsegment\n")
-            for read, segment in pairs_from_dataset(dataset):
+            for read, segment in zip(dataset.reads, dataset.segments):
                 fh.write(f"{read}\t{segment}\n")
         from_file = list(pairs_from_tsv(path))
-        assert from_file == list(pairs_from_dataset(dataset))
+        assert from_file == list(zip(dataset.reads, dataset.segments))
 
     def test_pairs_tsv_malformed_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -353,7 +353,7 @@ class TestFileSources:
     def test_tsv_file_matches_in_memory_pairs(self, session, dataset, tmp_path):
         path = tmp_path / "pairs.tsv"
         with open(path, "w") as fh:
-            for read, segment in pairs_from_dataset(dataset):
+            for read, segment in zip(dataset.reads, dataset.segments):
                 fh.write(f"{read}\t{segment}\n")
         in_memory = session.run(workload_for(dataset, mode="memory"))
         from_file = session.run(workload_for(InputSpec(kind="tsv", path=str(path))))

@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis import experiments
 from repro.api import ExecutionSpec, InputSpec, OutputSpec, Session
+from repro.genomics import decode_pairs
 from repro.runtime import load_reference, seeded_pairs
 from repro.simulate.pairs import PairDataset
 
@@ -46,11 +47,13 @@ def golden_dataset() -> PairDataset:
     """The candidate-pair pool seeded from the checked-in FASTQ + FASTA."""
     reference = load_reference(DATA / "golden_reference.fasta")
     pairs = list(
-        seeded_pairs(
-            DATA / "golden_reads.fastq",
-            reference,
-            FIXTURE["error_threshold"],
-            k=FIXTURE["seeding_k"],
+        decode_pairs(
+            seeded_pairs(
+                DATA / "golden_reads.fastq",
+                reference,
+                FIXTURE["error_threshold"],
+                k=FIXTURE["seeding_k"],
+            )
         )
     )
     return PairDataset(
