@@ -68,7 +68,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "10.0.0"
+__version__ = "11.0.0"
 
 __all__ = [
     "Result",

@@ -45,8 +45,9 @@ MAX_SEEDING_K = 32
 DEFAULT_MAX_CANDIDATES_PER_READ = 2_048
 
 #: Calibrated per-pair filtration cost of each registered filter (seconds per
-#: 100 bp pair), derived from the measured BENCH_encode_once throughputs on
-#: the reference host (reads/s at 20,000 pairs, e=5).  Like
+#: 100 bp pair), derived from the throughputs the encode-once benchmark
+#: script (retired in 11.0.0) measured on the reference host before the
+#: word-major kernels (reads/s at 20,000 pairs, e=5).  Like
 #: :data:`VERIFICATION_COST_PER_PAIR_S` these are deterministic model
 #: constants, not measurements taken at run time: the adaptive planner
 #: (:mod:`repro.planner`) combines them with the *measured* per-filter

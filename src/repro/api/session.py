@@ -78,7 +78,7 @@ class Session:
     ) -> None:
         self.verification_cost_per_pair_s = verification_cost_per_pair_s
         self._engines: dict[tuple[Any, ...], Any] = {}
-        self._datasets: dict[tuple[Any, ...], "tuple[Any, EncodedPairBatch]"] = {}
+        self._datasets: dict[tuple[Any, ...], Any] = {}
         self._mapping_inputs: dict[tuple[int, ...], "tuple[Any, list[Any], Any]"] = {}
         self._references: dict[str, Any] = {}
         self._indexes: dict[tuple[str, int], Any] = {}
@@ -132,30 +132,24 @@ class Session:
             return engine
 
     def dataset_for(self, workload: Workload) -> Any:
-        """The cached simulated :class:`PairDataset` for a ``dataset`` input."""
-        return self._dataset_entry(workload)[0]
+        """The cached simulated :class:`PairDataset` for a ``dataset`` input.
 
-    def _dataset_entry(self, workload: Workload) -> "tuple[Any, EncodedPairBatch]":
-        """The cached dataset of a ``dataset`` input and its encoded batch.
-
-        The batch is encoded once, inside the lock; runs and probes take it
-        from here rather than from ``PairDataset.encoded()``, which checks a
-        fingerprint of every string on each call (1.4 ms at 30,000 pairs on
-        a 2-vCPU x86 host).
+        Its batch is encoded once, inside the lock, when the dataset is
+        built; runs and probes take it from ``dataset.encoded()``.
         """
         spec = workload.input
         key = (spec.dataset, spec.n_pairs, spec.seed)
         with self._lock:
-            entry = self._datasets.get(key)
-            if entry is None:
+            dataset = self._datasets.get(key)
+            if dataset is None:
                 from ..simulate.datasets import build_dataset
 
                 dataset = build_dataset(
                     str(spec.dataset), n_pairs=spec.n_pairs, seed=spec.seed
                 )
-                entry = (dataset, dataset.encoded())
-                self._datasets[key] = entry
-            return entry
+                dataset.encoded()
+                self._datasets[key] = dataset
+            return dataset
 
     def mapping_input_for(self, workload: Workload) -> "tuple[Any, list[Any], Any]":
         """The cached ``(reference, reads, index)`` of a ``mapping`` input.
@@ -269,7 +263,7 @@ class Session:
 
         spec = workload.input
         if spec.kind == "dataset":
-            return iter([self._dataset_entry(workload)[1]])
+            return iter([self.dataset_for(workload).encoded()])
         size = int(block_pairs or workload.execution.chunk_size)
         if spec.kind == "pairs":
             return pair_blocks(list(spec.pairs or ()), size)
@@ -376,9 +370,7 @@ class Session:
         spec, ex, output = workload.input, workload.execution, workload.output
         memory = workload.resolved_mode() == "memory"
         shard = ex.shard
-        dataset, batch = (
-            self._dataset_entry(workload) if spec.kind == "dataset" else (None, None)
-        )
+        dataset = self.dataset_for(workload) if spec.kind == "dataset" else None
         # Memory mode runs the whole input (or shard) as one chunk, so it needs
         # the size up front — which only dataset and pairs inputs know.
         total = len(dataset) if dataset is not None else len(spec.pairs or ())
@@ -402,7 +394,8 @@ class Session:
             executor=self.executor_for(workload),
             prefetch=ex.prefetch,
         )
-        if batch is not None:
+        if dataset is not None:
+            batch = dataset.encoded()
             report = pipeline.run_encoded(
                 batch if shard is None else batch[start:stop],
                 # Memory mode labels the run with the dataset's own name.

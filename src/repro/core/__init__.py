@@ -2,7 +2,6 @@
 
 from .buffers import BufferPlan, FiltrationBuffers, plan_buffers
 from .config import EncodingActor, SystemConfiguration
-from .preprocess import PreparedBatch, prepare_batches_encoded
 from .results import FilterRunResult
 
 __all__ = [
@@ -11,7 +10,5 @@ __all__ = [
     "plan_buffers",
     "EncodingActor",
     "SystemConfiguration",
-    "PreparedBatch",
-    "prepare_batches_encoded",
     "FilterRunResult",
 ]

@@ -27,7 +27,7 @@ from numpy.typing import NDArray
 
 from ..core.config import EncodingActor, SystemConfiguration
 from ..core.buffers import FiltrationBuffers
-from ..core.preprocess import prepare_batches_encoded
+from ..core.preprocess import kernel_batch_size
 from ..core.results import FilterRunResult
 from ..filters.base import PreAlignmentFilter
 from ..filters.native import DEFAULT_KERNEL_TIER, active_tier, validate_tier
@@ -185,19 +185,15 @@ class FilterEngine:
         n = pairs.n_pairs
         accepted = np.zeros(n, dtype=bool)
         estimates = np.zeros(n, dtype=np.int32)
-        undefined = np.zeros(n, dtype=bool)
-        for batch in prepare_batches_encoded(pairs, self.config):
-            # The word arrays are packed lazily by the parent EncodedPairBatch
-            # (at most once per pair, host- or device-billed per the timing
-            # model).
-            batch_estimates, batch_accepted = self.filter.filter_batch(
-                batch.pairs, tier=self.kernel_tier
+        step = kernel_batch_size(self.config, n)
+        for start in range(0, n, step):
+            # Each kernel batch is a row view of ``pairs`` (and of its word
+            # arrays, once packed), so no pair is encoded or packed twice.
+            batch = slice(start, start + step)
+            estimates[batch], accepted[batch] = self.filter.filter_batch(
+                pairs[batch], tier=self.kernel_tier
             )
-            hi = batch.start + batch.n_pairs
-            accepted[batch.start : hi] = batch_accepted
-            estimates[batch.start : hi] = batch_estimates
-            undefined[batch.start : hi] = batch.undefined
-        return estimates, accepted, undefined
+        return estimates, accepted, np.array(pairs.undefined, dtype=bool)
 
     def filter_encoded(
         self, pairs: EncodedPairBatch, executor: "Executor | None" = None

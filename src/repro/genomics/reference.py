@@ -100,17 +100,15 @@ class ReferenceGenome:
     def segment(self, start: int, length: int) -> str:
         """Extract a candidate reference segment, clamped to genome bounds.
 
-        Segments that would run off either end are padded with ``N`` so the
-        pair becomes *undefined* and is passed to verification, mirroring how
-        mrFAST handles boundary candidates.
+        Segments that would run off either end are padded with ``N`` to
+        ``length`` bases, so the pair becomes *undefined* and is passed to
+        verification, mirroring how mrFAST handles boundary candidates.
         """
-        end = start + length
-        if start >= 0 and end <= len(self.bases):
-            return self.bases[start:end]
-        left_pad = max(0, -start)
-        right_pad = max(0, end - len(self.bases))
-        core = self.bases[max(0, start) : min(end, len(self.bases))]
-        return UNKNOWN_BASE * left_pad + core + UNKNOWN_BASE * right_pad
+        lo, hi = max(start, 0), min(start + length, len(self.bases))
+        if lo == start and hi == start + length:
+            return self.bases[lo:hi]
+        core = self.bases[lo:hi] if lo < hi else ""
+        return (UNKNOWN_BASE * min(lo - start, length) + core).ljust(length, UNKNOWN_BASE)
 
     def segment_codes(
         self, starts: np.ndarray, length: int

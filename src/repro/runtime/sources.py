@@ -11,8 +11,9 @@ producer can drive it.  Strings end here, at ingest:
   batch of the block's candidate pairs, its segment codes gathered from the
   reference's cached codes;
 * :func:`pair_blocks` — encode ``(read, segment)`` string pairs (a pairs
-  TSV from :func:`pairs_from_tsv`, or in-memory pairs) a block at a time,
-  so a malformed line or a length mismatch fails the block that holds it;
+  TSV from :func:`pairs_from_tsv`, or in-memory pairs) a block at a time;
+  a malformed line or a length mismatch ends the stream after the pairs
+  before it;
 * :func:`iter_reads` — stream :class:`~repro.genomics.sequence.Read` records
   from a FASTQ or FASTA file (format detected from the file name, ``.gz``
   transparently supported), for callers that want records.
@@ -124,9 +125,13 @@ def pairs_from_tsv(path: str | Path) -> Iterator[tuple[str, str]]:
     """Stream ``(read, segment)`` pairs from a two-column tab-separated file.
 
     Blank lines and ``#`` comment lines are skipped.  Malformed lines raise a
-    :class:`ValueError` naming the file and line number.
+    :class:`ValueError` naming the file and line number, and so does a pair
+    whose read and segment lengths differ, or whose length differs from the
+    first pair's (naming ``workload.input.path`` and both lengths); the
+    pairs before the bad line are yielded first.
     """
     path = Path(path)
+    length = None
     with open_text(path, "r") as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -143,18 +148,47 @@ def pairs_from_tsv(path: str | Path) -> Iterator[tuple[str, str]]:
                 raise ValueError(
                     f"{path}: line {line_number}: empty read or segment column"
                 )
+            if length is None:
+                length = len(read)
+            if len(read) != length or len(segment) != length:
+                where = f"workload.input.path: {path}: line {line_number}"
+                if len(read) != len(segment):
+                    raise ValueError(
+                        f"{where}: the read has {len(read)} bases but its "
+                        f"segment has {len(segment)}"
+                    )
+                raise ValueError(
+                    f"{where}: the pair has {len(read)} bases, but the pairs "
+                    f"before it have {length}; a tsv input takes one read length"
+                )
             yield read, segment
 
 
 def pair_blocks(
     pairs: Iterable[tuple[str, str]], block_pairs: int
 ) -> Iterator[EncodedPairBatch]:
-    """Encode ``(read, segment)`` string pairs, ``block_pairs`` pairs per batch."""
+    """Encode ``(read, segment)`` string pairs, ``block_pairs`` pairs per batch.
+
+    A :class:`ValueError` raised by ``pairs`` (a bad line of a pairs TSV)
+    ends the stream after a batch of the pairs before it, so a consumer that
+    stops earlier never sees it.
+    """
     pairs = iter(pairs)
-    while block := list(islice(pairs, block_pairs)):
+    error: ValueError | None = None
+    while error is None:
+        block: list[tuple[str, str]] = []
+        try:
+            for pair in islice(pairs, block_pairs):
+                block.append(pair)
+        except ValueError as exc:
+            error = exc
+        if not block:
+            break
         yield EncodedPairBatch.from_lists(
             [read for read, _segment in block], [segment for _read, segment in block]
         )
+    if error is not None:
+        raise error
 
 
 def seeded_pairs(

@@ -1,8 +1,8 @@
 """Filter-as-a-service: the resident ``repro serve`` daemon and its client.
 
 The package turns the resident :class:`~repro.api.Session` (warm engines,
-cached encoded datasets, reference indexes — the ~27x reuse win measured by
-``BENCH_api_overhead``) into a long-running network service:
+cached encoded datasets, reference indexes) into a long-running network
+service:
 
 :mod:`repro.serve.protocol`
     The wire format: newline-framed JSON envelopes versioned with the

@@ -109,24 +109,27 @@ class PairProfile:
         return w / w.sum()
 
 
-@dataclass
+@dataclass(frozen=True)
 class PairDataset:
-    """A pool of candidate pairs plus metadata, the unit of the experiments."""
+    """A pool of candidate pairs plus metadata, the unit of the experiments.
+
+    Frozen, with tuple fields (lists passed in are converted), so the pairs
+    cannot change under the batch :meth:`encoded` caches.
+    """
 
     name: str
-    reads: list[str]
-    segments: list[str]
+    reads: tuple[str, ...]
+    segments: tuple[str, ...]
     read_length: int
     profile: PairProfile | None = None
-    planned_edits: list[int] = field(default_factory=list)
+    planned_edits: tuple[int, ...] = ()
     _encoded: "EncodedPairBatch | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    _encoded_key: "tuple | None" = field(
         default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
+        for name in ("reads", "segments", "planned_edits"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.reads) != len(self.segments):
             raise ValueError("reads and segments must have the same length")
 
@@ -135,14 +138,12 @@ class PairDataset:
 
         Filtering engines consume this batch directly, so repeated runs over
         the same dataset (sweeps, cascades, benchmarks) never re-encode a
-        string.  The cache is keyed on a content fingerprint (Python caches
-        each string's hash, so re-validating is one cheap pass), which keeps
-        the cache correct even if the pair lists are mutated in place.
+        string.
         """
-        key = (len(self.reads), hash(tuple(self.reads)), hash(tuple(self.segments)))
-        if self._encoded is None or self._encoded_key != key:
-            self._encoded = EncodedPairBatch.from_lists(self.reads, self.segments)
-            self._encoded_key = key
+        if self._encoded is None:
+            object.__setattr__(
+                self, "_encoded", EncodedPairBatch.from_lists(self.reads, self.segments)
+            )
         return self._encoded
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ import random
 
 import numpy as np
 
+from repro.filters.base import PreAlignmentFilter
 from repro.simulate.mutations import apply_exact_edits
 
 BASES = "ACGT"
@@ -30,3 +31,37 @@ def mutated_pair(
     np_rng = np.random.default_rng(rng.randrange(1 << 30))
     read = apply_exact_edits(segment, n_edits, np_rng, indel_fraction=indel_fraction)
     return read, segment
+
+
+def kernel_batches(engine, monkeypatch):
+    """The row count of every kernel batch ``engine`` runs from now on."""
+    sizes = []
+    original = engine.filter.filter_batch
+
+    def recording(pairs, tier):
+        sizes.append(pairs.n_pairs)
+        return original(pairs, tier=tier)
+
+    monkeypatch.setattr(engine.filter, "filter_batch", recording)
+    return sizes
+
+
+class BaseCountFilter(PreAlignmentFilter):
+    """A filter with no word kernel, counted base by base in Python.
+
+    Its estimate is half the L1 distance between the two sequences' base
+    counts, rounded up: a substitution moves that distance by at most 2 and
+    an indel by 1, so it never exceeds the edit distance.  The loop holds the
+    GIL.  It lives here, not in a test module, so that process-pool workers
+    can import it.
+    """
+
+    name = "BaseCount"
+
+    def estimate_edits_codes(self, read_codes, ref_codes):
+        counts = [0] * 256
+        for code in read_codes.tolist():
+            counts[code] += 1
+        for code in ref_codes.tolist():
+            counts[code] -= 1
+        return (sum(map(abs, counts)) + 1) // 2

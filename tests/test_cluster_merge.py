@@ -71,7 +71,7 @@ def assert_merge_identity(workload_dict, n_shards):
 # Byte-identity
 # --------------------------------------------------------------------------- #
 class TestMergeIdentity:
-    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_shards", [1, 2, 3, 4, 8])
     def test_memory_single_filter(self, n_shards):
         assert_merge_identity(memory_workload(n_pairs=301), n_shards)
 

@@ -8,11 +8,11 @@ from repro.core import (
     FiltrationBuffers,
     SystemConfiguration,
     plan_buffers,
-    prepare_batches_encoded,
 )
+from repro.engine import FilterEngine
 from repro.genomics.encoding import EncodedPairBatch
 from repro.gpusim import GTX_1080_TI, SETUP_1, SETUP_2, TESLA_K20X
-from helpers import random_sequence
+from helpers import kernel_batches, random_sequence
 
 
 class TestSystemConfiguration:
@@ -94,44 +94,33 @@ class TestBufferPlanning:
         assert not buffers.prefetch_inputs()
 
 
-def batches_of(reads, segments, config):
-    return prepare_batches_encoded(EncodedPairBatch.from_lists(reads, segments), config)
-
-
 class TestPreprocessing:
-    def test_batches_cover_all_pairs_in_order(self, rng):
+    def test_batches_cover_all_pairs_in_order(self, rng, monkeypatch):
         reads = [random_sequence(40, rng) for _ in range(25)]
         segments = [random_sequence(40, rng) for _ in range(25)]
-        config = SystemConfiguration(read_length=40, error_threshold=3, max_reads_per_batch=10)
-        batches = list(batches_of(reads, segments, config))
-        assert [b.start for b in batches] == [0, 10, 20]
-        assert sum(b.n_pairs for b in batches) == 25
-
-    def test_host_encoding_populates_words(self, rng):
-        reads = [random_sequence(40, rng) for _ in range(5)]
-        segments = [random_sequence(40, rng) for _ in range(5)]
-        config = SystemConfiguration(read_length=40, error_threshold=3, encoding=EncodingActor.HOST)
-        batch = next(iter(batches_of(reads, segments, config)))
-        assert batch.host_encoded
-        assert batch.read_words is not None and batch.ref_words is not None
-        assert batch.read_words.shape == (5, 2)  # 40 bases -> 2 x 64-bit words
-
-    def test_device_encoding_leaves_words_empty(self, rng):
-        reads = [random_sequence(40, rng) for _ in range(5)]
-        segments = [random_sequence(40, rng) for _ in range(5)]
-        config = SystemConfiguration(read_length=40, error_threshold=3, encoding=EncodingActor.DEVICE)
-        batch = next(iter(batches_of(reads, segments, config)))
-        assert not batch.host_encoded
+        pairs = EncodedPairBatch.from_lists(reads, segments)
+        whole = FilterEngine("shd", read_length=40, error_threshold=3).filter_encoded_share(pairs)
+        engine = FilterEngine("shd", read_length=40, error_threshold=3, max_reads_per_batch=10)
+        sizes = kernel_batches(engine, monkeypatch)
+        batched = engine.filter_encoded_share(pairs)
+        assert sizes == [10, 10, 5]
+        for got, expected in zip(batched, whole):
+            assert np.array_equal(got, expected)
 
     def test_undefined_flagged(self):
-        config = SystemConfiguration(read_length=8, error_threshold=1)
-        batch = next(iter(batches_of(["ACGTNGTA"], ["ACGTAGTA"], config)))
-        assert batch.undefined.tolist() == [True]
+        engine = FilterEngine("shd", read_length=8, error_threshold=1)
+        pairs = EncodedPairBatch.from_lists(["ACGTNGTA"], ["ACGTAGTA"])
+        estimates, accepted, undefined = engine.filter_encoded_share(pairs)
+        assert undefined.tolist() == accepted.tolist() == [True]
+        assert estimates.tolist() == [0]
 
     def test_mismatched_lists_raise(self):
         with pytest.raises(ValueError):
             EncodedPairBatch.from_lists(["ACGTACGT"], [])
 
-    def test_empty_input_yields_nothing(self):
-        config = SystemConfiguration(read_length=8, error_threshold=1)
-        assert list(batches_of([], [], config)) == []
+    def test_empty_input_yields_nothing(self, monkeypatch):
+        engine = FilterEngine("shd", read_length=8, error_threshold=1)
+        sizes = kernel_batches(engine, monkeypatch)
+        outputs = engine.filter_encoded_share(EncodedPairBatch.from_lists([], []))
+        assert [len(array) for array in outputs] == [0, 0, 0]
+        assert sizes == []

@@ -19,7 +19,6 @@ import pytest
 
 from repro.api import Session, Workload
 from repro.engine import FilterCascade, FilterEngine
-from repro.core import prepare_batches_encoded
 from repro.exec import (
     ProcessExecutor,
     create_executor,
@@ -28,6 +27,7 @@ from repro.exec import (
 )
 from repro.gpusim import split_evenly
 from repro.simulate.datasets import build_dataset
+from helpers import BaseCountFilter, kernel_batches
 
 BACKENDS = ("serial", "threads", "processes")
 WORKER_COUNTS = (1, 2, 4)
@@ -218,18 +218,18 @@ class TestEmptyShares:
         [(1, 100_000, 600), (3, 37, 600), (4, 77, 101), (2, 1, 5)],
     )
     def test_expected_n_batches_counts_the_kernel_batches(
-        self, encoded, n_devices, max_reads_per_batch, n_pairs
+        self, encoded, monkeypatch, n_devices, max_reads_per_batch, n_pairs
     ):
-        """The reported count is what batching each device share yields."""
+        """The reported count is the kernel calls each device share makes."""
         engine = FilterEngine(
             "shd", read_length=encoded.length, error_threshold=5,
             n_devices=n_devices, max_reads_per_batch=max_reads_per_batch,
         )
         pairs = encoded[:n_pairs]
-        batches = sum(
-            len(list(prepare_batches_encoded(pairs[share], engine.config)))
-            for share in split_evenly(n_pairs, n_devices)
-        )
+        sizes = kernel_batches(engine, monkeypatch)
+        for share in split_evenly(n_pairs, n_devices):
+            engine.filter_encoded_share(pairs[share])
+        batches = len(sizes)
         assert expected_n_batches(engine.config, n_pairs) == batches
         assert engine.filter_encoded(pairs).n_batches == batches
 
@@ -271,6 +271,28 @@ class TestSessionResultInvariance:
                         run["prefetch"] = True
                     result = session.run(self._workload(kind, workers, **run))
                     assert result.to_json() == baseline, (mode, kind, workers)
+
+    def test_filter_without_a_word_kernel_on_every_backend(self, monkeypatch):
+        """A registered per-pair Python filter, the case processes are kept for."""
+        from repro.engine import registry
+
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        monkeypatch.setattr(registry, "_ALIASES", dict(registry._ALIASES))
+        registry.register_filter("base-count", BaseCountFilter)
+        outputs = set()
+        for kind, workers in (("serial", 1), ("threads", 2), ("processes", 2)):
+            workload = Workload.from_dict({
+                "input": {"kind": "dataset", "dataset": "Set 1",
+                          "n_pairs": N_PAIRS, "seed": 11},
+                "filter": {"filter": "base-count", "error_threshold": ERROR_THRESHOLD},
+                "execution": {"executor": kind, "workers": workers},
+            })
+            with Session() as session:
+                outputs.add(session.run(workload).to_json())
+                if kind == "processes":
+                    assert session.executor_for(workload).live_segments == 0
+        assert len(outputs) == 1
+        assert '"filter": "BaseCount"' in outputs.pop()
 
     def test_backend_knobs_are_not_part_of_the_canonical_workload(self):
         serial = self._workload("serial", 1)

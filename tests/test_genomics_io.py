@@ -168,6 +168,7 @@ class TestReferenceGenome:
         ref = ReferenceGenome("chr", "ACGTACGTAC")
         assert ref.segment(-2, 5) == "NNACG"
         assert ref.segment(8, 5) == "ACNNN"
+        assert ref.segment(-12, 5) == ref.segment(12, 5) == "NNNNN"
 
     def test_segment_codes_batch(self):
         ref = ReferenceGenome("chr", "ACGTACGTAC")
@@ -201,12 +202,12 @@ class TestReferenceGenome:
     def test_segment_codes_equal_encoded_segment_strings(self, bases, length):
         ref = ReferenceGenome("chr", bases)
         # Every start a seed can propose, and then some: the segment may run
-        # off either end, or lie wholly past the last base.
-        starts = np.arange(1 - length, len(bases) + 1)
+        # off either end, or lie wholly before the first or past the last base.
+        starts = np.arange(-2 * length, len(bases) + length + 1)
+        segments = [ref.segment(int(start), length) for start in starts]
+        assert {len(segment) for segment in segments} == {length}
         codes, undefined = ref.segment_codes(starts, length)
-        expected_codes, expected_undefined = encode_batch_codes(
-            [ref.segment(int(start), length) for start in starts]
-        )
+        expected_codes, expected_undefined = encode_batch_codes(segments)
         assert codes.dtype == np.uint8
         assert np.array_equal(codes, expected_codes)
         assert np.array_equal(undefined, expected_undefined)

@@ -13,6 +13,7 @@ as row-slice views of their cached encoded batch.
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -27,10 +28,12 @@ from repro.api import (
 )
 from repro.align import ground_truth_labels
 from repro.engine import available_filters
+from repro.genomics import decode_pairs
 from repro.gpusim.device import GTX_1080_TI
 from repro.gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
 from repro.runtime import iter_reads, pairs_from_tsv
 from repro.simulate.pairs import PairProfile, generate_pair_dataset
+from helpers import random_sequence
 
 ERROR_THRESHOLD = 4
 READ_LENGTH = 40
@@ -385,3 +388,63 @@ class TestFileSources:
             iter(reads)
         )
         assert from_iterator.stats.summary() == from_list.stats.summary()
+
+
+def write_tsv(path, lengths):
+    """A pairs TSV with one random line per ``(read length, segment length)``.
+
+    The lines are seeded, so two files whose length lists share a prefix
+    share those lines.
+    """
+    rng = random.Random(0)
+    path.write_text("".join(
+        f"{random_sequence(read, rng)}\t{random_sequence(segment, rng)}\n"
+        for read, segment in lengths
+    ))
+    return path
+
+
+class TestTsvReadLengths:
+    """A tsv input takes one read length; a mismatch names the file, the line
+    and both lengths, after the pairs before it."""
+
+    MIXED = [(40, 40)] * 100 + [(50, 50)] * 100
+    MIXED_ERROR = (
+        r"workload\.input\.path: .*mixed\.tsv: line 101: the pair has 50 bases, "
+        r"but the pairs before it have 40"
+    )
+
+    @staticmethod
+    def workload(path, chunk_size, **execution):
+        return Workload.from_dict({
+            "input": {"kind": "tsv", "path": str(path)},
+            "filter": {"filter": "gatekeeper-gpu", "error_threshold": ERROR_THRESHOLD},
+            "execution": {"mode": "streaming", "chunk_size": chunk_size, **execution},
+        })
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    @pytest.mark.parametrize("chunk_size", [100, 1000], ids=["at-a-chunk-boundary", "in-one-block"])
+    def test_mixed_read_lengths(self, session, tmp_path, chunk_size, prefetch):
+        path = write_tsv(tmp_path / "mixed.tsv", self.MIXED)
+        with pytest.raises(ValueError, match=self.MIXED_ERROR):
+            session.run(self.workload(path, chunk_size, prefetch=prefetch))
+
+    def test_read_longer_than_its_segment(self, session, tmp_path):
+        path = write_tsv(tmp_path / "short.tsv", [(40, 40)] * 5 + [(40, 39)])
+        with pytest.raises(ValueError, match=(
+            r"workload\.input\.path: .*short\.tsv: line 6: the read has 40 bases "
+            r"but its segment has 39"
+        )):
+            session.run(self.workload(path, 100))
+
+    @pytest.mark.parametrize("prefetch", [False, True])
+    def test_probe_and_shard_that_end_before_the_bad_line(self, session, tmp_path, prefetch):
+        path = write_tsv(tmp_path / "mixed.tsv", self.MIXED)
+        head = write_tsv(tmp_path / "head.tsv", self.MIXED[:100])
+        expected = session.run(self.workload(head, 64))
+        # With 64-pair blocks, the bad line 101 lies in the shard's second block.
+        shard = {"index": 0, "n_shards": 2, "start": 0, "stop": 100, "total": 200}
+        result = session.run(self.workload(path, 64, prefetch=prefetch, shard=shard))
+        assert result.summary == expected.summary
+        probe = session.probe_pairs(self.workload(path, 64), 100)
+        assert list(decode_pairs([probe])) == list(pairs_from_tsv(head))

@@ -223,6 +223,17 @@ class TestSuccessEnvelopes:
         expected = Session().run(Workload.from_dict(WORKLOAD)).to_json()
         assert P.canonical_result_json(result) == expected
 
+    def test_run_response_equals_a_cold_cli_process(self, server, tmp_path):
+        """The warm daemon answers what a fresh ``repro run`` process prints."""
+        path = tmp_path / "workload.json"
+        path.write_text(Workload.from_dict(WORKLOAD).to_json())
+        cold = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "run", str(path)],
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert ServeClient(port=server.port, timeout_s=60).run_json(WORKLOAD) == cold.stdout
+
     def test_unreachable_daemon_is_typed_client_side(self):
         client = ServeClient(port=1, timeout_s=2)  # nothing listens on port 1
         with pytest.raises(ServeError) as excinfo:
