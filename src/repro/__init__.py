@@ -18,16 +18,18 @@ Package map
 ``repro.engine``    Unified filtering API: string-keyed registry
                     (:func:`get_filter` / :func:`available_filters`),
                     :class:`FilterEngine` (any filter, batched + device-split +
-                    timing-modelled) and :class:`FilterCascade`.
+                    timing-modelled) and :class:`FilterCascade`.  An engine is
+                    a one-stage cascade: both share one ``filter_encoded``.
 ``repro.exec``      Execution backends: serial / thread-pool / process-pool
                     executors with shared-memory ``EncodedPairBatch`` transport
-                    and deterministic share fan-out (results byte-identical
-                    across backends and worker counts).
+                    and one deterministic share fan-out running the stage walk
+                    (results byte-identical across backends and worker counts).
 ``repro.align``     Exact edit distance (Edlib-equivalent) and banded verification.
 ``repro.simulate``  Synthetic genomes, Mason-like reads, candidate-pair pools.
 ``repro.gpusim``    Simulated GPU: devices, unified memory, occupancy, timing, power.
 ``repro.core``      The GateKeeper-GPU system pipeline (config, buffers, batch
-                    preparation).
+                    sizing) and the one filtering result type,
+                    :class:`FilterRunResult`, with its per-stage accounts.
 ``repro.mapper``    mrFAST-like seed-and-extend mapper with pluggable filtering.
 ``repro.runtime``   The one chunk runner behind every filtering run, plus the
                     FASTQ/FASTA/TSV pair sources: bounded memory, multi-device
@@ -68,7 +70,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "11.0.0"
+__version__ = "12.0.0"
 
 __all__ = [
     "Result",

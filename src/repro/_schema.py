@@ -3,7 +3,7 @@
 Every key the versioned :class:`repro.api.Result` schema emits — summary
 totals, cascade stage rows, streaming extras — is spelled exactly once, here.
 The producers (:mod:`repro.api.result`, :meth:`repro.api.Session` stage rows,
-:class:`repro.engine.cascade.CascadeStageAccount`) build their dictionaries
+:class:`repro.core.results.CascadeStageAccount`) build their dictionaries
 from these constants instead of string literals, so a typo'd or drifting key
 is an import error or a linter finding, never a silently-forked schema.
 

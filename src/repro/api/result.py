@@ -23,7 +23,7 @@ if TYPE_CHECKING:
     from ..mapper.mrfast import MappingRunResult
     from .workload import Workload
 
-__all__ = ["SCHEMA_VERSION", "Result"]
+__all__ = ["SCHEMA_VERSION", "Result", "stage_rows"]
 
 #: Version of the canonical report schema.  Bump on any key change.
 SCHEMA_VERSION = 1
@@ -38,6 +38,18 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
     return value
+
+
+def stage_rows(workload: "Workload", accounts: Sequence[Any]) -> list[dict[str, Any]]:
+    """The ``stages`` section of a filtering Result from its stage accounts.
+
+    A cascade reports one row per stage it reached.  A single filter is a
+    one-stage cascade whose one row would repeat the summary, so it reports
+    none.
+    """
+    if not workload.filter.is_cascade:
+        return []
+    return [account.summary() for account in accounts]
 
 
 @dataclass
@@ -154,7 +166,6 @@ class Result:
         report: Any,
         workload: "Workload",
         filter_name: str,
-        stages: list[dict[str, Any]],
     ) -> "Result":
         """Build from a :class:`~repro.runtime.streaming.StreamingReport`.
 
@@ -213,7 +224,7 @@ class Result:
             filter=filter_name,
             summary=summary,
             streaming=streaming,
-            stages=stages,
+            stages=stage_rows(workload, report.stage_accounts),
             chunks=chunks,
             raw=report,
             wall_clock_s=report.wall_clock_s,

@@ -364,7 +364,6 @@ class Session:
         a shard takes the rows of its slice of the blocks.
         """
         from ..engine.registry import get_filter_class
-        from ..exec.reduce import reduce_totals
         from ..runtime.streaming import StreamingPipeline, cut_blocks
 
         spec, ex, output = workload.input, workload.execution, workload.output
@@ -414,20 +413,15 @@ class Session:
                 f"the input is shorter than the shard plan assumed"
             )
 
-        # An empty input never resolves an engine, in which case no kernel ran.
-        engine = pipeline.engine
-        accounts, _, _ = reduce_totals(
-            engine, report.n_pairs, report.stage_inputs, report.n_accepted
-        )
         result = Result.from_report(
             report,
             workload,
             filter_name=" -> ".join(
                 get_filter_class(key).name for key in workload.filter.filters
             ),
-            stages=[account.summary() for account in accounts],
         )
-        result.kernel_tier = getattr(engine, "active_kernel_tier", None)
+        # An empty input never resolves an engine, in which case no kernel ran.
+        result.kernel_tier = getattr(pipeline.engine, "active_kernel_tier", None)
         if shard is not None:
             payload = _shard_payload(shard)
             if report.chunk_device_timings is not None:

@@ -120,6 +120,36 @@ def _build_section(
         raise _err(section, str(exc)) from exc
 
 
+def _check_pairs(pairs: "Sequence[tuple[str, str]] | None") -> None:
+    """A ``pairs`` input is present, non-empty and of one read length.
+
+    Every entry must be a ``(read, segment)`` pair of strings whose read
+    matches its segment and pair 0's length.  The pairs are in memory, so a
+    queued workload fails at construction, naming the first bad pair, rather
+    than mid-run in the encoder.
+    """
+    if pairs is None:
+        raise _err("input.pairs", "required for kind 'pairs' (programmatic input only)")
+    _require(len(pairs) > 0, "input.pairs", "must not be empty")
+    length = 0
+    for i, pair in enumerate(pairs):
+        # Messages are built only on failure: inputs may hold millions of pairs.
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(seq, str) for seq in pair)):
+            raise _err(f"input.pairs[{i}]",
+                       f"expected a (read, segment) pair of strings, got {pair!r}")
+        read, segment = pair
+        if i == 0:
+            length = len(read)
+        if len(read) != len(segment):
+            raise _err(f"input.pairs[{i}]",
+                       f"read is {len(read)} bp but its segment is {len(segment)} bp")
+        if len(read) != length:
+            raise _err(f"input.pairs[{i}]",
+                       f"pair is {len(read)} bp but input.pairs[0] is {length} bp; "
+                       f"all pairs of an input must have one length")
+
+
 @dataclass(frozen=True)
 class InputSpec:
     """Where the candidate pairs come from.
@@ -179,9 +209,7 @@ class InputSpec:
                      f"unknown dataset {self.dataset!r} "
                      f"(available: {sorted(PAPER_DATASETS)})")
         elif self.kind == "pairs":
-            _require(self.pairs is not None, "input.pairs",
-                     "required for kind 'pairs' (programmatic input only)")
-            _require(len(self.pairs) > 0, "input.pairs", "must not be empty")
+            _check_pairs(self.pairs)
         elif self.kind == "tsv":
             _require(bool(self.path), "input.path", "required for kind 'tsv'")
         elif self.kind == "reads":

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .. import _schema as K
-from ..api.result import SCHEMA_VERSION, Result
+from ..api.result import SCHEMA_VERSION, Result, stage_rows
 from ..api.session import Session
 from ..api.workload import ShardSpec, Workload
 from ..exec.reduce import (
@@ -316,14 +316,14 @@ def merge_result_dicts(
     n_rejected = totals[K.N_REJECTED]
 
     # Per-stage input totals drive both the composite timing and the stage
-    # rows, exactly as in the single run.
+    # rows, exactly as in the single run (single-filter shards carry no rows:
+    # stage 0 always examined the merged n_pairs).
     stage_inputs: "dict[int, int]" = {}
     for shard in ordered:
         for row in shard.stages:
             index = int(row[K.STAGE])
             stage_inputs[index] = stage_inputs.get(index, 0) + int(row[K.N_INPUT])
     accounts, timing, _ = reduce_totals(engine, n_pairs, stage_inputs, n_accepted)
-    stages = [account.summary() for account in accounts]
 
     verification_time, no_filter_time = modelled_verification_times(
         n_accepted, n_pairs, read_length, session.verification_cost_per_pair_s
@@ -400,7 +400,7 @@ def merge_result_dicts(
         filter=first.filter,
         summary=summary,
         streaming=streaming,
-        stages=stages,
+        stages=stage_rows(workload, accounts),
         chunks=chunks,
         shard=None,
     )

@@ -4,7 +4,9 @@ This package is the single entry point for running *any* of the six
 pre-alignment filters (GateKeeper, GateKeeper-GPU, SHD, MAGNET, Shouji,
 SneakySnake) through the batched, device-split, timing-modelled pipeline.
 ``filter_encoded`` on an encoded pair batch is the one filtering method of
-both classes:
+both classes, and a :class:`FilterEngine` is a one-stage cascade: both run
+one stage walk and return one :class:`~repro.core.results.FilterRunResult`
+with one :class:`CascadeStageAccount` per stage reached:
 
 >>> from repro.engine import FilterEngine, FilterCascade, available_filters
 >>> from repro.genomics.encoding import EncodedPairBatch
@@ -18,7 +20,8 @@ both classes:
 ... )
 """
 
-from .cascade import CascadeRunResult, CascadeStageAccount, FilterCascade
+from ..core.results import CascadeStageAccount
+from .cascade import FilterCascade
 from .engine import FilterEngine
 from .registry import (
     available_filters,
@@ -29,7 +32,6 @@ from .registry import (
 )
 
 __all__ = [
-    "CascadeRunResult",
     "CascadeStageAccount",
     "FilterCascade",
     "FilterEngine",

@@ -12,62 +12,28 @@ single filter.
 
 Each stage only sees the pairs every earlier stage accepted.  Undefined
 (``N``-containing) pairs take a direct pass through every stage, so the
-cascade preserves the no-false-reject contract of its stages.  The stage
-walk itself lives in :mod:`repro.exec.tasks`; the combined
-:class:`CascadeRunResult` keeps per-stage accounting, rebuilt from the
-per-stage totals by :func:`repro.exec.reduce.reduce_totals`.
+cascade preserves the no-false-reject contract of its stages.  A single
+:class:`~repro.engine.engine.FilterEngine` is a one-stage cascade, so both
+run one body (:func:`repro.engine.engine.filter_stages`), one stage walk
+(:mod:`repro.exec.tasks`) and return one result type,
+:class:`~repro.core.results.FilterRunResult`, whose per-stage accounting is
+rebuilt from the per-stage totals by :func:`repro.exec.reduce.reduce_totals`.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Sequence
 
 from .. import _schema as K
 from ..core.config import EncodingActor
 from ..core.results import FilterRunResult
 from ..genomics.encoding import EncodedPairBatch
-from .engine import FilterEngine
+from .engine import FilterEngine, filter_stages
 
 if TYPE_CHECKING:
     from ..exec.executor import Executor
 
-__all__ = ["CascadeStageAccount", "CascadeRunResult", "FilterCascade"]
-
-
-@dataclass(frozen=True)
-class CascadeStageAccount:
-    """What one stage of a cascade did."""
-
-    stage: int
-    filter_name: str
-    n_input: int
-    n_accepted: int
-    n_rejected: int
-    kernel_time_s: float
-    filter_time_s: float
-
-    def summary(self) -> "dict[str, object]":
-        return {
-            K.STAGE: self.stage,
-            K.FILTER: self.filter_name,
-            K.N_INPUT: self.n_input,
-            K.N_ACCEPTED: self.n_accepted,
-            K.N_REJECTED: self.n_rejected,
-            K.KERNEL_TIME_S: self.kernel_time_s,
-            K.FILTER_TIME_S: self.filter_time_s,
-        }
-
-
-@dataclass
-class CascadeRunResult(FilterRunResult):
-    """A :class:`FilterRunResult` plus per-stage accounting."""
-
-    stage_accounts: list[CascadeStageAccount] = field(default_factory=list)
-
-    def stage_summaries(self) -> "list[dict[str, object]]":
-        return [account.summary() for account in self.stage_accounts]
+__all__ = ["FilterCascade"]
 
 
 class FilterCascade:
@@ -177,56 +143,14 @@ class FilterCascade:
     # ------------------------------------------------------------------ #
     def filter_encoded(
         self, pairs: EncodedPairBatch, executor: "Executor | None" = None
-    ) -> CascadeRunResult:
+    ) -> FilterRunResult:
         """Filter an encoded pair batch through every stage.
 
-        Each stage only sees the survivors of every earlier stage, selected by
-        pure index selection on the parent
-        :class:`~repro.genomics.encoding.EncodedPairBatch` — survivor string
-        lists are never rebuilt and nothing is ever re-encoded, no matter how
-        many stages the cascade has.
-
-        The batch fans out across ``executor``'s workers, or runs as one
-        share on a serial executor when ``executor`` is ``None``.  Every
-        worker carries its share through all stages locally (no
-        intermediate state crosses the transport), and the stage accounts,
-        modelled times and ``n_batches`` are rebuilt from the per-stage
-        totals, so they are byte-identical for every backend and worker
-        count.
+        Each stage only sees the survivors of every earlier stage, and every
+        worker carries its share through all stages locally (no intermediate
+        state crosses the transport): see :func:`filter_stages`.
         """
-        # Imported on first use, like FilterEngine.filter_encoded's.
-        from ..exec.fanout import fan_out_cascade
-        from ..exec.reduce import reduce_totals
-
-        n = pairs.n_pairs
-        if n == 0:
-            raise ValueError("cannot filter an empty work list")
-        wall_start = time.perf_counter()
-        estimates, accepted, undefined, stage_inputs = fan_out_cascade(
-            self, pairs, executor
-        )
-        wall_clock = time.perf_counter() - wall_start
-        accounts, timing, n_batches = reduce_totals(
-            self, n, stage_inputs, int(accepted.sum())
-        )
-        return CascadeRunResult(
-            accepted=accepted,
-            estimated_edits=estimates,
-            undefined=undefined,
-            kernel_time_s=timing.kernel_s,
-            filter_time_s=timing.filter_s,
-            wall_clock_s=wall_clock,
-            timing=timing,
-            n_batches=n_batches,
-            metadata={
-                "filter": self.name,
-                "stages": [stage.name for stage in self.stages],
-                "n_devices": self.n_devices,
-                "encoding": self.encoding.value,
-                "kernel_tier": self.active_kernel_tier,
-            },
-            stage_accounts=accounts,
-        )
+        return filter_stages(self, pairs, executor)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FilterCascade({self.name!r}, error_threshold={self.error_threshold})"

@@ -8,10 +8,14 @@ timing model's decomposition.  Any filter resolvable by the
 :mod:`repro.engine.registry` — or any :class:`PreAlignmentFilter` instance —
 can be dropped in.
 
-:meth:`FilterEngine.filter_encoded` is the one filtering entry point: it
-always fans the batch out through :mod:`repro.exec.fanout` (as one share
-when no executor is given), and every share batches through
-:meth:`FilterEngine.filter_encoded_share`.  Each batch runs the filter's own
+An engine is a one-stage cascade (:attr:`FilterEngine.stages` is
+``(self,)``), so :meth:`FilterEngine.filter_encoded` and
+:meth:`~repro.engine.cascade.FilterCascade.filter_encoded` share one body,
+:func:`filter_stages`: it always fans the batch out through
+:func:`repro.exec.fanout.fan_out` (as one share when no executor is given),
+every share walks the stages (:mod:`repro.exec.tasks`), and every stage
+batches through :meth:`FilterEngine.filter_encoded_share`.  Each batch runs
+the filter's own
 :meth:`~repro.filters.base.PreAlignmentFilter.filter_batch`: its packed-word
 kernel (the GateKeeper family's mirrors the CUDA implementation's arithmetic)
 at the engine's ``kernel_tier``, plus the undefined/threshold decision rule.
@@ -133,6 +137,11 @@ class FilterEngine:
         return self.config.encoding
 
     @property
+    def stages(self) -> "tuple[FilterEngine]":
+        """An engine is a one-stage cascade: every filtering call walks this."""
+        return (self,)
+
+    @property
     def active_kernel_tier(self) -> str:
         """The tier that actually runs (``"native"`` or ``"numpy"``).
 
@@ -174,9 +183,9 @@ class FilterEngine:
     ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_]]":
         """Run the batched kernel path over one share of the work.
 
-        The per-share core of :meth:`filter_encoded`, which executor workers
-        (:mod:`repro.exec.tasks`) run: no timing model, just batching and the
-        kernel on an already-encoded
+        One stage's per-share core, which the executor workers' stage walk
+        (:mod:`repro.exec.tasks`) runs: no timing model, just batching and
+        the kernel on an already-encoded
         :class:`~repro.genomics.encoding.EncodedPairBatch`.  Returns
         ``(estimated_edits, accepted, undefined)``; an empty share yields
         empty arrays.
@@ -200,49 +209,66 @@ class FilterEngine:
     ) -> FilterRunResult:
         """Filter an encoded pair batch (the one filtering entry point).
 
-        The batch fans out across ``executor``'s workers (threads or
-        processes, shared-memory transport), or runs as one share on a
-        serial executor when ``executor`` is ``None``.  Shares are zero-copy
-        row-slice views of ``pairs`` — nothing is re-encoded, re-packed or
-        rebuilt as strings anywhere below this call.  The modelled times and
-        ``n_batches`` are evaluated on the totals for the configured device
-        split, so the result is byte-identical for every backend and worker
-        count.
+        An engine is a one-stage cascade: see :func:`filter_stages`.
         """
-        # Imported on first use: repro.exec loads multiprocessing, which a
-        # plain ``import repro`` does not need.
-        from ..exec.fanout import expected_n_batches, fan_out_engine
-        from ..exec.reduce import stage_timing
-
-        n = pairs.n_pairs
-        if n == 0:
-            raise ValueError("cannot filter an empty work list")
-        self._check_length(pairs)
-        wall_start = time.perf_counter()
-        estimates, accepted, undefined = fan_out_engine(self, pairs, executor)
-        wall_clock = time.perf_counter() - wall_start
-        timing = stage_timing(self, n)
-        return FilterRunResult(
-            accepted=accepted,
-            estimated_edits=estimates,
-            undefined=undefined,
-            kernel_time_s=timing.kernel_s,
-            filter_time_s=timing.filter_s,
-            wall_clock_s=wall_clock,
-            timing=timing,
-            n_batches=expected_n_batches(self.config, n),
-            metadata={
-                "filter": self.filter.name,
-                "encoding": self.config.encoding.value,
-                "n_devices": self.config.n_devices,
-                "device": self.config.primary_device.name,
-                "edge_policy": getattr(self.filter, "edge_policy", None),
-                "kernel_tier": self.active_kernel_tier,
-            },
-        )
+        return filter_stages(self, pairs, executor)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FilterEngine({self.filter.name!r}, read_length={self.read_length}, "
             f"error_threshold={self.error_threshold}, n_devices={self.n_devices})"
         )
+
+
+def filter_stages(
+    engine: Any, pairs: EncodedPairBatch, executor: "Executor | None" = None
+) -> FilterRunResult:
+    """Filter an encoded pair batch through every stage of ``engine``.
+
+    The one body of :meth:`FilterEngine.filter_encoded` and
+    :meth:`~repro.engine.cascade.FilterCascade.filter_encoded`.  The batch
+    fans out across ``executor``'s workers (threads or processes,
+    shared-memory transport), or runs as one share on a serial executor when
+    ``executor`` is ``None``.  Shares are zero-copy row-slice views of
+    ``pairs``, and each later stage sees its share's survivors by index
+    selection, so nothing is re-encoded, re-packed or rebuilt as strings
+    anywhere below this call.  The stage accounts, modelled times and
+    ``n_batches`` are evaluated on each stage's total input for the
+    configured device split, so the result is byte-identical for every
+    backend and worker count.
+    """
+    # Imported on first use: repro.exec loads multiprocessing, which a
+    # plain ``import repro`` does not need.
+    from ..exec.fanout import fan_out
+    from ..exec.reduce import reduce_totals
+
+    n = pairs.n_pairs
+    if n == 0:
+        raise ValueError("cannot filter an empty work list")
+    first = engine.stages[0]
+    first._check_length(pairs)
+    wall_start = time.perf_counter()
+    estimates, accepted, undefined, stage_inputs = fan_out(engine, pairs, executor)
+    wall_clock = time.perf_counter() - wall_start
+    accounts, timing, n_batches = reduce_totals(
+        engine, n, stage_inputs, int(accepted.sum())
+    )
+    return FilterRunResult(
+        accepted=accepted,
+        estimated_edits=estimates,
+        undefined=undefined,
+        kernel_time_s=timing.kernel_s,
+        filter_time_s=timing.filter_s,
+        wall_clock_s=wall_clock,
+        timing=timing,
+        n_batches=n_batches,
+        metadata={
+            "filter": engine.name,
+            "stages": [stage.name for stage in engine.stages],
+            "n_devices": first.n_devices,
+            "device": first.config.primary_device.name,
+            "encoding": first.encoding.value,
+            "kernel_tier": first.active_kernel_tier,
+        },
+        stage_accounts=accounts,
+    )

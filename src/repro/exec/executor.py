@@ -258,10 +258,7 @@ class ProcessExecutor(Executor):
 
 def wants_word_arrays(engine: Any) -> bool:
     """Whether any stage of ``engine`` consumes the packed word arrays."""
-    stages = getattr(engine, "stages", None)
-    if stages is not None:
-        return any(wants_word_arrays(stage) for stage in stages)
-    return bool(getattr(engine, "_needs_word_arrays", False))
+    return any(stage._needs_word_arrays for stage in engine.stages)
 
 
 _EXECUTOR_CLASSES: dict[str, type[Executor]] = {

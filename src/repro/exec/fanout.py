@@ -1,12 +1,13 @@
 """Fan a batch across an executor and reduce the shares deterministically.
 
-These helpers are the bridge between the filtering layers and the execution
-backends, and every filtering call goes through them:
-:func:`fan_out_engine` / :func:`fan_out_cascade` split an encoded batch into
-contiguous shares (one share without an executor), run them on the
-executor, and write each share's outcome back into preallocated arrays by
-its absolute slice — a reduction whose result is independent of completion
-order, backend and worker count.
+:func:`fan_out` is the bridge between the filtering layers and the
+execution backends, and every filtering call goes through it: it splits an
+encoded batch into contiguous shares (one share without an executor), runs
+the engine's stage walk (:mod:`repro.exec.tasks`) on every share, and
+writes each share's outcome back into preallocated arrays by its absolute
+slice — a reduction whose result is independent of completion order,
+backend and worker count.  The pairs each stage examined are summed across
+the shares.
 
 What *is* partition-dependent — modelled times and kernel-call counts — is
 never summed from the shares.  :func:`expected_n_batches` computes the batch
@@ -28,14 +29,8 @@ from ..core.preprocess import kernel_batch_size
 from ..genomics.encoding import EncodedPairBatch
 from ..gpusim.multi_gpu import split_evenly
 from .executor import Executor, SerialExecutor, wants_word_arrays
-from .tasks import ShareOutcome
 
-__all__ = [
-    "share_slices",
-    "expected_n_batches",
-    "fan_out_engine",
-    "fan_out_cascade",
-]
+__all__ = ["share_slices", "expected_n_batches", "fan_out"]
 
 #: What ``executor=None`` runs on.  A serial executor holds no pool, so one
 #: instance is safe to share between concurrent runs.
@@ -71,48 +66,18 @@ def expected_n_batches(config: Any, n_pairs: int) -> int:
     return total
 
 
-def fan_out_engine(
+def fan_out(
     engine: Any, pairs: EncodedPairBatch, executor: "Executor | None" = None
-) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_]]":
-    """Run one engine over ``pairs`` split across the executor's workers.
-
-    Returns ``(estimated_edits, accepted, undefined)`` — the same arrays for
-    every backend and worker count, because every pair's decision depends
-    only on that pair.
-    """
-    estimates, accepted, undefined, _ = _fan_out("engine", engine, pairs, executor)
-    return estimates, accepted, undefined
-
-
-def fan_out_cascade(
-    cascade: Any, pairs: EncodedPairBatch, executor: "Executor | None" = None
 ) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], dict[int, int]]":
-    """Run every cascade stage over ``pairs``, split across the workers.
+    """Run every stage of ``engine`` over ``pairs``, split across the workers.
 
     Each worker carries its share through all stages locally (survivors are
-    pure index selections on its share — nothing is re-encoded).  The pairs
-    each stage examined are summed across shares into ``stage_inputs``
-    (stage index -> count); a share that went locally extinct contributes
-    nothing to the later stages.  Returns ``(estimates, accepted, undefined,
-    stage_inputs)``.
-    """
-    estimates, accepted, undefined, outcomes = _fan_out(
-        "cascade", cascade, pairs, executor
-    )
-    stage_inputs: dict[int, int] = {}
-    for outcome in outcomes:
-        for stage_index, n_input in enumerate(outcome.stage_inputs or []):
-            stage_inputs[stage_index] = stage_inputs.get(stage_index, 0) + n_input
-    return estimates, accepted, undefined, stage_inputs
-
-
-def _fan_out(
-    runner: str, engine: Any, pairs: EncodedPairBatch, executor: "Executor | None"
-) -> "tuple[NDArray[np.int32], NDArray[np.bool_], NDArray[np.bool_], list[ShareOutcome]]":
-    """Run ``runner`` over the shares of ``pairs`` and write each outcome back.
-
-    Returns the reduced ``(estimates, accepted, undefined)`` arrays and the
-    outcomes of the non-empty shares.
+    pure index selections on its share — nothing is re-encoded).  Returns
+    ``(estimates, accepted, undefined, stage_inputs)``.  The arrays are the
+    same for every backend and worker count, because every pair's decision
+    depends only on that pair.  ``stage_inputs`` maps a stage index to the
+    pairs that stage examined, summed across shares; a share that went
+    locally extinct contributes nothing to the later stages.
     """
     if wants_word_arrays(engine):
         # Pack the word arrays once on the parent batch: share views inherit
@@ -126,13 +91,14 @@ def _fan_out(
     estimates = np.zeros(n, dtype=np.int32)
     accepted = np.zeros(n, dtype=bool)
     undefined = np.zeros(n, dtype=bool)
+    stage_inputs: dict[int, int] = {}
     shares = share_slices(n, executor.workers)
-    outcomes: list[ShareOutcome] = []
-    for share, outcome in zip(shares, executor.run_shares(runner, engine, pairs, shares)):
+    for share, outcome in zip(shares, executor.run_shares("engine", engine, pairs, shares)):
         if outcome is None:
             continue  # empty share: zero contribution, nothing was submitted
         estimates[share] = outcome.estimated_edits
         accepted[share] = outcome.accepted
         undefined[share] = outcome.undefined
-        outcomes.append(outcome)
-    return estimates, accepted, undefined, outcomes
+        for stage_index, n_input in enumerate(outcome.stage_inputs):
+            stage_inputs[stage_index] = stage_inputs.get(stage_index, 0) + n_input
+    return estimates, accepted, undefined, stage_inputs

@@ -13,45 +13,27 @@ exactly the same order — keeps results byte-identical across partitionings.
 
 This module is that discipline, extracted: the engines, the chunk runner
 and the shard merge all call these helpers, so the byte-identity contract
-lives in one place instead of copies that could drift.
+lives in one place instead of copies that could drift.  Totals are reduced
+stage by stage for every engine — a single
+:class:`~repro.engine.FilterEngine` is a one-stage cascade — so one
+:func:`reduce_totals` serves single filters and cascades alike.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..core.config import EncodingActor
+from ..core.results import CascadeStageAccount
 from ..gpusim.stream import StreamPool
 from ..gpusim.timing import FilterTiming
 from .fanout import expected_n_batches
 
-if TYPE_CHECKING:
-    from ..engine.cascade import CascadeStageAccount
-
 __all__ = [
-    "stage_timing",
     "reduce_totals",
     "stream_overlap_times",
     "modelled_verification_times",
 ]
-
-
-def stage_timing(stage: Any, n_input: int) -> FilterTiming:
-    """The analytic timing of one engine examining ``n_input`` pairs.
-
-    The single timing call every engine result and every totals-based
-    reduction makes.
-    """
-    timing = stage.timing_model.filter_timing(
-        n_input,
-        stage.config.read_length,
-        stage.config.error_threshold,
-        encode_on_device=stage.config.encoding is EncodingActor.DEVICE,
-        n_devices=stage.config.n_devices,
-        host_encode_threads=1,
-    )
-    assert isinstance(timing, FilterTiming)
-    return timing
 
 
 def reduce_totals(
@@ -60,33 +42,33 @@ def reduce_totals(
     """Stage accounts, composite timing and ``n_batches`` from a run's totals.
 
     ``engine`` is the run's engine or cascade (``None`` when no chunk ever
-    resolved one); ``stage_inputs`` maps a cascade stage index to the pairs
-    that stage examined, summed over every partition; ``n_accepted`` is the
-    run's accepted total.  A stage's survivors are the next stage's input
-    (the final stage's are ``n_accepted``), and the rows stop at the first
-    stage no partition reached.  Timing and ``n_batches`` are evaluated on
-    each stage's total input, so the result does not depend on how the run
-    was partitioned.  A single engine has no stage accounts.
+    resolved one); its ``stages`` are walked in order, a single engine being
+    a one-stage cascade.  Stage 0 examined all ``n_pairs``; ``stage_inputs``
+    maps every later stage index to the pairs that stage examined, summed
+    over every partition; ``n_accepted`` is the run's accepted total.  A
+    stage's survivors are the next stage's input (the final stage's are
+    ``n_accepted``), and the rows stop at the first stage no partition
+    reached.  Timing and ``n_batches`` are evaluated on each stage's total
+    input, so the result does not depend on how the run was partitioned.
     """
-    from ..engine.cascade import CascadeStageAccount
-
-    if engine is None or n_pairs == 0:
-        zero = FilterTiming(encode_s=0.0, host_prep_s=0.0, transfer_s=0.0, kernel_s=0.0)
-        return [], zero, 0
-    stages = getattr(engine, "stages", None)
-    if stages is None:
-        timing = stage_timing(engine, n_pairs)
-        return [], timing, expected_n_batches(engine.config, n_pairs)
     accounts: "list[CascadeStageAccount]" = []
     encode = prep = transfer = kernel = 0.0
     n_batches = 0
+    stages = engine.stages if engine is not None else ()
     for index, stage in enumerate(stages):
-        n_input = int(stage_inputs.get(index, 0))
+        n_input = n_pairs if index == 0 else int(stage_inputs.get(index, 0))
         if n_input == 0:
             break  # an earlier stage rejected every pair of every partition
         last = index == len(stages) - 1
         stage_accepted = int(n_accepted if last else stage_inputs.get(index + 1, 0))
-        timing = stage_timing(stage, n_input)
+        timing: FilterTiming = stage.timing_model.filter_timing(
+            n_input,
+            stage.config.read_length,
+            stage.config.error_threshold,
+            encode_on_device=stage.config.encoding is EncodingActor.DEVICE,
+            n_devices=stage.config.n_devices,
+            host_encode_threads=1,
+        )
         accounts.append(
             CascadeStageAccount(
                 stage=index,

@@ -1,4 +1,4 @@
-"""The unit of parallel work: one engine/cascade run over one batch share.
+"""The unit of parallel work: one engine's stage walk over one batch share.
 
 Executors parallelise *shares*: contiguous row slices of an already-encoded
 :class:`~repro.genomics.encoding.EncodedPairBatch`.  Every pair's decision
@@ -8,8 +8,10 @@ work was partitioned are recomputed analytically from the totals by the
 caller (:mod:`repro.exec.reduce`), which is what makes results
 byte-identical across backends and worker counts.
 
-Runners are module-level functions keyed by name so the process backend can
-ship ``(runner_name, engine, handle, slice)`` through the task pipe — no
+There is one runner, the stage walk: a :class:`~repro.engine.FilterEngine`
+is a one-stage cascade, so engines and cascades run the same code.  Runners
+are module-level functions keyed by name so the process backend can ship
+``(runner_name, engine, handle, slice)`` through the task pipe — no
 closures, and never the encoded matrices themselves (those travel through
 shared memory, see :mod:`repro.exec.shared_batch`).
 """
@@ -32,59 +34,50 @@ __all__ = ["ShareOutcome", "run_share", "RUNNERS"]
 class ShareOutcome:
     """What one share contributes back to the reduction.
 
-    ``stage_inputs`` is ``None`` for plain engines; for cascades it holds the
-    number of pairs each stage examined, for every stage this share actually
-    reached (a share whose pairs all die at stage ``k`` reports ``k + 1``
-    counts).
+    ``stage_inputs`` holds the number of pairs each stage examined, for
+    every stage this share actually reached (a share whose pairs all die at
+    stage ``k`` reports ``k + 1`` counts; stage 0 always sees the share).
     """
 
     estimated_edits: NDArray[np.int32]
     accepted: NDArray[np.bool_]
     undefined: NDArray[np.bool_]
-    stage_inputs: "list[int] | None" = None
+    stage_inputs: list[int]
 
 
-def _run_engine_share(engine: Any, share: EncodedPairBatch) -> ShareOutcome:
-    estimates, accepted, undefined = engine.filter_encoded_share(share)
-    return ShareOutcome(estimates, accepted, undefined)
+def _run_stages(engine: Any, share: EncodedPairBatch) -> ShareOutcome:
+    """The stage walk: every stage of ``engine`` over one share.
 
-
-def _run_cascade_share(cascade: Any, share: EncodedPairBatch) -> ShareOutcome:
-    """The cascade stage walk: all stages over one share.
-
-    Each stage only sees the survivors of every earlier stage, selected by
-    pure index selection on the share (nothing is re-encoded).  A pair
-    reports the estimate of the last stage that examined it (the stage that
-    rejected it, or the final stage); undefined pairs pass every stage.
+    Stage 0's arrays are the share's outputs, so a single engine pays for no
+    index arrays.  Each later stage only sees the survivors of every earlier
+    stage, selected by pure index selection on the share (nothing is
+    re-encoded); a pair reports the estimate of the last stage that examined
+    it (the stage that rejected it, or the final stage).  Undefined pairs
+    pass every stage.
     """
-    n = share.n_pairs
-    estimates = np.zeros(n, dtype=np.int32)
-    accepted = np.zeros(n, dtype=bool)
-    undefined = np.zeros(n, dtype=bool)
-    stage_inputs: list[int] = []
-    alive = np.arange(n)
-    survivors = share
-    for stage_index, stage in enumerate(cascade.stages):
-        if len(alive) == 0:
-            break
-        stage_estimates, stage_accepted, stage_undefined = stage.filter_encoded_share(
-            survivors
-        )
-        estimates[alive] = stage_estimates
-        undefined[alive] |= stage_undefined
-        keep = np.flatnonzero(stage_accepted)
-        stage_inputs.append(int(len(alive)))
-        alive = alive[keep]
-        if len(alive) and stage_index + 1 < len(cascade.stages):
+    first, *rest = engine.stages
+    estimates, accepted, undefined = first.filter_encoded_share(share)
+    stage_inputs = [share.n_pairs]
+    if rest:
+        alive = np.flatnonzero(accepted)
+        survivors, keep = share, alive
+        for stage in rest:
+            if len(alive) == 0:
+                break
             survivors = survivors.select(keep)
-    accepted[alive] = True
+            stage_estimates, stage_accepted, _ = stage.filter_encoded_share(survivors)
+            estimates[alive] = stage_estimates
+            stage_inputs.append(len(alive))
+            keep = np.flatnonzero(stage_accepted)
+            alive = alive[keep]
+        accepted[:] = False
+        accepted[alive] = True
     return ShareOutcome(estimates, accepted, undefined, stage_inputs)
 
 
 #: Runner registry: names cross the process boundary, functions do not.
 RUNNERS: dict[str, Callable[[Any, EncodedPairBatch], ShareOutcome]] = {
-    "engine": _run_engine_share,
-    "cascade": _run_cascade_share,
+    "engine": _run_stages,
 }
 
 

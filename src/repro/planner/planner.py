@@ -9,9 +9,9 @@ choice automatically and deterministically:
    ``[filter.planner].sample_pairs`` pairs; the prefix is a pure function of
    the input spec, so the memory and streaming paths — and every shard
    planner — see the same probe) and run every filter that appears in a
-   candidate cascade over it once via the ordinary
-   :meth:`~repro.engine.engine.FilterEngine.filter_encoded` path, recording
-   each filter's boolean accept mask.
+   candidate cascade over it once with the filter's own batch kernel
+   (:meth:`~repro.filters.base.PreAlignmentFilter.filter_batch`, at the
+   workload's kernel tier), recording each filter's boolean accept mask.
 2. **Search.**  Enumerate candidate cascades (each single filter plus every
    cost-ascending 2-stage — and, with ``max_stages = 3``, 3-stage —
    combination, or the explicit ``candidates`` list) and score each with the
@@ -54,6 +54,7 @@ import numpy as np
 from .. import _schema as K
 from .._defaults import FILTER_COST_PER_PAIR_S
 from ..api.workload import FilterSpec, PlannerSpec, Workload
+from ..engine.registry import get_filter
 
 if TYPE_CHECKING:
     from ..api.session import Session
@@ -224,18 +225,16 @@ def _compute_plan(
     cascades = _candidate_cascades(planner)
     probed_names = sorted({name for cascade in cascades for name in cascade})
 
-    # One engine run per distinct filter; a cascade's accept set is the
-    # intersection of its stages' masks (per-pair decisions are independent),
-    # so no candidate needs its own probe pass.
+    # One batch-kernel run per distinct filter on the packed probe (no
+    # engine: the masks are per-pair decisions, so batching and the device
+    # split cannot change them); a cascade's accept set is the intersection
+    # of its stages' masks, so no candidate needs its own probe pass.
+    threshold = workload.filter.error_threshold
+    tier = workload.execution.kernel_tier
     masks: "dict[str, Any]" = {}
     for name in probed_names:
-        probe_workload = workload.replace(
-            filter=FilterSpec(
-                filters=(name,), error_threshold=workload.filter.error_threshold
-            )
-        )
-        engine = session.engine_for(probe_workload, read_length)
-        masks[name] = np.asarray(engine.filter_encoded(batch).accepted, dtype=bool)
+        _, accepted = get_filter(name, threshold).filter_batch(batch, tier=tier)
+        masks[name] = np.asarray(accepted, dtype=bool)
 
     probe_cost = round(
         probe_n * sum(filter_cost_per_pair(name, read_length) for name in probed_names),

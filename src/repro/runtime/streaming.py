@@ -18,14 +18,17 @@ concatenates their codes).  Two entry points feed it:
   chunk, optionally in a prefetching producer thread.
 
 Every chunk goes through ``engine.filter_encoded(batch, executor=...)``
-(a :class:`~repro.engine.FilterEngine` or
+(a :class:`~repro.engine.FilterEngine`, which is a one-stage cascade, or a
 :class:`~repro.engine.FilterCascade`), the surviving pairs are verified
 immediately in one :meth:`~repro.align.Verifier.verify_batch` pass over the
 chunk's codes, and only counters survive the chunk.  H2D-transfer/kernel
 overlap across the configured (simulated) devices is modelled with one
 stream per device, so the report can distinguish *serial* execution (every
 transfer and kernel back-to-back) from *overlapped* execution (devices run
-concurrently, chunks pipeline).
+concurrently, chunks pipeline).  A device's work for a chunk is the sum, in
+stage order, of the analytic timings of its even share of the pairs each
+stage examined, so a single filter and a cascade follow one multi-device
+model.
 
 Equivalence contract
 --------------------
@@ -56,6 +59,7 @@ import numpy as np
 from .._defaults import DEFAULT_CHUNK_SIZE, VERIFICATION_COST_PER_PAIR_S
 from ..align.verification import Verifier
 from ..core.config import EncodingActor
+from ..core.results import CascadeStageAccount
 from ..exec.executor import wants_word_arrays
 from ..exec.reduce import (
     modelled_verification_times,
@@ -63,7 +67,7 @@ from ..exec.reduce import (
     stream_overlap_times,
 )
 from ..genomics.encoding import EncodedPairBatch
-from ..gpusim.multi_gpu import MultiGpuDispatcher, split_evenly
+from ..gpusim.multi_gpu import MultiGpuDispatcher
 from ..gpusim.timing import FilterTiming
 
 __all__ = ["ChunkReport", "StreamingReport", "StreamingPipeline", "cut_blocks"]
@@ -164,8 +168,8 @@ class StreamingReport:
     wall_clock_s: float
     serial_time_s: float
     overlapped_time_s: float
-    #: Stage index -> pairs that stage examined, summed over chunks.
-    stage_inputs: dict[int, int] = field(default_factory=dict)
+    #: One account per stage the run reached, from the stage totals.
+    stage_accounts: list[CascadeStageAccount] = field(default_factory=list)
     chunks: list[ChunkReport] = field(default_factory=list)
     #: Per chunk, per device ``[transfer_s, kernel_s, host_s]`` (when collected).
     chunk_device_timings: list[list[list[float]]] | None = None
@@ -350,32 +354,32 @@ class StreamingPipeline:
     # The loop
     # ------------------------------------------------------------------ #
     @staticmethod
-    def _share_timings(engine: Any, result: Any, n: int) -> list[FilterTiming]:
-        """Per-device stream-model timings of one ``n``-pair chunk."""
-        if not hasattr(engine, "stages"):
-            # One engine: the analytic timing of each device's even share.
-            return MultiGpuDispatcher(
-                engine.config.devices, engine.timing_model
+    def _share_timings(engine: Any, result: Any) -> list[FilterTiming]:
+        """Per-device stream-model timings of one chunk.
+
+        Each stage the chunk reached splits the pairs it examined evenly
+        across the devices; a device's timing is the sum of its stage shares'
+        analytic timings, added in stage order from 0.0.
+        """
+        totals = [[0.0] * 4 for _ in range(engine.n_devices)]
+        for stage, account in zip(engine.stages, result.stage_accounts):
+            shares = MultiGpuDispatcher(
+                stage.config.devices, stage.timing_model
             ).share_timings(
-                n,
-                engine.read_length,
-                engine.error_threshold,
-                encode_on_device=engine.encoding is EncodingActor.DEVICE,
+                account.n_input,
+                stage.read_length,
+                stage.error_threshold,
+                encode_on_device=stage.encoding is EncodingActor.DEVICE,
             )
-        # Cascade: a proportional split of the chunk's composite (all-stage)
-        # timing across the device shares.
-        timings = []
-        for share in split_evenly(n, engine.n_devices):
-            fraction = (share.stop - share.start) / n
-            timings.append(
-                FilterTiming(
-                    encode_s=result.timing.encode_s * fraction,
-                    host_prep_s=result.timing.host_prep_s * fraction,
-                    transfer_s=result.timing.transfer_s * fraction,
-                    kernel_s=result.timing.kernel_s * fraction,
-                )
-            )
-        return timings
+            for device, timing in zip(totals, shares):
+                device[0] += timing.encode_s
+                device[1] += timing.host_prep_s
+                device[2] += timing.transfer_s
+                device[3] += timing.kernel_s
+        return [
+            FilterTiming(encode_s=encode, host_prep_s=prep, transfer_s=transfer, kernel_s=kernel)
+            for encode, prep, transfer, kernel in totals
+        ]
 
     def _run(
         self, chunks: Iterable[EncodedPairBatch], name: str, verify: bool
@@ -409,14 +413,10 @@ class StreamingPipeline:
                 device_transfer = [0.0] * engine.n_devices
                 device_kernel = [0.0] * engine.n_devices
             result = engine.filter_encoded(batch, executor=self.executor)
-            accounts = getattr(result, "stage_accounts", None)
-            if accounts is None:
-                stage_inputs[0] = stage_inputs.get(0, 0) + n
-            else:
-                for account in accounts:
-                    stage_inputs[account.stage] = (
-                        stage_inputs.get(account.stage, 0) + account.n_input
-                    )
+            for account in result.stage_accounts:
+                stage_inputs[account.stage] = (
+                    stage_inputs.get(account.stage, 0) + account.n_input
+                )
 
             if verify and result.n_accepted:
                 distances = verifier.verify_batch(batch, np.flatnonzero(result.accepted))
@@ -433,7 +433,7 @@ class StreamingPipeline:
             # These are per-*device* modelled times for the configured device
             # split — a semantic quantity fixed by n_devices, not an executor
             # partition artifact — so accumulating them is partition-invariant.
-            share_timings = self._share_timings(engine, result, n)
+            share_timings = self._share_timings(engine, result)
             for device_index, timing in enumerate(share_timings):
                 device_transfer[device_index] += timing.transfer_s  # reprolint: disable=partition-invariant-reduction
                 device_kernel[device_index] += timing.kernel_s
@@ -491,7 +491,9 @@ class StreamingPipeline:
         serial_time, overlapped_time = stream_overlap_times(
             device_transfer, device_kernel, host_time, len(device_transfer)
         )
-        _, run_timing, _ = reduce_totals(engine, n_pairs, stage_inputs, n_accepted)
+        run_accounts, run_timing, _ = reduce_totals(
+            engine, n_pairs, stage_inputs, n_accepted
+        )
 
         def _concat(parts: list[np.ndarray], dtype: Any) -> np.ndarray | None:
             if not self.collect_decisions:
@@ -514,7 +516,7 @@ class StreamingPipeline:
             wall_clock_s=time.perf_counter() - wall_start,
             serial_time_s=serial_time,
             overlapped_time_s=overlapped_time,
-            stage_inputs=stage_inputs,
+            stage_accounts=run_accounts,
             chunks=chunk_reports,
             chunk_device_timings=chunk_timings if self.collect_chunk_timings else None,
             accepted=_concat(accepted_parts, bool),

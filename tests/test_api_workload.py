@@ -217,6 +217,18 @@ class TestValidationMessages:
                 "unknown section",
             ),
             ({}, "workload.input"),
+            (
+                {"input": {"kind": "pairs", "pairs": [("ACGT", "ACGT"), ("ACGTA", "ACGTA")]}},
+                "workload.input.pairs[1]: pair is 5 bp but input.pairs[0] is 4 bp",
+            ),
+            (
+                {"input": {"kind": "pairs", "pairs": [("ACGT", "ACGT"), ("ACGT", "ACG")]}},
+                "workload.input.pairs[1]: read is 4 bp but its segment is 3 bp",
+            ),
+            (
+                {"input": {"kind": "pairs", "pairs": [("ACGT", "ACGT"), ("ACGT",)]}},
+                "workload.input.pairs[1]: expected a (read, segment) pair of strings",
+            ),
         ],
     )
     def test_error_names_field(self, data, fieldpath):

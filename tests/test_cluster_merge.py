@@ -89,6 +89,10 @@ class TestMergeIdentity:
             streaming_workload(cascade=True, verify=False), n_shards
         )
 
+    @pytest.mark.parametrize("n_shards", [2, 3])
+    def test_streaming_cascade_multi_device(self, n_shards):
+        assert_merge_identity(streaming_workload(cascade=True, n_devices=2), n_shards)
+
     @pytest.mark.parametrize("mode", ["memory", "streaming"])
     def test_cascade_with_an_extinct_first_shard(self, mode):
         # Set 1 (seed 5) at threshold 3: GateKeeper-GPU rejects all of the

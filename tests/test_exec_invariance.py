@@ -102,9 +102,7 @@ def assert_matches_reference(result, stages, pairs):
     assert np.array_equal(result.accepted, accepted)
     assert np.array_equal(result.estimated_edits, estimates)
     assert np.array_equal(result.undefined, undefined)
-    accounts = getattr(result, "stage_accounts", None)
-    if accounts is not None:
-        assert [(a.n_input, a.n_accepted) for a in accounts] == stage_counts
+    assert [(a.n_input, a.n_accepted) for a in result.stage_accounts] == stage_counts
 
 
 class TestEngineInvariance:

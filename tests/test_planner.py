@@ -184,6 +184,13 @@ class TestPlanning:
         assert record[K.PLANNER_VERSION] == PLANNER_VERSION
         assert record == json.loads(json.dumps(record))
 
+    def test_auto_run_caches_only_the_chosen_engine(self):
+        """The probe runs each filter's batch kernel, so it builds no engines."""
+        with Session() as fresh:
+            result = fresh.run(Workload.from_dict(auto_workload()))
+            assert fresh.cache_info["engines"] == 1
+            assert result.plan is not None
+
     def test_plans_are_cached_per_input_identity(self, session):
         before = session.cache_info["plans"]
         first = plan_workload(session, Workload.from_dict(auto_workload()))

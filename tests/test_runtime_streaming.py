@@ -269,6 +269,46 @@ class TestMultiGpuInvariance:
             )
             assert chunk["modelled_kernel_s"] == pytest.approx(expected)
 
+        # A cascade: each device's kernel time sums its share of every stage
+        # the chunk reached; the chunk reports the slowest device.
+        workload = workload_for(dataset, ["gatekeeper-gpu", "sneakysnake"], n_devices=2)
+        result = session.run(workload)
+        cascade = session.engine_for(workload, READ_LENGTH)
+        encoded, start = dataset.encoded(), 0
+        for chunk in result.chunks:
+            stop = start + chunk["n_pairs"]
+            accounts = cascade.filter_encoded(encoded[start:stop]).stage_accounts
+            start = stop
+            per_stage = [
+                [
+                    stage.timing_model.filter_timing(
+                        s.stop - s.start,
+                        READ_LENGTH,
+                        ERROR_THRESHOLD,
+                        encode_on_device=True,
+                        n_devices=1,
+                    ).kernel_s
+                    for s in split_evenly(account.n_input, 2)
+                ]
+                for stage, account in zip(cascade.stages, accounts)
+            ]
+            expected = max(sum(device) for device in zip(*per_stage))
+            assert chunk["modelled_kernel_s"] == pytest.approx(expected)
+
+    @pytest.mark.parametrize(
+        "filters",
+        [["gatekeeper-gpu"], ["gatekeeper-gpu", "sneakysnake"]],
+        ids=["single", "cascade"],
+    )
+    @pytest.mark.parametrize("n_devices", [2, 3])
+    def test_serial_time_does_not_depend_on_device_count(
+        self, session, dataset, filters, n_devices
+    ):
+        """Splitting the work across devices moves it; serial time pays all of it."""
+        one = session.run(workload_for(dataset, filters, n_devices=1)).streaming
+        many = session.run(workload_for(dataset, filters, n_devices=n_devices)).streaming
+        assert many["serial_time_s"] == pytest.approx(one["serial_time_s"])
+
     def test_empty_input_reports_configured_filter_and_devices(self, session, tmp_path):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
