@@ -5,10 +5,12 @@ Two representations are used in this code base:
 * **per-base boolean masks** (NumPy ``uint8``/``bool`` arrays, one element per
   base) — this module; the clearest form, used only by the filters' scalar
   reference paths (``estimate_edits_codes``), the test oracle;
-* **packed word arrays** (``uint64`` words, two bits per base) — the form the
-  CUDA kernel works in and every filter's batch kernel runs on; those live in
-  :mod:`repro.filters.packed` and are checked against this module by property
-  tests.
+* **packed word arrays** — every filter's batch kernel runs on them; they
+  live in :mod:`repro.filters.packed` and are checked against this module by
+  property tests.  Shouji, SneakySnake and MAGNET use ``uint64`` lane words
+  (two bits per base, the form the CUDA kernel works in); the GateKeeper
+  family uses bit-sliced planes (one bit per base and pair, 64 pairs per
+  word).
 """
 
 from __future__ import annotations

@@ -9,15 +9,18 @@ the accuracy weakness that the GateKeeper-GPU leading/trailing amendment
 fixes.
 
 The whole family (GateKeeper, GateKeeper-GPU, SHD) runs one batch kernel,
-:func:`gatekeeper_kernel`.  The CUDA kernel cannot hold a 200-bit register the
-way the FPGA does, so an encoded read is an array of machine words and every
-shift repairs the bits that cross word boundaries with explicit carry
-transfers (paper Section 3.4: "there are 2e shifts and 2e carry-bit
-operations" per filtration).  The kernel does exactly that word-level
-arithmetic on word-major arrays — word ``w`` of every pair of a batch is one
-row, as a warp reads it — and never leaves the packed ``uint64`` lane
-representation of :mod:`repro.filters.packed`.  The per-base
-mask pipeline of :mod:`repro.filters.masks` stays as the scalar reference
+:func:`gatekeeper_kernel`.  The CUDA kernel runs one filtration per thread
+and, since a thread cannot hold a 200-bit register the way the FPGA does,
+repairs every shift across its word boundaries with explicit carry transfers
+(paper Section 3.4: "there are 2e shifts and 2e carry-bit operations" per
+filtration).  The NumPy kernel takes the CPU analogue of one thread per
+filtration instead: it bit-slices each block of 64 pairs once
+(:func:`repro.filters.packed.bit_planes`), so one ``uint64`` word holds one
+bit of one base for 64 pairs and each pair is one bit position.  A shift by
+``k`` bases is then an offset of ``k`` rows — a view, with no carry to
+transfer — and amendment, edge forcing, the AND across masks and the window
+count are boolean operations on whole rows.  The per-base mask pipeline of
+:mod:`repro.filters.masks` stays as the scalar reference
 (:meth:`GateKeeperFilter.estimate_edits_codes`); the property tests pin the
 kernel to it bit for bit.
 """
@@ -30,13 +33,7 @@ from .base import PreAlignmentFilter
 from .bitvector import count_set_windows
 from .masks import EdgePolicy, build_mask_set
 from .native import DEFAULT_KERNEL_TIER, resolve
-from .packed import (
-    amend_lanes,
-    count_lane_windows,
-    lane_span_mask,
-    shifted_mismatch_lanes,
-    word_major,
-)
+from .packed import amend_planes, bit_planes, count_plane_windows
 
 __all__ = ["GateKeeperFilter", "COUNT_WINDOW", "gatekeeper_kernel"]
 
@@ -56,32 +53,44 @@ def gatekeeper_kernel(
     """Pure-NumPy GateKeeper estimates for a batch of packed pairs.
 
     The registered reference implementation of the ``gatekeeper_kernel``
-    native pair.  The pair-major word arrays are transposed once to the
-    word-major layout of :mod:`repro.filters.packed`; each of the ``2e+1``
-    masks is then produced (shift with carry transfer, XOR, OR-fold),
-    amended, edge-forced (``edge_one``) and ANDed into one accumulator, and
-    the final mask is counted in ``count_window``-base windows.  The returned
-    int32 estimates are bit-identical to the Numba twin's.
+    native pair.  The pair-major word arrays are bit-sliced once
+    (:func:`~repro.filters.packed.bit_planes`): row ``j`` of a plane holds
+    one code bit of base ``j`` for 64 pairs.  Each of the ``2e+1`` masks is
+    then two XORs and an OR of row-offset views (a shift by ``k`` bases is
+    an offset of ``k`` rows), written into a buffer with two zero rows at
+    each end and amended there, edge-forced (``edge_one``) by a row-slice
+    assignment and ANDed into one accumulator, whose set bits are counted
+    in ``count_window``-base windows.  The returned int32 estimates are
+    bit-identical to the Numba twin's.
     """
-    read_words = word_major(read_words)
-    ref_words = word_major(ref_words)
-    valid = lane_span_mask(0, length, read_words.shape[0])
-    final = None
+    length = int(length)
+    read, ref = bit_planes(read_words, ref_words, length)
+    padded = np.zeros((length + 4, read.shape[-1]), dtype=np.uint64)
+    mask = padded[2:-2]
+    diff = np.empty_like(read)
+    final = scratch = None
     for shift in [0] + [s for k in range(1, int(error_threshold) + 1) for s in (k, -k)]:
-        # Vacated positions carry garbage comparisons (shifted-in zero bits vs
-        # reference); vacant_value=0 normalises them to the raw-mask
-        # convention before amendment, exactly as the scalar reference does.
-        mask, vacated = shifted_mismatch_lanes(
-            read_words, ref_words, shift, length, vacant_value=0, valid=valid
-        )
-        mask = amend_lanes(mask, max_zero_run=max_zero_run)
-        if edge_one and vacated is not None:
-            mask |= vacated
-        if final is None:
-            final = mask
+        # Row j compares read[j - shift] with ref[j]; the k rows with no read
+        # base are vacated and stay 0 until after amendment, exactly as the
+        # scalar reference does.
+        k = min(abs(shift), length)
+        kept = length - k
+        if shift >= 0:
+            read_rows, compared, vacated = slice(0, kept), slice(k, length), slice(0, k)
         else:
-            final &= mask
-    return count_lane_windows(final, length, window=count_window)
+            read_rows, compared, vacated = slice(k, length), slice(0, kept), slice(kept, length)
+        np.bitwise_xor(read[:, read_rows], ref[:, compared], out=diff[:, :kept])
+        np.bitwise_or(diff[0, :kept], diff[1, :kept], out=mask[compared])
+        mask[vacated] = 0
+        amended = amend_planes(padded, max_zero_run, out=scratch)
+        if edge_one:
+            amended[vacated] = ~np.uint64(0)
+        if final is None:
+            final = amended
+        else:
+            final &= amended
+            scratch = amended
+    return count_plane_windows(final, count_window)[: len(read_words)]
 
 
 class GateKeeperFilter(PreAlignmentFilter):

@@ -9,10 +9,12 @@ GateKeeper falsely accepts, producing up to 52x fewer false accepts while
 never rejecting a truly similar pair.
 
 The filter shares :class:`~repro.filters.gatekeeper.GateKeeperFilter`'s
-scalar reference and its packed-word batch kernel
-(:func:`repro.filters.gatekeeper.gatekeeper_kernel`, which mirrors the CUDA
-kernel's word layout); only the edge policy differs.  Property tests check
-the two paths against each other.
+scalar reference and its bit-sliced batch kernel
+(:func:`repro.filters.gatekeeper.gatekeeper_kernel`, one bit per pair and 64
+pairs per word, the CPU analogue of the CUDA kernel's one thread per
+filtration); only the edge policy differs: the vacated positions are forced
+to 1 by a row-slice assignment.  Property tests check the two paths against
+each other.
 """
 
 from __future__ import annotations

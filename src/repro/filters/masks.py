@@ -16,7 +16,8 @@ The functions here operate on per-base code arrays, which is mathematically
 identical to the packed bit-vector formulation: they are the scalar reference
 of the GateKeeper family, and property tests (``tests/test_packed_kernels.py``,
 ``tests/test_filters_hypothesis.py``) verify the equivalence with the
-word-array kernel :func:`repro.filters.gatekeeper.gatekeeper_kernel`.
+bit-sliced batch kernel :func:`repro.filters.gatekeeper.gatekeeper_kernel`
+(one bit per pair, 64 pairs per word).
 """
 
 from __future__ import annotations

@@ -2,22 +2,32 @@
 
 The per-base ``uint8`` mask helpers of :mod:`repro.filters.bitvector` are the
 *reference* implementation: one array element per base, easy to read, easy to
-verify.  This module is the *fast* implementation the engine actually runs:
-masks live in the same 2-bit-lane layout as the encoded sequences — one
-``uint64`` word holds 32 bases, the per-base mask bit sits in the low bit of
-each base's 2-bit group, and the first base of a sequence occupies the most
-significant group of word 0.
+verify.  This module is the *fast* implementation the engine actually runs,
+in two layouts.
 
-Every array here is **word-major**: shape ``(n_words, n_pairs)`` (or a stack
-of such arrays, one per diagonal or mask), so word ``w`` of every pair is one
-contiguous row — the way a GPU warp reads the same word of neighbouring
-pairs.  A shift with carry transfer is then a few operations on whole rows,
-not on short strided slices of 4 words per pair.
-The kernels transpose the pair-major ``(n_pairs, n_words)`` arrays of an
+**Lane words** (Shouji, SneakySnake, MAGNET): masks live in the same
+2-bit-lane layout as the encoded sequences — one ``uint64`` word holds 32
+bases, the per-base mask bit sits in the low bit of each base's 2-bit group,
+and the first base of a sequence occupies the most significant group of
+word 0.  These arrays are **word-major**: shape ``(n_words, n_pairs)`` (or a
+stack of such arrays, one per diagonal or mask), so word ``w`` of every pair
+is one contiguous row — the way a GPU warp reads the same word of
+neighbouring pairs.  A shift with carry transfer is then a few operations on
+whole rows, not on short strided slices of 4 words per pair.  The kernels
+transpose the pair-major ``(n_pairs, n_words)`` arrays of an
 :class:`~repro.genomics.encoding.EncodedPairBatch` once, on entry
 (:func:`word_major`).  Per-base arrays stay pair-major: :func:`pack_lanes`
 turns ``(..., length)`` into ``(n_words, ...)`` and :func:`unpack_lanes`
 turns it back.
+
+**Bit-sliced planes** (the GateKeeper family): :func:`bit_planes` transposes
+each 64-pair block of the words once (:func:`transpose_bit_blocks`, a
+64 x 64 bit-matrix transpose), so a ``(length, n_blocks)`` plane holds one
+bit per base and pair — row ``j`` is base ``j``, bit ``p`` of column ``b``
+is pair ``64 * b + p``.  A shift by ``k`` bases is an offset of ``k`` rows,
+streak amendment (:func:`amend_planes`) is five boolean operations on
+row-offset views, and :func:`count_plane_windows` ORs each window's rows and
+sums every pair's bits.
 
 Every hot operation of the filtering stack (shifted mismatch masks, streak
 amendment, edge forcing, the AND across masks, windowed edit counting,
@@ -28,9 +38,11 @@ shifts, boolean word operations and popcounts on these arrays.
 Popcounts use :func:`numpy.bitwise_count` when available (NumPy >= 2.0) and
 fall back to a 256-entry byte lookup table on older NumPy builds.
 
-Property tests (``tests/test_packed_kernels.py``) pin every kernel here
-bit-for-bit against the per-base reference across read lengths and
-thresholds, including ``N``-containing and length-1 edge cases.
+Property tests (``tests/test_packed_kernels.py``,
+``tests/test_filters_hypothesis.py``) pin every kernel here bit-for-bit
+against the per-base reference across read lengths and thresholds, including
+``N``-containing and length-1 edge cases and batches of more than one
+64-pair block.
 """
 
 from __future__ import annotations
@@ -54,8 +66,10 @@ __all__ = [
     "lane_span_mask",
     "mismatch_lanes",
     "shifted_mismatch_lanes",
-    "amend_lanes",
-    "count_lane_windows",
+    "transpose_bit_blocks",
+    "bit_planes",
+    "amend_planes",
+    "count_plane_windows",
     "pack_lanes",
     "unpack_lanes",
     "unpack_group_values",
@@ -258,69 +272,119 @@ def shifted_mismatch_lanes(
     return lanes, vacated
 
 
-def amend_lanes(masks: np.ndarray, max_zero_run: int = 2) -> np.ndarray:
-    """Packed equivalent of :func:`repro.filters.bitvector.amend_mask`.
+# --------------------------------------------------------------------------- #
+# Bit-sliced planes: one bit per pair, 64 pairs per word
+# --------------------------------------------------------------------------- #
 
-    Flips zero runs of length <= ``max_zero_run`` flanked by ones on both
-    sides; runs touching either sequence boundary are left untouched.  A
-    zero is filled when a one sits at distance 1 on both sides, or (runs of
-    two) at distances 1 and 2; ``masks`` must be clear beyond the sequence
-    length, as every mask built here is, so the zeros shifted in at the
-    edges give exactly the boundary rule.
+
+def transpose_bit_blocks(rows: np.ndarray) -> np.ndarray:
+    """Transpose every 64 x 64 bit matrix along axis 0 of ``rows``, in place.
+
+    ``rows`` is a C-contiguous ``(64, ...)`` uint64 array; for each position
+    of the trailing axes, bit ``c`` of ``rows[r]`` and bit ``r`` of
+    ``rows[c]`` trade places.  Six stages swap the off-diagonal blocks of
+    widths 32, 16, ..., 1, each with one mask, two shifts and three XORs
+    over half of the array (Hacker's Delight, section 7-3).
+    """
+    if rows.dtype != _U64 or rows.shape[:1] != (_WORD_BITS,) or not rows.flags.c_contiguous:
+        raise ValueError("rows must be a C-contiguous (64, ...) uint64 array")
+    flat = rows.reshape(_WORD_BITS, -1)
+    n_cols = flat.shape[1]
+    swap = np.empty(_WORD_BITS // 2 * n_cols, dtype=_U64)
+    width, mask = _WORD_BITS // 2, _U64(0xFFFFFFFF)
+    while width:
+        # Rows r with bit `width` of r clear pair with rows r + width.
+        groups = flat.reshape(_WORD_BITS // (2 * width), 2, width * n_cols)
+        low, high = groups[:, 0], groups[:, 1]
+        t = swap.reshape(low.shape)
+        np.right_shift(low, _U64(width), out=t)
+        t ^= high
+        t &= mask
+        high ^= t
+        t <<= _U64(width)
+        low ^= t
+        width >>= 1
+        mask ^= mask << _U64(width)
+    return rows
+
+
+def bit_planes(
+    read_words: np.ndarray, ref_words: np.ndarray, length: int
+) -> np.ndarray:
+    """Bit-sliced code planes of a pair-major word batch, ``(2, 2, length, n_blocks)``.
+
+    ``planes[side, bit, j]`` holds code bit ``bit`` (0 high, 1 low) of base
+    ``j`` of the reads (``side`` 0) or the references (``side`` 1) for 64
+    pairs per word: pair ``64 * b + p`` is bit ``p`` of column ``b``, and the
+    pairs that pad the last block read as zeros.  Both sides go through one
+    :func:`transpose_bit_blocks` call.
+    """
+    n_pairs, n_words = np.shape(read_words)
+    n_full, n_tail = divmod(n_pairs, _WORD_BITS)
+    n_blocks = n_full + (n_tail > 0)
+    # One 64 x 64 bit matrix per (side, word, block): row p is pair p's word.
+    blocks = np.empty((_WORD_BITS, 2, n_words, n_blocks), dtype=_U64)
+    blocks[..., n_full:] = 0
+    for side, words in enumerate((read_words, ref_words)):
+        words = np.asarray(words, dtype=_U64)
+        head = words[: n_full * _WORD_BITS].reshape(n_full, _WORD_BITS, n_words)
+        blocks[:, side, :, :n_full] = head.transpose(1, 2, 0)
+        blocks[:n_tail, side, :, n_full:] = words[n_full * _WORD_BITS :, :, np.newaxis]
+    transpose_bit_blocks(blocks)
+    # Row i now holds bit i of the word; base b of a word sits in bits
+    # 63 - 2b (high) and 62 - 2b (low), so reversed rows are (base, bit).
+    planes = blocks[::-1].reshape(BASES_PER_WORD_64, 2, 2, n_words, n_blocks)
+    planes = planes.transpose(2, 1, 3, 0, 4).reshape(
+        2, 2, n_words * BASES_PER_WORD_64, n_blocks
+    )
+    return planes[:, :, :length]
+
+
+def amend_planes(
+    padded: np.ndarray, max_zero_run: int = 2, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Bit-sliced :func:`repro.filters.bitvector.amend_mask`.
+
+    ``padded`` is a ``(length + 4, n_blocks)`` plane buffer: the mask in
+    rows ``2 .. length + 1`` and two zero rows at each end, which stand for
+    the sequence boundaries.  A zero is filled when ones sit at distances 1
+    on both sides, or (runs of two) at distances 1 and 2; the neighbours
+    are row-offset views of the buffer.  Returns the ``(length, n_blocks)``
+    amended mask (written to ``out`` when given).
     """
     if max_zero_run not in (1, 2):
-        raise ValueError("amend_lanes supports max_zero_run of 1 or 2")
-    m = np.asarray(masks, dtype=_U64)
-    prev1 = shift_lanes_right(m, 1)
-    next1 = shift_lanes_left(m, 1)
+        raise ValueError("amend_planes supports max_zero_run of 1 or 2")
+    length = padded.shape[0] - 4
+    prev2, prev1, mask, next1, next2 = (padded[i : i + length] for i in range(5))
     if max_zero_run == 1:
-        fill = prev1 & next1
+        out = np.bitwise_and(prev1, next1, out=out)
     else:
-        next2 = shift_lanes_left(next1, 1)
-        prev2 = shift_lanes_right(prev1, 1)
-        fill = (prev1 & (next1 | next2)) | (prev2 & next1)
-    fill |= m
-    return fill
+        out = np.bitwise_or(next1, next2, out=out)
+        out &= prev1
+        out |= prev2 & next1
+    out |= mask
+    return out
 
 
-@lru_cache(maxsize=None)
-def _window_lsb_word(window: int) -> int:
-    value = 0
-    for g in range(BASES_PER_WORD_64 // window):
-        last_base = g * window + window - 1
-        value |= 1 << (62 - 2 * last_base)
-    return value
+def count_plane_windows(planes: np.ndarray, window: int = 4) -> np.ndarray:
+    """Non-overlapping ``window``-base windows containing a set bit, per pair.
 
-
-def count_lane_windows(
-    masks: np.ndarray, length: int, window: int = 4
-) -> np.ndarray:
-    """Non-overlapping ``window``-base windows containing a set lane, per pair.
-
-    The packed form of :func:`repro.filters.bitvector.count_set_windows`: for
-    window widths dividing 32 every window lies inside one word, so an OR-fold
-    of each window's lanes onto the window's lowest lane bit followed by a
-    popcount yields the count without unpacking.  Other widths fall back to
-    the per-base path.
+    The bit-sliced :func:`repro.filters.bitvector.count_set_windows` of a
+    ``(length, n_blocks)`` plane array: the rows of each window are ORed,
+    and each pair's bits are summed over the windows.  Returns
+    ``(n_blocks * 64,)`` int32 counts in pair order.
     """
-    masks = np.asarray(masks, dtype=_U64)
-    if length == 0:
-        return np.zeros(masks.shape[1:], dtype=np.int32)
-    if window >= 1 and BASES_PER_WORD_64 % window == 0:
-        group_bits = 2 * window
-        folded = masks.copy()
-        shift = 2
-        while shift < group_bits:
-            folded |= folded >> _U64(shift)
-            shift <<= 1
-        folded &= _U64(_window_lsb_word(window))
-        return count_set_lanes(folded)
-    per_base = unpack_lanes(masks, length)
+    length, n_blocks = planes.shape
     n_windows = -(-length // window)
-    padded = np.zeros(per_base.shape[:-1] + (n_windows * window,), dtype=np.uint8)
-    padded[..., :length] = per_base
-    grouped = padded.reshape(per_base.shape[:-1] + (n_windows, window))
-    return np.any(grouped, axis=-1).sum(axis=-1, dtype=np.int32)
+    hits = np.zeros((n_windows, n_blocks), dtype=_U64)
+    for offset in range(min(window, length)):
+        rows = planes[offset::window]
+        hits[: rows.shape[0]] |= rows
+    bits = np.unpackbits(
+        hits.astype("<u8", copy=False).view(np.uint8), axis=1, bitorder="little"
+    )
+    # The narrowest sum that cannot overflow: 8-bit for up to 255 windows.
+    return bits.sum(axis=0, dtype=np.min_scalar_type(n_windows)).astype(np.int32)
 
 
 # --------------------------------------------------------------------------- #

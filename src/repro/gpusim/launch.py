@@ -10,6 +10,7 @@ maximised and the number of host<->device transfers minimised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..genomics.encoding import words_per_read
 from .device import DeviceSpec
@@ -56,6 +57,33 @@ def thread_load_bytes(read_length: int, error_threshold: int, word_bits: int = 3
     return sequences + mask_storage + raw_input + _RESULT_BYTES
 
 
+@lru_cache
+def _launch_limits(
+    device: DeviceSpec,
+    read_length: int,
+    error_threshold: int,
+    free_memory_bytes: int | None,
+    threads_per_block: int | None,
+    registers_per_thread: int,
+    word_bits: int,
+) -> tuple[int, int, OccupancyResult]:
+    """``(threads_per_block, max_batch_by_memory, occupancy)`` of a launch.
+
+    Everything :func:`configure_launch` derives that does not depend on the
+    number of filtrations, cached per device and parameter set (LRU, at the
+    library's default size); a key with the filtration count in it would
+    churn with every batch size a long-lived daemon sees.
+    """
+    threads_per_block = threads_per_block or device.max_threads_per_block
+    free_memory = (
+        int(device.global_memory_bytes * 0.9) if free_memory_bytes is None else free_memory_bytes
+    )
+    load = thread_load_bytes(read_length, error_threshold, word_bits)
+    max_batch_by_memory = int(free_memory * _MEMORY_SAFETY_FRACTION // max(load, 1))
+    occupancy = theoretical_occupancy(device, registers_per_thread, threads_per_block)
+    return threads_per_block, max_batch_by_memory, occupancy
+
+
 def configure_launch(
     device: DeviceSpec,
     n_filtrations: int,
@@ -74,15 +102,17 @@ def configure_launch(
     """
     if n_filtrations < 0:
         raise ValueError("n_filtrations must be non-negative")
-    threads_per_block = threads_per_block or device.max_threads_per_block
-    free_memory = (
-        int(device.global_memory_bytes * 0.9) if free_memory_bytes is None else free_memory_bytes
+    threads_per_block, max_batch_by_memory, occupancy = _launch_limits(
+        device,
+        read_length,
+        error_threshold,
+        free_memory_bytes,
+        threads_per_block,
+        registers_per_thread,
+        word_bits,
     )
-    load = thread_load_bytes(read_length, error_threshold, word_bits)
-    max_batch_by_memory = int(free_memory * _MEMORY_SAFETY_FRACTION // max(load, 1))
     batch_size = max(1, min(n_filtrations, max_batch_by_memory)) if n_filtrations else 0
     blocks = -(-batch_size // threads_per_block) if batch_size else 0
-    occupancy = theoretical_occupancy(device, registers_per_thread, threads_per_block)
     return KernelLaunchConfig(
         threads_per_block=threads_per_block,
         blocks=blocks,

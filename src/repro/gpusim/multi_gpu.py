@@ -9,9 +9,8 @@ engines run the shares functionally, on the CPU).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
-
-import numpy as np
 
 from .device import DeviceSpec
 from .timing import FilterTiming, TimingModel
@@ -20,11 +19,19 @@ __all__ = ["MultiGpuDispatcher", "split_evenly"]
 
 
 def split_evenly(n_items: int, n_devices: int) -> list[slice]:
-    """Split ``n_items`` into ``n_devices`` contiguous, nearly equal slices."""
+    """Split ``n_items`` into ``n_devices`` contiguous, nearly equal slices.
+
+    Bound ``i`` is ``floor(i * (n_items / n_devices))`` and the last bound is
+    ``n_items``: the float arithmetic of ``np.linspace(0, n_items,
+    n_devices + 1, dtype=int)``, without its per-call overhead.  The exact
+    integer form ``(i * n_items) // n_devices`` rounds differently for some
+    sizes, which would move device shares and modelled timings.
+    """
     if n_devices <= 0:
         raise ValueError("n_devices must be positive")
-    bounds = np.linspace(0, n_items, n_devices + 1, dtype=int)
-    return [slice(int(bounds[i]), int(bounds[i + 1])) for i in range(n_devices)]
+    step = n_items / n_devices
+    bounds = [math.floor(i * step) for i in range(n_devices)] + [int(n_items)]
+    return [slice(bounds[i], bounds[i + 1]) for i in range(n_devices)]
 
 
 class MultiGpuDispatcher:

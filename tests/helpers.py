@@ -33,6 +33,29 @@ def mutated_pair(
     return read, segment
 
 
+def plane_bits(words: np.ndarray) -> np.ndarray:
+    """``(..., 64)`` uint8 array of every uint64's bits, least significant first."""
+    as_bytes = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(as_bytes, axis=-1, bitorder="little").reshape(words.shape + (64,))
+
+
+def to_planes(mask: np.ndarray) -> np.ndarray:
+    """Per-base ``(n_rows, length)`` 0/1 masks as ``(length, n_blocks)`` bit planes.
+
+    Row ``p`` of ``mask`` becomes bit ``p % 64`` of column ``p // 64``, the
+    layout of :func:`repro.filters.packed.bit_planes`.
+    """
+    n_rows, length = mask.shape
+    bits = np.zeros((length, -(-n_rows // 64) * 64), dtype=np.uint8)
+    bits[:, :n_rows] = mask.T
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+def from_planes(planes: np.ndarray, n_rows: int) -> np.ndarray:
+    """The first ``n_rows`` pairs of bit planes as per-base ``(n_rows, length)`` masks."""
+    return plane_bits(planes).reshape(planes.shape[0], -1)[:, :n_rows].T
+
+
 def kernel_batches(engine, monkeypatch):
     """The row count of every kernel batch ``engine`` runs from now on."""
     sizes = []

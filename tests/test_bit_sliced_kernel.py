@@ -1,0 +1,182 @@
+"""The bit-sliced GateKeeper kernel across 64-pair blocks.
+
+``gatekeeper_kernel`` holds one bit per pair, 64 pairs per ``uint64`` word,
+so every batch larger than 64 pairs is split over several blocks and the
+last block is padded.  These tests pin the kernel (the NumPy tier, and the
+native tier where Numba is installed) to the per-base reference
+(``build_mask_set`` + ``count_set_windows``) on batches of 1 to 1,000 pairs,
+across read lengths on either side of the 32-base code word, thresholds up
+to and past the read length, both edge policies, both amendment run lengths
+and several window widths; and ``filter_batch`` of an ``N``-containing
+multi-block batch against ``filter_pair``.  The reference is a Python loop,
+so each mask set is built once per pair and reused: the mask set of a
+threshold ``e`` is the first ``2e + 1`` rows of any larger threshold's.
+"""
+
+import numpy as np
+import pytest
+
+from repro.engine import get_filter
+from repro.filters import packed
+from repro.filters.bitvector import count_set_windows
+from repro.filters.gatekeeper import gatekeeper_kernel
+from repro.filters.masks import EdgePolicy, build_mask_set
+from repro.filters.native import resolve
+from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
+from helpers import from_planes, plane_bits
+
+EDGE_POLICIES = [EdgePolicy.ZERO, EdgePolicy.ONE]
+BLOCK_SIZES = [1, 63, 64, 65, 129, 1000]
+LENGTHS = [1, 31, 32, 33, 64, 65, 100, 150]
+WINDOWS = [1, 3, 4, 5, 8]
+
+
+def _kernels():
+    """The NumPy kernel and the native tier's (the NumPy one without Numba)."""
+    return [gatekeeper_kernel, resolve("gatekeeper_kernel", "native")[0]]
+
+
+def _pairs(rng, n_pairs, length):
+    """Reads with substitutions at varying rates and, in half of them, one indel."""
+    ref = rng.integers(0, 4, size=(n_pairs, length)).astype(np.uint8)
+    read = ref.copy()
+    for i in range(n_pairs):
+        if length > 2 and rng.random() < 0.5:
+            at = int(rng.integers(1, length - 1))
+            k = int(rng.integers(1, 4))
+            fill = rng.integers(0, 4, size=length).astype(np.uint8)
+            if rng.random() < 0.5:  # deletion: the read skips k reference bases
+                read[i, at:] = np.concatenate([ref[i, at + k :], fill[: min(k, length - at)]])
+            else:  # insertion: k extra bases in the read
+                read[i, at:] = np.concatenate([fill[:k], ref[i, at:]])[: length - at]
+        subs = rng.random(length) < rng.random() * 0.15
+        read[i, subs] = rng.integers(0, 4, size=int(subs.sum()))
+    return read, ref
+
+
+def _mask_sets(read, ref, error_threshold, edge_policy, max_zero_run):
+    """The reference amended masks of every pair, shifts 0, 1, -1, ..., e, -e."""
+    return [
+        build_mask_set(
+            read[i], ref[i], error_threshold, edge_policy=edge_policy, max_zero_run=max_zero_run
+        ).masks
+        for i in range(read.shape[0])
+    ]
+
+
+def _expected(mask_sets, error_threshold, window):
+    """Reference estimates: the AND of the first 2e + 1 masks, counted in windows."""
+    return np.array(
+        [
+            count_set_windows(
+                np.bitwise_and.reduce(masks[: 2 * error_threshold + 1], axis=0), window=window
+            )
+            for masks in mask_sets
+        ],
+        dtype=np.int32,
+    )
+
+
+def _check(read, ref, error_threshold, edge_policy, window, max_zero_run, expect):
+    read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
+    for kernel in _kernels():
+        got = kernel(
+            read_words, ref_words, read.shape[1], error_threshold,
+            edge_policy == EdgePolicy.ONE, window, max_zero_run,
+        )
+        assert got.dtype == np.int32 and got.shape == (read.shape[0],)
+        assert np.array_equal(got, expect), (kernel, error_threshold, window)
+
+
+class TestBitPlanes:
+    @pytest.mark.parametrize("n_pairs", [1, 63, 64, 65, 129])
+    @pytest.mark.parametrize("length", [1, 31, 32, 33, 65, 100])
+    def test_planes_hold_each_pairs_code_bits(self, n_pairs, length):
+        rng = np.random.default_rng((n_pairs, length))
+        read, ref = _pairs(rng, n_pairs, length)
+        planes = packed.bit_planes(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+        )
+        n_blocks = -(-n_pairs // 64)
+        assert planes.shape == (2, 2, length, n_blocks)
+        for side, codes in enumerate((read, ref)):
+            for bit in (0, 1):
+                expect = (codes >> (1 - bit)) & 1
+                assert np.array_equal(from_planes(planes[side, bit], n_pairs), expect)
+                assert not plane_bits(planes[side, bit]).reshape(length, -1)[:, n_pairs:].any()
+
+    def test_transpose_swaps_row_and_bit_indices(self):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 2**63, size=(64, 2, 3)).astype(np.uint64) << np.uint64(1)
+        rows |= rng.integers(0, 2, size=rows.shape).astype(np.uint64)
+        original = rows.copy()
+        out = packed.transpose_bit_blocks(rows)
+        assert out is rows
+        for r in range(64):
+            for c in range(64):
+                assert (int(out[c, 1, 2]) >> r) & 1 == (int(original[r, 1, 2]) >> c) & 1
+        packed.transpose_bit_blocks(rows)
+        assert np.array_equal(rows, original)
+
+    def test_transpose_rejects_other_shapes(self):
+        for bad in (np.zeros((32, 2), np.uint64), np.zeros((64, 2), np.uint32),
+                    np.zeros((2, 64), np.uint64).T):
+            with pytest.raises(ValueError):
+                packed.transpose_bit_blocks(bad)
+
+
+class TestKernelAcrossBlocks:
+    @pytest.mark.parametrize("n_pairs", BLOCK_SIZES)
+    @pytest.mark.parametrize("edge_policy", EDGE_POLICIES)
+    def test_batch_sizes(self, n_pairs, edge_policy):
+        rng = np.random.default_rng((n_pairs, EDGE_POLICIES.index(edge_policy)))
+        read, ref = _pairs(rng, n_pairs, 100)
+        mask_sets = _mask_sets(read, ref, 5, edge_policy, 2)
+        _check(read, ref, 5, edge_policy, 4, 2, _expected(mask_sets, 5, 4))
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("edge_policy", EDGE_POLICIES)
+    @pytest.mark.parametrize("max_zero_run", [1, 2])
+    def test_lengths_thresholds_and_windows(self, length, edge_policy, max_zero_run):
+        rng = np.random.default_rng((length, EDGE_POLICIES.index(edge_policy), max_zero_run))
+        read, ref = _pairs(rng, 65, length)
+        mask_sets = _mask_sets(read, ref, 5, edge_policy, max_zero_run)
+        for error_threshold in (0, 1, 5):
+            for window in WINDOWS:
+                expect = _expected(mask_sets, error_threshold, window)
+                _check(read, ref, error_threshold, edge_policy, window, max_zero_run, expect)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("edge_policy", EDGE_POLICIES)
+    def test_thresholds_at_and_past_the_length(self, length, edge_policy):
+        # Shifts of the read length or more leave no base to compare.  The
+        # reference costs O(length^2) per pair here, so the two longest reads
+        # run one block of three pairs; the tests above take them across blocks.
+        rng = np.random.default_rng((length, 7, EDGE_POLICIES.index(edge_policy)))
+        n_pairs = 65 if length <= 65 else 3
+        read, ref = _pairs(rng, n_pairs, length)
+        max_zero_run = 1 + length % 2
+        mask_sets = _mask_sets(read, ref, length + 3, edge_policy, max_zero_run)
+        for error_threshold in (length, length + 3):
+            for window in (1, 4):
+                expect = _expected(mask_sets, error_threshold, window)
+                _check(read, ref, error_threshold, edge_policy, window, max_zero_run, expect)
+
+    def test_n_containing_multi_block_batch_through_filter_batch(self):
+        rng = np.random.default_rng(11)
+        read, ref = _pairs(rng, 150, 100)
+        reads = ["".join("ACGT"[c] for c in row) for row in read]
+        segments = ["".join("ACGT"[c] for c in row) for row in ref]
+        for i in range(0, 150, 13):
+            reads[i] = reads[i][:40] + "N" + reads[i][41:]
+        for i in range(5, 150, 17):
+            segments[i] = "N" + segments[i][1:]
+        pairs = EncodedPairBatch.from_lists(reads, segments)
+        assert pairs.undefined.sum() > 0
+        for key in ("gatekeeper", "gatekeeper-gpu", "shd"):
+            instance = get_filter(key, 4)
+            expect = [instance.filter_pair(r, s) for r, s in zip(reads, segments)]
+            for tier in ("numpy", "native"):
+                estimates, accepted = instance.filter_batch(pairs, tier=tier)
+                assert [int(x) for x in estimates] == [r.estimated_edits for r in expect]
+                assert [bool(x) for x in accepted] == [r.accepted for r in expect]

@@ -28,6 +28,7 @@ from repro.filters.bitvector import amend_mask, count_set_windows
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
 from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
+from helpers import from_planes, plane_bits, to_planes
 
 #: Deterministic, time-bounded profile for the tier-1 suite: fixed example
 #: corpus (derandomize), no per-example deadline (cold numpy warms up slowly).
@@ -66,23 +67,35 @@ def bit_masks(draw):
 class TestPackedPrimitiveProperties:
     @settings(max_examples=25, **COMMON)
     @given(mask=bit_masks(), max_zero_run=st.integers(min_value=1, max_value=2))
-    def test_amend_lanes_matches_reference(self, mask, max_zero_run):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        got = packed.unpack_lanes(
-            packed.amend_lanes(lanes, max_zero_run=max_zero_run), length
-        )
+    def test_amend_planes_matches_reference(self, mask, max_zero_run):
+        n_rows, length = mask.shape
+        padded = np.zeros((length + 4, 1), dtype=np.uint64)
+        padded[2:-2] = to_planes(mask)
+        got = from_planes(packed.amend_planes(padded, max_zero_run=max_zero_run), n_rows)
         expect = np.stack([amend_mask(m, max_zero_run=max_zero_run) for m in mask])
         assert np.array_equal(got, expect)
 
     @settings(max_examples=25, **COMMON)
     @given(mask=bit_masks(), window=st.integers(min_value=1, max_value=8))
-    def test_count_lane_windows_matches_reference(self, mask, window):
-        length = mask.shape[1]
-        lanes = packed.pack_lanes(mask)
-        got = packed.count_lane_windows(lanes, length, window=window)
+    def test_count_plane_windows_matches_reference(self, mask, window):
+        got = packed.count_plane_windows(to_planes(mask), window=window)[: mask.shape[0]]
         expect = np.array([count_set_windows(m, window=window) for m in mask])
         assert np.array_equal(got, expect)
+
+    @settings(max_examples=25, **COMMON)
+    @given(
+        rows=hnp.arrays(
+            np.uint64,
+            st.tuples(st.just(64), st.integers(min_value=1, max_value=3)),
+            elements=st.integers(min_value=0, max_value=2**64 - 1),
+        )
+    )
+    def test_transpose_bit_blocks_matches_unpackbits(self, rows):
+        original = rows.copy()
+        bits = plane_bits(original)  # bits[r, col, c]: bit c of row r
+        got = packed.transpose_bit_blocks(rows)
+        assert np.array_equal(plane_bits(got), bits.transpose(2, 1, 0))
+        assert np.array_equal(packed.transpose_bit_blocks(got), original)
 
     @settings(max_examples=25, **COMMON)
     @given(batch=pair_batches(), threshold=st.integers(min_value=0, max_value=6))

@@ -5,6 +5,7 @@ what grows with what) plus a few calibration anchors against the published
 raw measurements (Sup. Tables S.13-S.15), with generous tolerances.
 """
 
+import numpy as np
 import pytest
 
 from repro.gpusim import (
@@ -19,6 +20,7 @@ from repro.gpusim import (
     TimingModel,
     configure_launch,
     split_evenly,
+    launch,
     thread_load_bytes,
 )
 
@@ -151,6 +153,20 @@ class TestLaunchConfig:
         with pytest.raises(ValueError):
             configure_launch(GTX_1080_TI, -1, 100, 5)
 
+    def test_limits_cached_per_configuration_not_per_batch(self):
+        limits = launch._launch_limits
+        first = configure_launch(GTX_1080_TI, 1_000, 100, 5)
+        cached = limits.cache_info().currsize
+        configs = [configure_launch(GTX_1080_TI, n, 100, 5) for n in range(0, 3_000, 7)]
+        assert limits.cache_info().currsize == cached
+        assert [c.batch_size for c in configs] == list(range(0, 3_000, 7))
+        assert configs[0].blocks == 0 and configs[1].blocks == 1
+        limits.cache_clear()
+        assert configure_launch(GTX_1080_TI, 1_000, 100, 5) == first
+        # The device is part of the key: its memory caps the batch.
+        assert (configure_launch(TESLA_K20X, 10**9, 100, 5).batch_size
+                != configure_launch(GTX_1080_TI, 10**9, 100, 5).batch_size)
+
 
 class TestPowerAndProfiler:
     def test_power_idle_matches_device_floor(self):
@@ -204,6 +220,25 @@ class TestMultiGpuDispatcher:
     def test_split_invalid(self):
         with pytest.raises(ValueError):
             split_evenly(10, 0)
+
+    def test_split_matches_linspace_bounds(self):
+        # Every size below 500 and some large ones, up to 64 devices.  The
+        # exact integer split (i * n) // k rounds differently on this grid
+        # (n = 30, k = 22 is one case), so it would fail here.
+        sizes = list(range(500)) + [4_999, 30_000, 100_007, 123_456_789, 2**31 - 1]
+        integer_split_differs = False
+        for n_devices in range(1, 65):
+            expected = np.linspace(0, np.array(sizes[1:]), n_devices + 1, dtype=int).T.tolist()
+            expected.insert(0, np.linspace(0, 0, n_devices + 1, dtype=int).tolist())
+            for n_items, bounds in zip(sizes, expected):
+                slices = split_evenly(n_items, n_devices)
+                assert [s.start for s in slices] + [slices[-1].stop] == bounds, (n_items, n_devices)
+            integer_split_differs |= any(
+                [(i * n) // n_devices for i in range(n_devices)] + [n] != bounds
+                for n, bounds in zip(sizes, expected)
+            )
+        assert integer_split_differs
+        assert {type(b) for s in split_evenly(np.int64(30_000), 3) for b in (s.start, s.stop)} == {int}
 
     def test_share_timings_cover_every_device(self):
         dispatcher = MultiGpuDispatcher([GTX_1080_TI] * 4)

@@ -26,6 +26,7 @@ from repro.genomics.encoding import (
     pack_codes_to_words,
     unpack_words_to_codes,
 )
+from helpers import from_planes, to_planes
 
 #: The GateKeeper-family filter running each edge policy.
 GATEKEEPER_BY_POLICY = {EdgePolicy.ZERO: GateKeeperFilter, EdgePolicy.ONE: GateKeeperGPUFilter}
@@ -122,30 +123,30 @@ class TestPackedPrimitives:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 8, 64, 100, 251])
     @pytest.mark.parametrize("max_zero_run", [1, 2])
-    def test_amend_lanes_matches_reference(self, length, max_zero_run):
+    def test_amend_planes_matches_reference(self, length, max_zero_run):
         rng = np.random.default_rng(length * 10 + max_zero_run)
-        mask = (rng.random((33, length)) < 0.5).astype(np.uint8)
-        lanes = packed.pack_lanes(mask)
-        got = packed.unpack_lanes(
-            packed.amend_lanes(lanes, max_zero_run=max_zero_run), length
-        )
+        mask = (rng.random((70, length)) < 0.5).astype(np.uint8)
+        padded = np.zeros((length + 4, 2), dtype=np.uint64)
+        padded[2:-2] = to_planes(mask)
+        got = from_planes(packed.amend_planes(padded, max_zero_run=max_zero_run), 70)
         expect = np.stack([amend_mask(m, max_zero_run=max_zero_run) for m in mask])
         assert np.array_equal(got, expect)
 
-    def test_amend_lanes_rejects_unsupported_run_length(self):
-        lanes = packed.pack_lanes(np.zeros((1, 8), dtype=np.uint8))
+    def test_amend_planes_rejects_unsupported_run_length(self):
+        padded = np.zeros((8 + 4, 1), dtype=np.uint64)
         with pytest.raises(ValueError):
-            packed.amend_lanes(lanes, max_zero_run=3)
+            packed.amend_planes(padded, max_zero_run=3)
 
     @pytest.mark.parametrize("length", [1, 7, 8, 64, 100, 251])
     @pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 8, 16, 32])
-    def test_window_count_matches_reference(self, length, window):
+    def test_plane_window_count_matches_reference(self, length, window):
         rng = np.random.default_rng(length * 100 + window)
-        mask = (rng.random((21, length)) < 0.3).astype(np.uint8)
-        lanes = packed.pack_lanes(mask)
-        got = packed.count_lane_windows(lanes, length, window=window)
+        mask = (rng.random((70, length)) < 0.3).astype(np.uint8)
+        got = packed.count_plane_windows(to_planes(mask), window=window)
+        assert got.dtype == np.int32 and got.shape == (128,)
         expect = np.array([count_set_windows(m, window=window) for m in mask])
-        assert np.array_equal(got, expect)
+        assert np.array_equal(got[:70], expect)
+        assert not got[70:].any()
 
     def test_popcount_lut_fallback_matches_bitwise_count(self):
         rng = np.random.default_rng(0)
