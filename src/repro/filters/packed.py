@@ -5,35 +5,37 @@ The per-base ``uint8`` mask helpers of :mod:`repro.filters.bitvector` are the
 verify.  This module is the *fast* implementation the engine actually runs,
 in two layouts.
 
-**Lane words** (Shouji, SneakySnake, MAGNET): masks live in the same
-2-bit-lane layout as the encoded sequences — one ``uint64`` word holds 32
-bases, the per-base mask bit sits in the low bit of each base's 2-bit group,
-and the first base of a sequence occupies the most significant group of
-word 0.  These arrays are **word-major**: shape ``(n_words, n_pairs)`` (or a
-stack of such arrays, one per diagonal or mask), so word ``w`` of every pair
-is one contiguous row — the way a GPU warp reads the same word of
-neighbouring pairs.  A shift with carry transfer is then a few operations on
-whole rows, not on short strided slices of 4 words per pair.  The kernels
-transpose the pair-major ``(n_pairs, n_words)`` arrays of an
+**Lane words** (Shouji, MAGNET): masks live in the same 2-bit-lane layout
+as the encoded sequences — one ``uint64`` word holds 32 bases, the per-base
+mask bit sits in the low bit of each base's 2-bit group, and the first base
+of a sequence occupies the most significant group of word 0.  These arrays
+are **word-major**: shape ``(n_words, n_pairs)`` (or a stack of such arrays,
+one per diagonal or mask), so word ``w`` of every pair is one contiguous row
+— the way a GPU warp reads the same word of neighbouring pairs.  A shift
+with carry transfer is then a few operations on whole rows, not on short
+strided slices of 4 words per pair.  The kernels transpose the pair-major
+``(n_pairs, n_words)`` arrays of an
 :class:`~repro.genomics.encoding.EncodedPairBatch` once, on entry
 (:func:`word_major`).  Per-base arrays stay pair-major: :func:`pack_lanes`
 turns ``(..., length)`` into ``(n_words, ...)`` and :func:`unpack_lanes`
 turns it back.
 
-**Bit-sliced planes** (the GateKeeper family): :func:`bit_planes` transposes
-each 64-pair block of the words once (:func:`transpose_bit_blocks`, a
-64 x 64 bit-matrix transpose), so a ``(length, n_blocks)`` plane holds one
+**Bit-sliced planes** (the GateKeeper family, SneakySnake): :func:`bit_planes`
+transposes each 64-pair block of the words once (:func:`transpose_bit_blocks`,
+a 64 x 64 bit-matrix transpose), so a ``(length, n_blocks)`` plane holds one
 bit per base and pair — row ``j`` is base ``j``, bit ``p`` of column ``b``
 is pair ``64 * b + p``.  A shift by ``k`` bases is an offset of ``k`` rows,
 streak amendment (:func:`amend_planes`) is five boolean operations on
-row-offset views, and :func:`count_plane_windows` ORs each window's rows and
-sums every pair's bits.
+row-offset views, :func:`count_plane_windows` ORs each window's rows and
+sums every pair's bits, and :func:`crossing_planes` routes SneakySnake's
+chip maze (one ``(2e+1, n_blocks)`` row of obstacle words per column) in
+one sweep over the columns.
 
 Every hot operation of the filtering stack (shifted mismatch masks, streak
 amendment, edge forcing, the AND across masks, windowed edit counting,
-zero-run boundary detection for MAGNET, the neighborhood maps of
-Shouji/SneakySnake and SneakySnake's next-obstacle search) is a handful of
-shifts, boolean word operations and popcounts on these arrays.
+zero-run boundary detection for MAGNET, Shouji's neighborhood map,
+SneakySnake's chip maze and its routing) is a handful of shifts, boolean
+word operations and popcounts on these arrays.
 
 Popcounts use :func:`numpy.bitwise_count` when available (NumPy >= 2.0) and
 fall back to a 256-entry byte lookup table on older NumPy builds.
@@ -58,7 +60,6 @@ __all__ = [
     "word_major",
     "popcount",
     "count_set_lanes",
-    "first_set_lane",
     "shift_words_right_bits",
     "shift_words_left_bits",
     "shift_lanes_right",
@@ -70,6 +71,7 @@ __all__ = [
     "bit_planes",
     "amend_planes",
     "count_plane_windows",
+    "crossing_planes",
     "pack_lanes",
     "unpack_lanes",
     "unpack_group_values",
@@ -111,22 +113,6 @@ def popcount(words: np.ndarray) -> np.ndarray:
 def count_set_lanes(words: np.ndarray) -> np.ndarray:
     """Set bits per pair of an ``(n_words, ...)`` mask (int32, summed over words)."""
     return popcount(words).sum(axis=0, dtype=np.int32)
-
-
-def first_set_lane(words: np.ndarray) -> np.ndarray:
-    """Base index (0-31) of the first set lane of each word; 32 where none is set.
-
-    The leading-zero count of a lane-only word, read off its ``float32``
-    exponent (the position of its highest set bit).  Lanes sit on even bits
-    below bit 63, so the word is a non-negative ``int64`` below 4/3 of its
-    highest power of two, and rounding can never carry into the next
-    exponent.  A zero word has exponent field 0, which the final ``minimum``
-    maps to 32.  Returns int32.
-    """
-    words = np.asarray(words, dtype=_U64)
-    biased_exponent = words.view(np.int64).astype(np.float32).view(np.int32) >> 23
-    # Highest bit b = exponent - 127 is lane (62 - b) / 2.
-    return np.minimum((189 - biased_exponent) >> 1, 32)
 
 
 # --------------------------------------------------------------------------- #
@@ -385,6 +371,29 @@ def count_plane_windows(planes: np.ndarray, window: int = 4) -> np.ndarray:
     )
     # The narrowest sum that cannot overflow: 8-bit for up to 255 windows.
     return bits.sum(axis=0, dtype=np.min_scalar_type(n_windows)).astype(np.int32)
+
+
+def crossing_planes(obstacles: np.ndarray) -> np.ndarray:
+    """SneakySnake's greedy crossings of a bit-sliced chip maze, in one sweep.
+
+    ``obstacles`` is ``(length, n_diagonals, n_blocks)``: bit ``p`` of
+    ``obstacles[j, i, b]`` marks an obstacle in column ``j`` of diagonal
+    ``i`` for pair ``64 * b + p``.  A diagonal is dead once it has met an
+    obstacle since the signal's last crossing; the signal crosses column
+    ``j`` when every diagonal is dead there, and the crossing revives them
+    all.  The last diagonal to die is the one whose next obstacle is the
+    farthest, so the crossings are exactly the greedy walk's.  Three
+    whole-array operations per column route every pair; returns the
+    ``(length, n_blocks)`` crossing planes.
+    """
+    length, n_diagonals, n_blocks = obstacles.shape
+    dead = np.zeros((n_diagonals, n_blocks), dtype=_U64)
+    crossed = np.empty((length, n_blocks), dtype=_U64)
+    for obstacle, crossing in zip(obstacles, crossed):
+        dead |= obstacle
+        np.bitwise_and.reduce(dead, axis=0, out=crossing)
+        dead ^= crossing
+    return crossed
 
 
 # --------------------------------------------------------------------------- #

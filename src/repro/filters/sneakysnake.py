@@ -11,18 +11,18 @@ never causes a false reject.
 
 The optimal routing can be computed greedily: from the current column, find
 the diagonal with the longest run of obstacle-free cells, travel along it and
-pay one unit to cross the next column.  The batch path
-(:meth:`SneakySnakeFilter.estimate_edits_words`) builds the chip maze
-bit-parallel as word-major obstacle lanes
-(:func:`repro.filters.packed.neighborhood_lanes`) and advances all pairs'
-greedy walks in lockstep on those words: at each step a diagonal's next
-obstacle is the first set lane at or after the pair's column, which one
-leading-zero count of the first non-zero word finds
-(:func:`repro.filters.packed.first_set_lane`), so no per-base
-``(n_pairs, 2e+1, length)`` array is ever built.  It reproduces the scalar
-reference (:meth:`SneakySnakeFilter.estimate_edits_codes`, a
-``minimum.accumulate`` scan over the per-base neighborhood map) exactly,
-including the early exit once a pair's estimate exceeds the threshold.
+pay one unit to cross the next column.  The batch kernel
+(:func:`sneakysnake_kernel`) takes the CPU analogue of the paper's one thread
+per filtration, as the GateKeeper kernel does: it bit-slices each block of
+64 pairs once (:func:`repro.filters.packed.bit_planes`), builds the chip
+maze as ``(length, 2e+1, n_blocks)`` obstacle words (one bit per pair) and
+routes every pair in one sweep over the columns
+(:func:`repro.filters.packed.crossing_planes`, three whole-array operations
+per column), so no per-base ``(n_pairs, 2e+1, length)`` array is ever
+built.  It reproduces the scalar reference
+(:meth:`SneakySnakeFilter.estimate_edits_codes`, a ``minimum.accumulate``
+scan over the per-base neighborhood map) exactly, including the early exit
+once a pair's estimate exceeds the threshold.
 """
 
 from __future__ import annotations
@@ -31,12 +31,10 @@ import numpy as np
 
 from .base import PreAlignmentFilter
 from .native import DEFAULT_KERNEL_TIER, resolve
-from .packed import first_set_lane, neighborhood_lanes, word_major
+from .packed import bit_planes, count_plane_windows, crossing_planes
 from .shouji import neighborhood_map
 
 __all__ = ["SneakySnakeFilter", "sneakysnake_kernel"]
-
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _longest_free_runs(obstacles: np.ndarray) -> np.ndarray:
@@ -54,53 +52,6 @@ def _longest_free_runs(obstacles: np.ndarray) -> np.ndarray:
     return (next_obstacle - columns).max(axis=1)
 
 
-def _route_words(lanes: np.ndarray, n: int, error_threshold: int) -> np.ndarray:
-    """Greedy routing on the obstacle words, all pairs in lockstep.
-
-    ``lanes`` is the ``(2e+1, n_words, n_pairs)`` chip maze of
-    :func:`repro.filters.packed.neighborhood_lanes`.  From column ``c`` a
-    diagonal's next obstacle is the first set lane at or after ``c``: the
-    leading-zero count of its word with the lanes before ``c`` cleared, or,
-    when that word is clear, the diagonal's first obstacle in a later word
-    (precomputed once per word, back to front).  The signal travels to the
-    farthest next obstacle over all diagonals and pays one edit to cross it,
-    exactly as :meth:`SneakySnakeFilter._route` does on the per-base runs.
-    """
-    n_diagonals, n_words, n_pairs = lanes.shape
-    first_in_word = first_set_lane(lanes)
-    # next_from_word[:, w]: each diagonal's first obstacle in words >= w (n if none).
-    next_from_word = np.empty((n_diagonals, n_words + 1, n_pairs), dtype=np.int32)
-    next_from_word[:, n_words] = n
-    for w in range(n_words - 1, -1, -1):
-        next_from_word[:, w] = np.where(
-            first_in_word[:, w] < 32, first_in_word[:, w] + 32 * w, next_from_word[:, w + 1]
-        )
-    # Each step gathers one word per diagonal and pair, at flat index
-    # word * n_pairs + pair.
-    lanes = lanes.reshape(n_diagonals, n_words * n_pairs)
-    next_from_word = next_from_word.reshape(n_diagonals, (n_words + 1) * n_pairs)
-
-    edits = np.zeros(n_pairs, dtype=np.int32)
-    pairs = np.arange(n_pairs if n > 0 else 0)
-    column = np.zeros(pairs.size, dtype=np.int64)
-    while pairs.size:
-        word = column >> 5
-        at = word * n_pairs + pairs
-        # Clear the lanes before the column (bits above its 2-bit group).
-        tail = _ALL_ONES >> (2 * (column & 31)).astype(np.uint64)
-        in_word = first_set_lane(lanes.take(at, axis=1) & tail)
-        reach = np.where(
-            in_word < 32, in_word + 32 * word, next_from_word.take(at + n_pairs, axis=1)
-        ).max(axis=0)
-        # Must cross an obstacle column: one edit.
-        crossing = reach < n
-        edits[pairs] += crossing
-        column = reach + crossing
-        keep = (column < n) & (edits[pairs] <= error_threshold)
-        pairs, column = pairs[keep], column[keep]
-    return edits
-
-
 def sneakysnake_kernel(
     read_words: np.ndarray,
     ref_words: np.ndarray,
@@ -110,14 +61,31 @@ def sneakysnake_kernel(
     """Pure-NumPy SneakySnake estimates for a batch of packed pairs.
 
     The registered reference implementation of the ``sneakysnake_kernel``
-    native pair: the chip maze is built bit-parallel from the word-major
-    arrays and routed in lockstep on its obstacle words, returning int32
-    estimates bit-identical to the Numba twin's per-pair greedy walk.
+    native pair.  The pair-major word arrays are bit-sliced once
+    (:func:`~repro.filters.packed.bit_planes`), and the chip maze is a
+    ``(length, 2e+1, n_blocks)`` tensor: row ``j``, diagonal ``i`` holds the
+    obstacle bits of read base ``j`` against reference base ``j + i - e``
+    for 64 pairs per word (two XORs and an OR of row-offset views; columns
+    outside the reference stay all ones).  One sweep over the columns
+    (:func:`~repro.filters.packed.crossing_planes`) finds every pair's
+    greedy crossings, and ``min(crossings, e + 1)`` is the walk's early
+    exit.  The returned int32 estimates are bit-identical to the Numba
+    twin's.
     """
-    lanes = neighborhood_lanes(
-        word_major(read_words), word_major(ref_words), length, error_threshold
-    )
-    return _route_words(lanes, length, int(error_threshold))
+    length, e = int(length), int(error_threshold)
+    read, ref = bit_planes(read_words, ref_words, length)
+    obstacles = np.full((length, 2 * e + 1, read.shape[-1]), ~np.uint64(0))
+    diff = np.empty_like(read)
+    for i in range(2 * e + 1):
+        # Read row j meets reference row j + d; the other rows stay obstacles.
+        d = i - e
+        kept = max(length - abs(d), 0)
+        rows = slice(max(-d, 0), max(-d, 0) + kept)
+        compared = slice(max(d, 0), max(d, 0) + kept)
+        np.bitwise_xor(read[:, rows], ref[:, compared], out=diff[:, :kept])
+        np.bitwise_or(diff[0, :kept], diff[1, :kept], out=obstacles[rows, i])
+    crossings = count_plane_windows(crossing_planes(obstacles), 1)
+    return np.minimum(crossings[: len(read_words)], e + 1)
 
 
 class SneakySnakeFilter(PreAlignmentFilter):
@@ -145,13 +113,9 @@ class SneakySnakeFilter(PreAlignmentFilter):
     ) -> np.ndarray:
         """Packed-word path: the chip maze is built from the encoded words.
 
-        The neighborhood map rows are shifted-XOR lane masks of the 2-bit word
-        arrays, so no per-base comparison is ever performed.  ``tier`` selects
-        the kernel tier; both tiers return bit-identical estimates.
+        ``tier`` selects the kernel tier; both tiers return bit-identical
+        estimates.
         """
-        n_pairs = read_words.shape[0]
-        if length == 0:
-            return np.zeros(n_pairs, dtype=np.int32)
         kernel, _ = resolve("sneakysnake_kernel", tier)
         return kernel(read_words, ref_words, length, self.error_threshold)
 

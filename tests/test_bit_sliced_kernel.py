@@ -1,16 +1,19 @@
-"""The bit-sliced GateKeeper kernel across 64-pair blocks.
+"""The bit-sliced GateKeeper and SneakySnake kernels across 64-pair blocks.
 
-``gatekeeper_kernel`` holds one bit per pair, 64 pairs per ``uint64`` word,
-so every batch larger than 64 pairs is split over several blocks and the
-last block is padded.  These tests pin the kernel (the NumPy tier, and the
-native tier where Numba is installed) to the per-base reference
-(``build_mask_set`` + ``count_set_windows``) on batches of 1 to 1,000 pairs,
-across read lengths on either side of the 32-base code word, thresholds up
-to and past the read length, both edge policies, both amendment run lengths
+``gatekeeper_kernel`` and ``sneakysnake_kernel`` hold one bit per pair, 64
+pairs per ``uint64`` word, so every batch larger than 64 pairs is split over
+several blocks and the last block is padded.  These tests pin both kernels
+(the NumPy tier, and the native tier where Numba is installed) to their
+per-base references on batches of 0 to 1,000 pairs, across read lengths on
+either side of the 32-base code word, thresholds up to and past the read
+length and, for GateKeeper, both edge policies, both amendment run lengths
 and several window widths; and ``filter_batch`` of an ``N``-containing
-multi-block batch against ``filter_pair``.  The reference is a Python loop,
-so each mask set is built once per pair and reused: the mask set of a
-threshold ``e`` is the first ``2e + 1`` rows of any larger threshold's.
+multi-block batch against ``filter_pair``.  The GateKeeper reference
+(``build_mask_set`` + ``count_set_windows``) is a Python loop, so each mask
+set is built once per pair and reused: the mask set of a threshold ``e`` is
+the first ``2e + 1`` rows of any larger threshold's.  The SneakySnake
+reference is ``SneakySnakeFilter.estimate_edits_codes``; its uncompiled
+twin, also a Python loop, runs on batches of up to 129 pairs.
 """
 
 import numpy as np
@@ -21,7 +24,9 @@ from repro.filters import packed
 from repro.filters.bitvector import count_set_windows
 from repro.filters.gatekeeper import gatekeeper_kernel
 from repro.filters.masks import EdgePolicy, build_mask_set
+from repro.filters.native import _kernels as native_kernels
 from repro.filters.native import resolve
+from repro.filters.sneakysnake import SneakySnakeFilter, sneakysnake_kernel
 from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
 from helpers import from_planes, plane_bits
 
@@ -29,6 +34,10 @@ EDGE_POLICIES = [EdgePolicy.ZERO, EdgePolicy.ONE]
 BLOCK_SIZES = [1, 63, 64, 65, 129, 1000]
 LENGTHS = [1, 31, 32, 33, 64, 65, 100, 150]
 WINDOWS = [1, 3, 4, 5, 8]
+SNAKE_LENGTHS = [1, 2, 31, 32, 33, 64, 65, 100, 150, 250]
+SNAKE_THRESHOLDS = [0, 1, 5, 10]
+#: The uncompiled twin is a Python loop: it runs on batches up to this size.
+TWIN_MAX_PAIRS = 129
 
 
 def _kernels():
@@ -173,10 +182,85 @@ class TestKernelAcrossBlocks:
             segments[i] = "N" + segments[i][1:]
         pairs = EncodedPairBatch.from_lists(reads, segments)
         assert pairs.undefined.sum() > 0
-        for key in ("gatekeeper", "gatekeeper-gpu", "shd"):
+        for key in ("gatekeeper", "gatekeeper-gpu", "shd", "sneakysnake"):
             instance = get_filter(key, 4)
             expect = [instance.filter_pair(r, s) for r, s in zip(reads, segments)]
             for tier in ("numpy", "native"):
                 estimates, accepted = instance.filter_batch(pairs, tier=tier)
                 assert [int(x) for x in estimates] == [r.estimated_edits for r in expect]
                 assert [bool(x) for x in accepted] == [r.accepted for r in expect]
+
+
+def _snake_expected(read, ref, error_threshold):
+    """Reference SneakySnake estimates, one ``estimate_edits_codes`` per pair."""
+    instance = SneakySnakeFilter(error_threshold)
+    return np.array(
+        [instance.estimate_edits_codes(r, s) for r, s in zip(read, ref)], dtype=np.int32
+    )
+
+
+def _check_snake(read, ref, error_threshold, twin):
+    """Every SneakySnake kernel against the reference; returns the estimates."""
+    n_pairs, length = read.shape
+    read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
+    expect = _snake_expected(read, ref, error_threshold)
+    kernels = [sneakysnake_kernel, resolve("sneakysnake_kernel", "native")[0]]
+    if twin:
+        kernels.append(native_kernels.sneakysnake_kernel)
+    for kernel in kernels:
+        got = kernel(read_words, ref_words, length, error_threshold)
+        assert got.dtype == np.int32 and got.shape == (n_pairs,)
+        assert np.array_equal(got, expect), (kernel, length, error_threshold)
+    return expect
+
+
+class TestSneakySnakeAcrossBlocks:
+    @pytest.mark.parametrize("n_pairs", BLOCK_SIZES)
+    def test_batch_sizes(self, n_pairs):
+        rng = np.random.default_rng((n_pairs, 100))
+        read, ref = _pairs(rng, n_pairs, 100)
+        for error_threshold in SNAKE_THRESHOLDS:
+            _check_snake(read, ref, error_threshold, twin=n_pairs <= TWIN_MAX_PAIRS)
+
+    @pytest.mark.parametrize("length", SNAKE_LENGTHS)
+    def test_lengths_and_thresholds(self, length):
+        rng = np.random.default_rng((length, 13))
+        read, ref = _pairs(rng, 65, length)
+        for error_threshold in SNAKE_THRESHOLDS:
+            _check_snake(read, ref, error_threshold, twin=True)
+
+    @pytest.mark.parametrize("length", SNAKE_LENGTHS)
+    def test_thresholds_at_and_past_the_length(self, length):
+        # Diagonals of the read length or more meet no reference base: every
+        # column of theirs is an obstacle.  The twin walks (2e + 1) * length
+        # cells per pair, so it runs on the short reads only.
+        rng = np.random.default_rng((length, 17))
+        read, ref = _pairs(rng, 65, length)
+        for error_threshold in sorted({max(length - 1, 0), length, length + 3}):
+            _check_snake(read, ref, error_threshold, twin=length <= 33)
+
+    def test_saturated_pairs_report_e_plus_one(self):
+        # Reads of all A against references of all C block every cell of the
+        # maze, so the greedy walk crosses all 100 columns; unrelated random
+        # pairs cross far more than e + 1 too.  Both sit in every block,
+        # between pairs that match exactly.
+        rng = np.random.default_rng(23)
+        read, ref = _pairs(rng, 200, 100)
+        walls = np.arange(3, 200, 31)
+        read[walls], ref[walls] = 0, 1
+        unrelated = np.arange(10, 200, 37)
+        read[unrelated] = rng.integers(0, 4, size=(unrelated.size, 100))
+        exact = np.arange(20, 200, 43)
+        read[exact] = ref[exact]
+        for error_threshold in SNAKE_THRESHOLDS:
+            expect = _check_snake(read, ref, error_threshold, twin=False)
+            assert (expect[walls] == error_threshold + 1).all()
+            assert (expect[unrelated] == error_threshold + 1).all()
+            assert not expect[exact].any()
+
+    def test_empty_batches_and_length_zero(self):
+        empty = np.zeros((0, 100), dtype=np.uint8)
+        _check_snake(empty, empty, 5, twin=True)
+        no_bases = np.zeros((70, 0), dtype=np.uint8)
+        for error_threshold in (0, 5):
+            assert not _check_snake(no_bases, no_bases, error_threshold, twin=True).any()

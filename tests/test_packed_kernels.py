@@ -26,7 +26,7 @@ from repro.genomics.encoding import (
     pack_codes_to_words,
     unpack_words_to_codes,
 )
-from helpers import from_planes, to_planes
+from helpers import from_planes, plane_bits, to_planes
 
 #: The GateKeeper-family filter running each edge policy.
 GATEKEEPER_BY_POLICY = {EdgePolicy.ZERO: GateKeeperFilter, EdgePolicy.ONE: GateKeeperGPUFilter}
@@ -173,14 +173,37 @@ class TestPackedPrimitives:
         expect = neighborhood_map_batch(read, ref, threshold)
         assert np.array_equal(got, expect)
 
-    def test_first_set_lane_matches_per_base_search(self):
-        rng = np.random.default_rng(3)
-        mask = (rng.random((500, 32)) < rng.random((500, 1)) * 0.3).astype(np.uint8)
-        mask[:5] = 0
-        mask[5:37] = np.eye(32, dtype=np.uint8)
-        got = packed.first_set_lane(packed.pack_lanes(mask))[0]
-        expect = np.where(mask.any(axis=1), mask.argmax(axis=1), 32)
-        assert np.array_equal(got, expect)
+    def test_crossing_planes_cross_at_the_farthest_next_obstacle(self):
+        # A hand-built maze of three diagonals over 12 columns, pairs spread
+        # over three 64-pair blocks.  In the staircase, from column 0 the
+        # diagonals' next obstacles are 2, 4 and 3, so the signal crosses at
+        # 4; from 5 they are 7, 9 and 10, so it crosses at 10; from 11 none
+        # is left.  A wall (every diagonal blocked) is crossed where it
+        # stands, and a free diagonal is never crossed.
+        maze = np.zeros((150, 3, 12), dtype=np.uint8)
+        expect = {}
+        for pair in (0, 130):
+            for diagonal, columns in enumerate(([2, 7], [4, 9], [3, 10])):
+                maze[pair, diagonal, columns] = 1
+            expect[pair] = [4, 10]
+        maze[70] = 1
+        expect[70] = list(range(12))
+        maze[64, [0, 2]] = 1
+        expect[64] = []
+        maze[63, :, 11] = 1
+        maze[63, 0, [1, 3]] = 1
+        expect[63] = [11]
+        maze[149, 0, [0, 5]] = 1
+        maze[149, 1, [1, 5, 6]] = 1
+        maze[149, 2, [0, 1, 5]] = 1
+        expect[149] = [1, 5]
+        obstacles = np.stack([to_planes(maze[:, i]) for i in range(3)], axis=1)
+        crossed = packed.crossing_planes(obstacles)
+        assert crossed.shape == (12, 3)
+        got = from_planes(crossed, 150)
+        for pair in range(150):
+            assert list(np.flatnonzero(got[pair])) == expect.get(pair, []), pair
+        assert not plane_bits(crossed)[:, 2, 150 - 128 :].any()
 
 
 class TestPackedGateKeeperKernel:
