@@ -70,7 +70,7 @@ from .filters import (
     SneakySnakeFilter,
 )
 
-__version__ = "12.0.0"
+__version__ = "13.0.0"
 
 __all__ = [
     "Result",

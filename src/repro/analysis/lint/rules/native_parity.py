@@ -6,7 +6,7 @@ invariants the AST can check:
 
 * every ``register_fallback("name", fn)`` call registers a *same-named*
   module-level function — the fallback for kernel ``"name"`` must be spelled
-  ``name`` (possibly behind a module prefix, ``_packed.popcount``).  A
+  ``name`` (possibly behind a module prefix, ``_magnet.magnet_kernel``).  A
   mismatched registration would silently pair a native kernel with the wrong
   reference implementation, and the differential tests would then "verify"
   the wrong twin;

@@ -7,10 +7,8 @@ Two representations are used in this code base:
   reference paths (``estimate_edits_codes``), the test oracle;
 * **packed word arrays** — every filter's batch kernel runs on them; they
   live in :mod:`repro.filters.packed` and are checked against this module by
-  property tests.  Shouji and MAGNET use ``uint64`` lane words (two bits
-  per base, the form the CUDA kernel works in); the GateKeeper family and
-  SneakySnake use bit-sliced planes (one bit per base and pair, 64 pairs
-  per word).
+  property tests.  They are bit-sliced planes: one bit per base and pair,
+  64 pairs per ``uint64`` word.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .base import PreAlignmentFilter
 from .bitvector import count_set_windows
 from .masks import EdgePolicy, build_mask_set
 from .native import DEFAULT_KERNEL_TIER, resolve
-from .packed import amend_planes, bit_planes, count_plane_windows
+from .packed import amend_planes, bit_planes, count_plane_windows, shifted_mismatch_planes
 
 __all__ = ["GateKeeperFilter", "COUNT_WINDOW", "gatekeeper_kernel"]
 
@@ -70,17 +70,10 @@ def gatekeeper_kernel(
     diff = np.empty_like(read)
     final = scratch = None
     for shift in [0] + [s for k in range(1, int(error_threshold) + 1) for s in (k, -k)]:
-        # Row j compares read[j - shift] with ref[j]; the k rows with no read
+        # Row j compares read[j - shift] with ref[j]; the rows with no read
         # base are vacated and stay 0 until after amendment, exactly as the
         # scalar reference does.
-        k = min(abs(shift), length)
-        kept = length - k
-        if shift >= 0:
-            read_rows, compared, vacated = slice(0, kept), slice(k, length), slice(0, k)
-        else:
-            read_rows, compared, vacated = slice(k, length), slice(0, kept), slice(kept, length)
-        np.bitwise_xor(read[:, read_rows], ref[:, compared], out=diff[:, :kept])
-        np.bitwise_or(diff[0, :kept], diff[1, :kept], out=mask[compared])
+        vacated = shifted_mismatch_planes(read, ref, shift, mask, diff)
         mask[vacated] = 0
         amended = amend_planes(padded, max_zero_run, out=scratch)
         if edge_one:

@@ -11,11 +11,14 @@ edit distance much more tightly than GateKeeper's windowed count, at the cost
 of occasionally rejecting a valid pair (the greedy extraction is not optimal),
 which matches the false rejects the paper observes for MAGNET.
 
-The batch path (:meth:`MagnetFilter.estimate_edits_words`) works on the
-word-major packed arrays: the ``2e+1`` masks are built bit-parallel, the
-zero-run boundaries are detected with packed shift/AND marker operations
-(:func:`repro.filters.packed.zero_run_markers`) — only the tiny start/end
-marker bitmaps are ever unpacked — and the segment extraction runs *for all
+The batch path (:meth:`MagnetFilter.estimate_edits_words`) bit-slices each
+block of 64 pairs once (:func:`repro.filters.packed.bit_planes`), as every
+NumPy kernel here does: the ``2e+1`` masks are row-offset XORs of the code
+planes, in the reference coordinates the GateKeeper kernel uses
+(:func:`repro.filters.packed.shifted_mismatch_planes`), and the zero-run
+start and end markers are ANDs of row-offset views of the zeros.  One
+inverse transpose (:func:`repro.filters.packed.unpack_planes`) turns the
+markers back into pair order, and the segment extraction runs *for all
 pairs at once*: the zero runs of every mask are gathered into one padded
 ``(n_pairs, max_runs)`` table, and the divide-and-conquer recursion becomes a
 round-synchronous state machine — each of the at most ``e + 1`` rounds
@@ -35,14 +38,7 @@ import numpy as np
 from .base import PreAlignmentFilter
 from .bitvector import shifted_mask
 from .native import DEFAULT_KERNEL_TIER, resolve
-from .packed import (
-    count_set_lanes,
-    lane_span_mask,
-    shifted_mismatch_lanes,
-    unpack_group_values,
-    word_major,
-    zero_run_markers,
-)
+from .packed import bit_planes, shifted_mismatch_planes, unpack_planes
 
 __all__ = ["MagnetFilter", "magnet_kernel"]
 
@@ -56,21 +52,19 @@ def magnet_kernel(
     """Pure-NumPy MAGNET estimates for a batch of packed pairs.
 
     The registered reference implementation of the ``magnet_kernel`` native
-    pair: packed mask construction, marker-based zero-run detection and the
-    whole-batch extraction state machine, returning int32 estimates
+    pair: bit-sliced masks and zero-run markers, one inverse transpose back
+    to pair order and the whole-batch extraction state machine, in blocks of
+    :attr:`MagnetFilter._EXTRACT_BLOCK` pairs, returning int32 estimates
     bit-identical to the Numba twin's per-pair divide-and-conquer.
     """
     flt = MagnetFilter(error_threshold)
-    read_words = word_major(read_words)
-    ref_words = word_major(ref_words)
-    n_words, n_pairs = read_words.shape
-    valid = lane_span_mask(0, length, n_words)
+    n_pairs = len(read_words)
     estimates = np.empty(n_pairs, dtype=np.int32)
     block_size = MagnetFilter._EXTRACT_BLOCK
     for start in range(0, n_pairs, block_size):
-        block = slice(start, min(start + block_size, n_pairs))
+        block = slice(start, start + block_size)
         estimates[block] = flt._estimate_words_block(
-            read_words[:, block], ref_words[:, block], length, valid
+            read_words[block], ref_words[block], int(length)
         )
     return estimates
 
@@ -347,67 +341,54 @@ class MagnetFilter(PreAlignmentFilter):
     ) -> np.ndarray:
         """Packed-word MAGNET over pre-encoded word arrays.
 
-        The ``2e+1`` masks are shifted-XOR lane masks of the 2-bit words
-        (vacant positions forced to 1, MAGNET's edge fix), every maximal zero
-        run is located by the packed start/end marker kernel, and only those
-        marker bitmaps are unpacked — straight into the whole-batch
+        The ``2e+1`` masks are bit-sliced shifted mismatch planes (vacant
+        positions stay 1, MAGNET's edge fix), every maximal zero run is
+        located by start/end marker planes, and only those markers are
+        turned back into pair order — straight into the whole-batch
         :meth:`_extract_batch` state machine (no per-pair Python loop).
         ``tier`` selects the kernel tier; both tiers return bit-identical
         estimates.
         """
-        n_pairs = read_words.shape[0]
-        if length == 0:
-            return np.zeros(n_pairs, dtype=np.int32)
         kernel, _ = resolve("magnet_kernel", tier)
         return kernel(read_words, ref_words, length, self.error_threshold)
 
     def _estimate_words_block(
-        self,
-        read_words: np.ndarray,
-        ref_words: np.ndarray,
-        length: int,
-        valid: np.ndarray,
+        self, read_words: np.ndarray, ref_words: np.ndarray, length: int
     ) -> np.ndarray:
-        n_words, n_pairs = read_words.shape
+        n_pairs = len(read_words)
         e = self.error_threshold
         shifts = [0] + [s for k in range(1, e + 1) for s in (k, -k)]
-        masks = np.empty((n_words, len(shifts), n_pairs), dtype=np.uint64)
-        for row, shift in enumerate(shifts):
-            # MAGNET treats vacant positions as mismatches (vacant_value=1) so
-            # that edge errors are not hidden (one of its fixes over SHD).
-            masks[:, row, :], _ = shifted_mismatch_lanes(
-                read_words, ref_words, shift, length, vacant_value=1, valid=valid
-            )
-        start_marks, end_marks = zero_run_markers(masks, valid[:, np.newaxis])
-        # Runs per pair straight from the packed start markers: one popcount
-        # over the marker words replaces _pad_runs' bincount over the (much
-        # longer) per-run row list.
-        counts = count_set_lanes(start_marks).sum(axis=0, dtype=np.int32)
-        # Start and end markers share one unpack + nonzero pass: the end
-        # marker rides in the unused high bit of each base's 2-bit group, so
-        # one unpacked value per position says start (1), end (2) or both (3
-        # — a single-base run).  Unpacking the (n_words, n_pairs, n_masks)
-        # transpose puts each pair's masks back to back, so row-major
-        # flatnonzero yields each pair's runs in the (mask, position) order
-        # the tie-breaking relies on, and because the per-pair span is a
-        # multiple of ``length``, a single modulo recovers the in-mask
-        # position.  All index arithmetic runs in int32 — the flat indices
-        # are far below 2**31 and the narrower lanes halve the memory traffic
-        # of the divides and compactions.
-        start_marks |= end_marks << np.uint64(1)
-        kinds = unpack_group_values(start_marks.transpose(0, 2, 1), length).reshape(-1)
-        flat = np.flatnonzero(kinds).astype(np.int32)
-        values = kinds[flat]
-        is_start = (values & 1).astype(bool)
-        is_end = values >= 2
-        span = np.int32(kinds.shape[0] // n_pairs)
-        positions = flat % np.int32(length)  # span is a multiple of length
+        read, ref = bit_planes(read_words, ref_words, length)
+        n_blocks = read.shape[-1]
+        # Mask rows 1 .. length hold positions 0 .. length - 1; the mismatch
+        # rows around them close the zero runs at the sequence boundaries.
+        masks = np.full((len(shifts), length + 2, n_blocks), ~np.uint64(0))
+        diff = np.empty_like(read)
+        for mask, shift in zip(masks, shifts):
+            # MAGNET treats vacant positions as mismatches so that edge errors
+            # are not hidden (one of its fixes over SHD): they stay ones.
+            shifted_mismatch_planes(read, ref, shift, mask[1:-1], diff)
+        # A run starts at a zero after a mismatch and ends at a zero before
+        # one.  Marker row 2 * (mask * length + position) + (0 start, 1 end).
+        zeros = ~masks[:, 1:-1]
+        markers = np.empty((len(shifts), length, 2, n_blocks), dtype=np.uint64)
+        np.bitwise_and(zeros, masks[:, :-2], out=markers[:, :, 0])
+        np.bitwise_and(zeros, masks[:, 2:], out=markers[:, :, 1])
+        # In pair order, each pair's runs come in the (mask, position) order
+        # the tie-breaking relies on, and starts and ends alternate (a
+        # one-base run's start row precedes its end row).  Each pair spans
+        # n_rows, a multiple of 2 * length, so a shift and a modulo of the
+        # flat index give every marker's position.
+        n_rows = len(shifts) * length * 2
+        flat = np.flatnonzero(unpack_planes(markers.reshape(n_rows, n_blocks), n_pairs))
+        positions = (flat >> 1) % length
+        run_pairs = flat[0::2] // n_rows
         run_starts, run_ends = self._pad_runs(
-            flat[is_start] // span,
-            positions[is_start],
-            positions[is_end] + np.int32(1),
+            run_pairs,
+            positions[0::2],
+            positions[1::2] + 1,
             n_pairs,
             length,
-            counts=counts,
+            counts=np.bincount(run_pairs, minlength=n_pairs),
         )
         return self._extract_batch(run_starts, run_ends, length)

@@ -25,9 +25,9 @@ Word layout (the pair-major input of every kernel, shared with
 of a sequence sits in the most significant 2-bit group of word 0, so base
 ``j`` occupies bits ``62 - 2*(j % 32)`` (value) and the low bit of that
 group is the mask lane.  The twins read those words one pair at a time; the
-NumPy tier rearranges them for whole-batch operations (word-major lane words
-for MAGNET, bit-sliced planes with one bit per pair for GateKeeper and
-SneakySnake), which changes how the work is laid out, never the estimates.
+NumPy tier bit-slices them for whole-batch operations (planes with one bit
+per pair, 64 pairs per word), which changes how the work is laid out, never
+the estimates.
 """
 
 from __future__ import annotations

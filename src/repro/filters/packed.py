@@ -1,266 +1,51 @@
-"""Packed-word bit-parallel mask kernels (the GPU register view, vectorised).
+"""Bit-sliced mask kernels (the GPU's one thread per filtration, vectorised).
 
 The per-base ``uint8`` mask helpers of :mod:`repro.filters.bitvector` are the
 *reference* implementation: one array element per base, easy to read, easy to
-verify.  This module is the *fast* implementation the engine actually runs,
-in two layouts.
+verify.  This module is the *fast* implementation the engine actually runs.
 
-**Lane words** (Shouji, MAGNET): masks live in the same 2-bit-lane layout
-as the encoded sequences — one ``uint64`` word holds 32 bases, the per-base
-mask bit sits in the low bit of each base's 2-bit group, and the first base
-of a sequence occupies the most significant group of word 0.  These arrays
-are **word-major**: shape ``(n_words, n_pairs)`` (or a stack of such arrays,
-one per diagonal or mask), so word ``w`` of every pair is one contiguous row
-— the way a GPU warp reads the same word of neighbouring pairs.  A shift
-with carry transfer is then a few operations on whole rows, not on short
-strided slices of 4 words per pair.  The kernels transpose the pair-major
-``(n_pairs, n_words)`` arrays of an
-:class:`~repro.genomics.encoding.EncodedPairBatch` once, on entry
-(:func:`word_major`).  Per-base arrays stay pair-major: :func:`pack_lanes`
-turns ``(..., length)`` into ``(n_words, ...)`` and :func:`unpack_lanes`
-turns it back.
-
-**Bit-sliced planes** (the GateKeeper family, SneakySnake): :func:`bit_planes`
-transposes each 64-pair block of the words once (:func:`transpose_bit_blocks`,
-a 64 x 64 bit-matrix transpose), so a ``(length, n_blocks)`` plane holds one
-bit per base and pair — row ``j`` is base ``j``, bit ``p`` of column ``b``
-is pair ``64 * b + p``.  A shift by ``k`` bases is an offset of ``k`` rows,
-streak amendment (:func:`amend_planes`) is five boolean operations on
+:func:`bit_planes` transposes each 64-pair block of an
+:class:`~repro.genomics.encoding.EncodedPairBatch`'s pair-major words once
+(:func:`transpose_bit_blocks`, a 64 x 64 bit-matrix transpose), so a
+``(length, n_blocks)`` plane holds one bit per base and pair — row ``j`` is
+base ``j``, bit ``p`` of column ``b`` is pair ``64 * b + p``.  A shift by
+``k`` bases is an offset of ``k`` rows, so a shifted mismatch mask
+(:func:`shifted_mismatch_planes`) is two XORs and an OR of row-offset views,
+and the chip maze of SneakySnake and Shouji (:func:`chip_maze`, one
+``(2e+1, n_blocks)`` row of obstacle words per column) is ``2e+1`` of them.
+Streak amendment (:func:`amend_planes`) is five boolean operations on
 row-offset views, :func:`count_plane_windows` ORs each window's rows and
-sums every pair's bits, and :func:`crossing_planes` routes SneakySnake's
-chip maze (one ``(2e+1, n_blocks)`` row of obstacle words per column) in
-one sweep over the columns.
-
-Every hot operation of the filtering stack (shifted mismatch masks, streak
-amendment, edge forcing, the AND across masks, windowed edit counting,
-zero-run boundary detection for MAGNET, Shouji's neighborhood map,
-SneakySnake's chip maze and its routing) is a handful of shifts, boolean
-word operations and popcounts on these arrays.
-
-Popcounts use :func:`numpy.bitwise_count` when available (NumPy >= 2.0) and
-fall back to a 256-entry byte lookup table on older NumPy builds.
+sums every pair's bits, :func:`crossing_planes` routes the chip maze in one
+sweep over its columns, and :func:`unpack_planes` turns planes back into
+pair order (one inverse transpose, one ``unpackbits``), which is how MAGNET
+reads its zero-run markers.
 
 Property tests (``tests/test_packed_kernels.py``,
-``tests/test_filters_hypothesis.py``) pin every kernel here bit-for-bit
-against the per-base reference across read lengths and thresholds, including
-``N``-containing and length-1 edge cases and batches of more than one
-64-pair block.
+``tests/test_filters_hypothesis.py``, ``tests/test_bit_sliced_kernel.py``)
+pin every kernel here bit-for-bit against the per-base reference across read
+lengths and thresholds, including ``N``-containing and length-1 edge cases
+and batches of more than one 64-pair block.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
-from ..genomics.encoding import BASES_PER_WORD_64, words_per_read
+from ..genomics.encoding import BASES_PER_WORD_64
 
 __all__ = [
-    "LANE_MASK",
-    "word_major",
-    "popcount",
-    "count_set_lanes",
-    "shift_words_right_bits",
-    "shift_words_left_bits",
-    "shift_lanes_right",
-    "shift_lanes_left",
-    "lane_span_mask",
-    "mismatch_lanes",
-    "shifted_mismatch_lanes",
     "transpose_bit_blocks",
     "bit_planes",
+    "shifted_mismatch_planes",
+    "chip_maze",
     "amend_planes",
     "count_plane_windows",
     "crossing_planes",
-    "pack_lanes",
-    "unpack_lanes",
-    "unpack_group_values",
-    "neighborhood_lanes",
-    "zero_run_markers",
+    "unpack_planes",
 ]
 
 _U64 = np.uint64
 _WORD_BITS = 64
-#: Low bit of every 2-bit base group (the "lane" bits a mask may occupy).
-LANE_MASK = np.uint64(0x5555555555555555)
-
-_HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
-_POPCOUNT_LUT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
-def word_major(words: np.ndarray) -> np.ndarray:
-    """Contiguous ``(n_words, n_pairs)`` copy of a pair-major word array."""
-    return np.ascontiguousarray(np.asarray(words, dtype=_U64).T)
-
-
-def _popcount_lut(words: np.ndarray) -> np.ndarray:
-    """Byte-LUT popcount fallback for NumPy builds without ``bitwise_count``."""
-    words = np.asarray(words)
-    if words.dtype == np.uint8:
-        return _POPCOUNT_LUT[words]
-    contiguous = np.ascontiguousarray(words, dtype=_U64)
-    per_byte = _POPCOUNT_LUT[contiguous.view(np.uint8)]
-    return per_byte.reshape(contiguous.shape + (8,)).sum(axis=-1, dtype=np.uint8)
-
-
-def popcount(words: np.ndarray) -> np.ndarray:
-    """Per-element set-bit counts of an unsigned integer array (same shape, uint8)."""
-    if _HAS_BITWISE_COUNT:
-        return np.bitwise_count(words)
-    return _popcount_lut(words)
-
-
-def count_set_lanes(words: np.ndarray) -> np.ndarray:
-    """Set bits per pair of an ``(n_words, ...)`` mask (int32, summed over words)."""
-    return popcount(words).sum(axis=0, dtype=np.int32)
-
-
-# --------------------------------------------------------------------------- #
-# Whole-bit-vector shifts with carry transfer (arbitrary distance)
-# --------------------------------------------------------------------------- #
-
-
-def shift_words_right_bits(words: np.ndarray, bits: int) -> np.ndarray:
-    """Shift an ``(n_words, ...)`` bit-vector right by ``bits``, zeros shifted in.
-
-    "Right" moves content towards higher base indices (word 0 holds the first
-    bases).  Any non-negative distance is supported: whole words are relocated
-    first, the remainder is a sub-word shift with explicit carry transfer.
-    """
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    words = np.asarray(words, dtype=_U64)
-    if bits == 0:
-        return words.copy()
-    word_shift, bit_shift = divmod(bits, _WORD_BITS)
-    n_words = words.shape[0]
-    out = np.empty_like(words)
-    out[:word_shift] = 0
-    if word_shift >= n_words:
-        return out
-    src = words[: n_words - word_shift]
-    if bit_shift == 0:
-        out[word_shift:] = src
-    else:
-        np.right_shift(src, _U64(bit_shift), out=out[word_shift:])
-        out[word_shift + 1 :] |= src[:-1] << _U64(_WORD_BITS - bit_shift)
-    return out
-
-
-def shift_words_left_bits(words: np.ndarray, bits: int) -> np.ndarray:
-    """Shift an ``(n_words, ...)`` bit-vector left by ``bits``, zeros shifted in."""
-    if bits < 0:
-        raise ValueError("bits must be non-negative")
-    words = np.asarray(words, dtype=_U64)
-    if bits == 0:
-        return words.copy()
-    word_shift, bit_shift = divmod(bits, _WORD_BITS)
-    n_words = words.shape[0]
-    out = np.empty_like(words)
-    out[max(n_words - word_shift, 0) :] = 0
-    if word_shift >= n_words:
-        return out
-    src = words[word_shift:]
-    kept = n_words - word_shift
-    if bit_shift == 0:
-        out[:kept] = src
-    else:
-        np.left_shift(src, _U64(bit_shift), out=out[:kept])
-        out[: kept - 1] |= src[1:] >> _U64(_WORD_BITS - bit_shift)
-    return out
-
-
-def shift_lanes_right(words: np.ndarray, k_bases: int) -> np.ndarray:
-    """Shift by ``k_bases`` bases towards higher indices (``out[j] = in[j-k]``)."""
-    return shift_words_right_bits(words, 2 * k_bases)
-
-
-def shift_lanes_left(words: np.ndarray, k_bases: int) -> np.ndarray:
-    """Shift by ``k_bases`` bases towards lower indices (``out[j] = in[j+k]``)."""
-    return shift_words_left_bits(words, 2 * k_bases)
-
-
-# --------------------------------------------------------------------------- #
-# Lane masks and primitive mask operations
-# --------------------------------------------------------------------------- #
-
-
-@lru_cache(maxsize=None)
-def _lane_span_words(start: int, stop: int, n_words: int) -> tuple[int, ...]:
-    spans = []
-    for w in range(n_words):
-        value = 0
-        lo = max(start, w * BASES_PER_WORD_64)
-        hi = min(stop, (w + 1) * BASES_PER_WORD_64)
-        for b in range(lo, hi):
-            value |= 1 << (62 - 2 * (b - w * BASES_PER_WORD_64))
-        spans.append(value)
-    return tuple(spans)
-
-
-def lane_span_mask(start: int, stop: int, n_words: int) -> np.ndarray:
-    """``(n_words, 1)`` uint64 column with the lane bits of positions [start, stop) set.
-
-    The column broadcasts against any ``(n_words, n_pairs)`` word-major array.
-    """
-    start = max(0, start)
-    stop = max(start, stop)
-    return np.array(_lane_span_words(start, stop, n_words), dtype=_U64)[:, np.newaxis]
-
-
-def mismatch_lanes(
-    a_words: np.ndarray, b_words: np.ndarray, valid: np.ndarray
-) -> np.ndarray:
-    """Per-base difference lanes of two 2-bit encoded word arrays.
-
-    XOR in 2-bit space, OR-fold each group into its low (lane) bit and keep
-    only the ``valid`` lanes (positions inside the sequence).
-    """
-    x = np.bitwise_xor(np.asarray(a_words, dtype=_U64), np.asarray(b_words, dtype=_U64))
-    x |= x >> _U64(1)
-    x &= valid
-    return x
-
-
-def shifted_mismatch_lanes(
-    read_words: np.ndarray,
-    ref_words: np.ndarray,
-    shift: int,
-    length: int,
-    vacant_value: int = 0,
-    valid: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Packed equivalent of :func:`repro.filters.bitvector.shifted_mask`.
-
-    Position ``j`` compares ``read[j - shift]`` with ``ref[j]`` (``shift > 0``
-    models a deletion mask, ``shift < 0`` an insertion mask); the vacant
-    positions with no read base to compare are filled with ``vacant_value``.
-    Returns ``(lanes, vacated)`` where ``vacated`` is the lane mask of the
-    vacant span (``None`` for the unshifted Hamming mask) so callers can apply
-    their edge policy without recomputing it.
-    """
-    n_words = read_words.shape[0]
-    if valid is None:
-        valid = lane_span_mask(0, length, n_words)
-    if shift == 0:
-        return mismatch_lanes(read_words, ref_words, valid), None
-    if shift > 0:
-        shifted = shift_lanes_right(read_words, shift)
-        vacated = lane_span_mask(0, min(shift, length), n_words)
-    else:
-        shifted = shift_lanes_left(read_words, -shift)
-        vacated = lane_span_mask(length + shift, length, n_words)
-    if vacant_value:
-        lanes = mismatch_lanes(shifted, ref_words, valid)
-        lanes |= vacated
-    else:
-        lanes = mismatch_lanes(shifted, ref_words, valid & ~vacated)
-    return lanes, vacated
-
-
-# --------------------------------------------------------------------------- #
-# Bit-sliced planes: one bit per pair, 64 pairs per word
-# --------------------------------------------------------------------------- #
 
 
 def transpose_bit_blocks(rows: np.ndarray) -> np.ndarray:
@@ -324,6 +109,52 @@ def bit_planes(
         2, 2, n_words * BASES_PER_WORD_64, n_blocks
     )
     return planes[:, :, :length]
+
+
+def shifted_mismatch_planes(
+    read: np.ndarray, ref: np.ndarray, shift: int, out: np.ndarray, diff: np.ndarray
+) -> slice:
+    """Bit-sliced :func:`repro.filters.bitvector.shifted_mask`, written to ``out``.
+
+    ``read`` and ``ref`` are ``(2, length, n_blocks)`` code planes (the two
+    sides of :func:`bit_planes`) and ``diff`` is scratch of their shape.
+    Row ``j`` of the ``(length, n_blocks)`` plane ``out`` receives the
+    mismatch bits of ``read[j - shift]`` against ``ref[j]``: two XORs and an
+    OR of row-offset views.  The rows with no read base to compare are left
+    as they were, and their slice is returned for the caller's edge policy.
+    """
+    length = read.shape[1]
+    k = min(abs(shift), length)
+    kept = length - k
+    if shift >= 0:
+        read_rows, compared, vacated = slice(0, kept), slice(k, length), slice(0, k)
+    else:
+        read_rows, compared, vacated = slice(k, length), slice(0, kept), slice(kept, length)
+    np.bitwise_xor(read[:, read_rows], ref[:, compared], out=diff[:, :kept])
+    np.bitwise_or(diff[0, :kept], diff[1, :kept], out=out[compared])
+    return vacated
+
+
+def chip_maze(read: np.ndarray, ref: np.ndarray, error_threshold: int) -> np.ndarray:
+    """The bit-sliced neighborhood map of SneakySnake and Shouji.
+
+    ``read`` and ``ref`` are the ``(2, length, n_blocks)`` code planes of
+    :func:`bit_planes`.  Bit ``p`` of ``maze[j, i, b]`` of the returned
+    ``(length, 2e+1, n_blocks)`` maze marks an obstacle (a mismatch) of read
+    base ``j`` against reference base ``j + i - e`` for pair ``64 * b + p``;
+    cells whose reference base lies outside the segment are obstacles.  It
+    is :func:`repro.filters.shouji.neighborhood_map_batch` with the columns
+    as rows and 64 pairs per word.
+    """
+    e = int(error_threshold)
+    length, n_blocks = read.shape[1:]
+    maze = np.full((length, 2 * e + 1, n_blocks), ~_U64(0))
+    diff = np.empty_like(read)
+    for i in range(2 * e + 1):
+        # Read row j meets reference row j + i - e: the reference's mismatch
+        # rows at shift e - i.  The rows that shift vacates stay obstacles.
+        shifted_mismatch_planes(ref, read, e - i, maze[:, i], diff)
+    return maze
 
 
 def amend_planes(
@@ -396,118 +227,28 @@ def crossing_planes(obstacles: np.ndarray) -> np.ndarray:
     return crossed
 
 
-# --------------------------------------------------------------------------- #
-# Packing / unpacking between per-base masks and lane words
-# --------------------------------------------------------------------------- #
+def unpack_planes(planes: np.ndarray, n_pairs: int) -> np.ndarray:
+    """The bits of ``(n_rows, n_blocks)`` planes in pair order, ``(n_pairs, n_rows)``.
 
-_LANE_BIT_POSITIONS = (62 - 2 * np.arange(BASES_PER_WORD_64)).astype(_U64)
-
-
-def pack_lanes(mask: np.ndarray) -> np.ndarray:
-    """Pack a per-base 0/1 mask ``(..., length)`` into lane words ``(n_words, ...)``."""
-    mask = np.asarray(mask, dtype=np.uint8)
-    length = mask.shape[-1]
-    n_words = words_per_read(length, _WORD_BITS)
-    padded = np.zeros(mask.shape[:-1] + (n_words * BASES_PER_WORD_64,), dtype=_U64)
-    padded[..., :length] = mask
-    grouped = padded.reshape(mask.shape[:-1] + (n_words, BASES_PER_WORD_64))
-    words = (grouped << _LANE_BIT_POSITIONS).sum(axis=-1, dtype=_U64)
-    return np.ascontiguousarray(np.moveaxis(words, -1, 0))
-
-
-def _unpack_word_bits(words: np.ndarray) -> np.ndarray:
-    """All 64 bits of each word as a uint8 array ``(..., n_words * 64)``.
-
-    ``words`` is word-major ``(n_words, ...)``; the output is pair-major with
-    the bits of word 0 first.  Big-endian bit order (bit 0 of the output is
-    the word's most significant bit), matching the lane layout's "first base
-    in the top bits" rule — :func:`numpy.unpackbits` over the byte view is a
-    byte-wide C loop, far cheaper than a 64x-expanded ``uint64`` shift
-    broadcast.
+    The inverse of bit slicing: entry ``[p, r]`` (bool) is bit ``p % 64`` of
+    ``planes[r, p // 64]``.  Each 64-row group of the planes goes through
+    one :func:`transpose_bit_blocks` call, after which word ``g`` of a pair
+    holds its rows ``64 g`` to ``64 g + 63``, and one
+    :func:`numpy.unpackbits` of the pair-major words lays each pair's rows
+    out in order.
     """
-    words = np.ascontiguousarray(np.moveaxis(np.asarray(words, dtype=_U64), 0, -1))
-    n_words = words.shape[-1]
-    as_bytes = words[..., np.newaxis].view(np.uint8)
-    if np.little_endian:
-        as_bytes = as_bytes[..., ::-1]
-    flat = np.ascontiguousarray(as_bytes).reshape(words.shape[:-1] + (n_words * 8,))
-    return np.unpackbits(flat, axis=-1)
-
-
-def unpack_group_values(words: np.ndarray, length: int) -> np.ndarray:
-    """Unpack each base's full 2-bit group into values 0-3 ``(..., length)``.
-
-    Where :func:`unpack_lanes` reads only the low (lane) bit of every group,
-    this reads both — callers can stash a second, independent bitplane in the
-    otherwise-unused high bit (e.g. MAGNET packs zero-run *end* markers above
-    the *start* markers and recovers both with this one pass).
-    """
-    bits = _unpack_word_bits(words)
-    groups = bits.reshape(bits.shape[:-1] + (bits.shape[-1] // 2, 2))
-    values = groups[..., 0] << 1
-    values |= groups[..., 1]
-    return values[..., :length]
-
-
-def unpack_lanes(words: np.ndarray, length: int) -> np.ndarray:
-    """Unpack lane words ``(n_words, ...)`` into a per-base uint8 mask ``(..., length)``.
-
-    Each base's lane bit is the low bit of its 2-bit group, i.e. every odd
-    bit of the big-endian bit order produced by :func:`_unpack_word_bits`.
-    """
-    bits = _unpack_word_bits(words)
-    return np.ascontiguousarray(bits[..., 1::2][..., :length])
-
-
-# --------------------------------------------------------------------------- #
-# Composite kernels shared by the comparator filters
-# --------------------------------------------------------------------------- #
-
-
-def neighborhood_lanes(
-    read_words: np.ndarray,
-    ref_words: np.ndarray,
-    length: int,
-    error_threshold: int,
-) -> np.ndarray:
-    """Packed neighborhood maps: ``(2e+1, n_words, n_pairs)`` obstacle lanes.
-
-    Entry ``i`` is the word-major mask of the mismatches along diagonal
-    ``d = i - e`` (position ``j`` compares ``read[j]`` with ``ref[j + d]``);
-    comparisons falling outside the reference segment are obstacles (1),
-    padding lanes beyond the sequence length are 0.  This is the word-level
-    form of :func:`repro.filters.shouji.neighborhood_map_batch`, built from
-    the already-encoded word arrays with shifts and XORs only.
-    """
-    read_words = np.asarray(read_words, dtype=_U64)
-    ref_words = np.asarray(ref_words, dtype=_U64)
-    e = int(error_threshold)
-    valid = lane_span_mask(0, length, read_words.shape[0])
-    out = np.empty((2 * e + 1,) + read_words.shape, dtype=_U64)
-    for i in range(2 * e + 1):
-        d = i - e
-        # Comparing read[j] with ref[j + d] is the shifted mismatch mask with
-        # the roles swapped and the shift negated; out-of-range positions are
-        # obstacles (vacant_value=1).
-        out[i], _ = shifted_mismatch_lanes(
-            ref_words, read_words, -d, length, vacant_value=1, valid=valid
-        )
-    return out
-
-
-def zero_run_markers(
-    masks: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start/end markers of every maximal zero run of a packed mask.
-
-    Returns ``(starts, ends)`` lane masks: a start bit at the first position
-    of each maximal zero run and an end bit at its last position (both
-    inclusive).  Runs touching the sequence boundaries are included, matching
-    the sentinel convention of MAGNET's reference extraction.  ``valid`` is
-    the sequence's lane mask, broadcastable against ``masks``.
-    """
-    m = np.asarray(masks, dtype=_U64)
-    zeros = (~m) & valid
-    starts = zeros & ~shift_lanes_right(zeros, 1)
-    ends = zeros & ~shift_lanes_left(zeros, 1)
-    return starts, ends
+    n_rows, n_blocks = planes.shape
+    n_full, n_tail = divmod(n_rows, _WORD_BITS)
+    n_groups = n_full + (n_tail > 0)
+    # One 64 x 64 bit matrix per (group, block): row r is plane row 64 g + r.
+    words = np.empty((_WORD_BITS, n_groups, n_blocks), dtype=_U64)
+    words[:, n_full:] = 0
+    head = planes[: n_full * _WORD_BITS].reshape(n_full, _WORD_BITS, n_blocks)
+    words[:, :n_full] = head.transpose(1, 0, 2)
+    words[:n_tail, n_full:] = planes[n_full * _WORD_BITS :, np.newaxis]
+    transpose_bit_blocks(words)
+    # Bit r of words[p, g, b] is now row 64 g + r of pair 64 b + p.
+    pair_major = np.ascontiguousarray(words.transpose(2, 0, 1), dtype="<u8")
+    bits = np.unpackbits(pair_major.view(np.uint8), axis=-1, bitorder="little")
+    bits = bits.reshape(n_blocks * _WORD_BITS, n_groups * _WORD_BITS).view(bool)
+    return bits[:n_pairs, :n_rows]

@@ -9,13 +9,15 @@ accepted into the Shouji bit-vector.  The number of positions never covered
 by an accepted zero approximates the edit distance; if it exceeds the
 threshold the pair is rejected.
 
-The batch path (:meth:`ShoujiFilter.estimate_edits_words`) works on the
-word-major packed arrays: the default four-column window aligns exactly with
-the bytes of the 2-bit-lane representation, so the whole window scan
-collapses into per-byte popcounts plus a minimum over diagonals — no
-per-base array is built.  The per-base window scan
-(:meth:`ShoujiFilter.estimate_edits_codes`) is the scalar reference; a window
-contributes its best diagonal's count of ones on both paths, so their
+The batch path (:meth:`ShoujiFilter.estimate_edits_words`) runs on the
+bit-sliced chip maze that SneakySnake routes
+(:func:`repro.filters.packed.chip_maze`, 64 pairs per word), and the window
+scan becomes threshold logic on its rows: per window and diagonal, one plane
+per count ``k`` marks the pairs with more than ``k`` obstacles there, an AND
+over the diagonals keeps what even the best diagonal has, and the estimate is
+those planes' set bits, so no per-base array is built.  The per-base window
+scan (:meth:`ShoujiFilter.estimate_edits_codes`) is the scalar reference; a
+window contributes its best diagonal's count of ones on both paths, so their
 estimates are identical.
 """
 
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .base import PreAlignmentFilter
-from .packed import neighborhood_lanes, popcount, unpack_lanes, word_major
+from .packed import bit_planes, chip_maze, count_plane_windows
 
 __all__ = ["ShoujiFilter", "neighborhood_map", "neighborhood_map_batch"]
 
@@ -120,29 +122,33 @@ class ShoujiFilter(PreAlignmentFilter):
     def estimate_edits_words(
         self, read_words: np.ndarray, ref_words: np.ndarray, length: int
     ) -> np.ndarray:
-        """Packed-word Shouji scan over pre-encoded word arrays.
+        """Bit-sliced Shouji scan over pre-encoded word arrays.
 
-        With the paper's four-column window, every window is exactly one byte
-        of the word-major lane representation (4 bases x 2 bits): the
-        per-diagonal zero count of a window is ``4 - popcount(byte)``, the
-        best diagonal is the one with the fewest set lanes and the estimate is
-        the sum of those minima (which diagonal wins a tie does not change
-        the count).  Other window widths run the per-base window scan on
-        unpacked lanes.
+        ``more[k]`` marks, per window and diagonal of the chip maze, the
+        pairs with more than ``k`` obstacles there: each row of the window
+        carries level ``k - 1`` into level ``k`` and sets level 0 (rows past
+        the length count as no obstacle).  ANDed over the diagonals,
+        ``more[k]`` says that even the best diagonal holds more than ``k``,
+        so a window's best count is its number of set levels and the
+        estimate sums those bits over every window and level.  Which
+        diagonal wins a tie does not change the count.
         """
-        n_pairs = read_words.shape[0]
-        if length == 0:
-            return np.zeros(n_pairs, dtype=np.int32)
-        lanes = neighborhood_lanes(
-            word_major(read_words), word_major(ref_words), length, self.error_threshold
-        )
-        if self.window != 4:
-            # Window widths other than one byte: reuse the per-base scan.
-            return self._scan_windows(unpack_lanes(lanes.transpose(1, 2, 0), length))
-        # Bytes beyond the sequence length hold no lanes (neighborhood_lanes
-        # clears padding), so they contribute zero to every diagonal and to
-        # the final sum alike.  The chosen diagonal's count is the minimum.
-        window_counts = popcount(lanes.view(np.uint8)).min(axis=0)
-        return window_counts.reshape(lanes.shape[1], n_pairs, 8).sum(
-            axis=(0, 2), dtype=np.int32
-        )
+        length, window = int(length), self.window
+        maze = chip_maze(*bit_planes(read_words, ref_words, length), self.error_threshold)
+        n_windows = -(-length // window)
+        n_diagonals, n_blocks = maze.shape[1:]
+        # more[k, i, t]: window t of diagonal i holds more than k obstacles.
+        more = np.zeros((window, n_diagonals, n_windows, n_blocks), dtype=np.uint64)
+        carry = np.empty_like(more[1:])
+        for offset in range(min(window, length)):
+            rows = maze[offset::window].transpose(1, 0, 2)
+            n = rows.shape[1]
+            if offset:
+                # Levels 0 .. offset - 1 carry into 1 .. offset, all from
+                # their values before this row.
+                np.bitwise_and(more[:offset, :, :n], rows, out=carry[:offset, :, :n])
+                more[1 : offset + 1, :, :n] |= carry[:offset, :, :n]
+            more[0, :, :n] |= rows
+        best = np.bitwise_and.reduce(more, axis=1)
+        counts = count_plane_windows(best.reshape(window * n_windows, n_blocks), 1)
+        return counts[: len(read_words)]

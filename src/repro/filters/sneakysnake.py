@@ -13,9 +13,10 @@ The optimal routing can be computed greedily: from the current column, find
 the diagonal with the longest run of obstacle-free cells, travel along it and
 pay one unit to cross the next column.  The batch kernel
 (:func:`sneakysnake_kernel`) takes the CPU analogue of the paper's one thread
-per filtration, as the GateKeeper kernel does: it bit-slices each block of
+per filtration, as every NumPy kernel here does: it bit-slices each block of
 64 pairs once (:func:`repro.filters.packed.bit_planes`), builds the chip
-maze as ``(length, 2e+1, n_blocks)`` obstacle words (one bit per pair) and
+maze as ``(length, 2e+1, n_blocks)`` obstacle words, one bit per pair
+(:func:`repro.filters.packed.chip_maze`, which Shouji scans too), and
 routes every pair in one sweep over the columns
 (:func:`repro.filters.packed.crossing_planes`, three whole-array operations
 per column), so no per-base ``(n_pairs, 2e+1, length)`` array is ever
@@ -31,7 +32,7 @@ import numpy as np
 
 from .base import PreAlignmentFilter
 from .native import DEFAULT_KERNEL_TIER, resolve
-from .packed import bit_planes, count_plane_windows, crossing_planes
+from .packed import bit_planes, chip_maze, count_plane_windows, crossing_planes
 from .shouji import neighborhood_map
 
 __all__ = ["SneakySnakeFilter", "sneakysnake_kernel"]
@@ -62,7 +63,8 @@ def sneakysnake_kernel(
 
     The registered reference implementation of the ``sneakysnake_kernel``
     native pair.  The pair-major word arrays are bit-sliced once
-    (:func:`~repro.filters.packed.bit_planes`), and the chip maze is a
+    (:func:`~repro.filters.packed.bit_planes`), and the chip maze
+    (:func:`~repro.filters.packed.chip_maze`, shared with Shouji) is a
     ``(length, 2e+1, n_blocks)`` tensor: row ``j``, diagonal ``i`` holds the
     obstacle bits of read base ``j`` against reference base ``j + i - e``
     for 64 pairs per word (two XORs and an OR of row-offset views; columns
@@ -72,19 +74,9 @@ def sneakysnake_kernel(
     exit.  The returned int32 estimates are bit-identical to the Numba
     twin's.
     """
-    length, e = int(length), int(error_threshold)
-    read, ref = bit_planes(read_words, ref_words, length)
-    obstacles = np.full((length, 2 * e + 1, read.shape[-1]), ~np.uint64(0))
-    diff = np.empty_like(read)
-    for i in range(2 * e + 1):
-        # Read row j meets reference row j + d; the other rows stay obstacles.
-        d = i - e
-        kept = max(length - abs(d), 0)
-        rows = slice(max(-d, 0), max(-d, 0) + kept)
-        compared = slice(max(d, 0), max(d, 0) + kept)
-        np.bitwise_xor(read[:, rows], ref[:, compared], out=diff[:, :kept])
-        np.bitwise_or(diff[0, :kept], diff[1, :kept], out=obstacles[rows, i])
-    crossings = count_plane_windows(crossing_planes(obstacles), 1)
+    e = int(error_threshold)
+    maze = chip_maze(*bit_planes(read_words, ref_words, int(length)), e)
+    crossings = count_plane_windows(crossing_planes(maze), 1)
     return np.minimum(crossings[: len(read_words)], e + 1)
 
 

@@ -1,19 +1,22 @@
-"""The bit-sliced GateKeeper and SneakySnake kernels across 64-pair blocks.
+"""Every bit-sliced NumPy kernel across 64-pair blocks.
 
-``gatekeeper_kernel`` and ``sneakysnake_kernel`` hold one bit per pair, 64
-pairs per ``uint64`` word, so every batch larger than 64 pairs is split over
-several blocks and the last block is padded.  These tests pin both kernels
-(the NumPy tier, and the native tier where Numba is installed) to their
-per-base references on batches of 0 to 1,000 pairs, across read lengths on
-either side of the 32-base code word, thresholds up to and past the read
-length and, for GateKeeper, both edge policies, both amendment run lengths
-and several window widths; and ``filter_batch`` of an ``N``-containing
+``gatekeeper_kernel``, ``sneakysnake_kernel``, Shouji's word path and
+``magnet_kernel`` hold one bit per pair, 64 pairs per ``uint64`` word, so
+every batch larger than 64 pairs is split over several blocks and the last
+block is padded.  These tests pin each kernel (the NumPy tier, and the
+native tier where Numba is installed) to its per-base reference on batches
+of 0 to 1,000 pairs (2,049 for MAGNET, whose kernel also works in blocks of
+2,048 pairs), across read lengths on either side of the 32-base code word,
+thresholds up to and past the read length and, for GateKeeper, both edge
+policies, both amendment run lengths and several window widths (Shouji:
+window widths 1 to 8); and ``filter_batch`` of an ``N``-containing
 multi-block batch against ``filter_pair``.  The GateKeeper reference
 (``build_mask_set`` + ``count_set_windows``) is a Python loop, so each mask
 set is built once per pair and reused: the mask set of a threshold ``e`` is
-the first ``2e + 1`` rows of any larger threshold's.  The SneakySnake
-reference is ``SneakySnakeFilter.estimate_edits_codes``; its uncompiled
-twin, also a Python loop, runs on batches of up to 129 pairs.
+the first ``2e + 1`` rows of any larger threshold's.  The other references
+are each filter's ``estimate_edits_codes``, one pair at a time; the
+uncompiled SneakySnake and MAGNET twins, also Python loops, run on batches
+of up to 129 pairs.
 """
 
 import numpy as np
@@ -23,9 +26,11 @@ from repro.engine import get_filter
 from repro.filters import packed
 from repro.filters.bitvector import count_set_windows
 from repro.filters.gatekeeper import gatekeeper_kernel
+from repro.filters.magnet import MagnetFilter, magnet_kernel
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.native import _kernels as native_kernels
 from repro.filters.native import resolve
+from repro.filters.shouji import ShoujiFilter
 from repro.filters.sneakysnake import SneakySnakeFilter, sneakysnake_kernel
 from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
 from helpers import from_planes, plane_bits
@@ -36,6 +41,7 @@ LENGTHS = [1, 31, 32, 33, 64, 65, 100, 150]
 WINDOWS = [1, 3, 4, 5, 8]
 SNAKE_LENGTHS = [1, 2, 31, 32, 33, 64, 65, 100, 150, 250]
 SNAKE_THRESHOLDS = [0, 1, 5, 10]
+SHOUJI_WINDOWS = [1, 2, 3, 4, 5, 8]
 #: The uncompiled twin is a Python loop: it runs on batches up to this size.
 TWIN_MAX_PAIRS = 129
 
@@ -182,7 +188,7 @@ class TestKernelAcrossBlocks:
             segments[i] = "N" + segments[i][1:]
         pairs = EncodedPairBatch.from_lists(reads, segments)
         assert pairs.undefined.sum() > 0
-        for key in ("gatekeeper", "gatekeeper-gpu", "shd", "sneakysnake"):
+        for key in ("gatekeeper", "gatekeeper-gpu", "shd", "magnet", "shouji", "sneakysnake"):
             instance = get_filter(key, 4)
             expect = [instance.filter_pair(r, s) for r, s in zip(reads, segments)]
             for tier in ("numpy", "native"):
@@ -191,9 +197,8 @@ class TestKernelAcrossBlocks:
                 assert [bool(x) for x in accepted] == [r.accepted for r in expect]
 
 
-def _snake_expected(read, ref, error_threshold):
-    """Reference SneakySnake estimates, one ``estimate_edits_codes`` per pair."""
-    instance = SneakySnakeFilter(error_threshold)
+def _codes_expected(instance, read, ref):
+    """Reference estimates of ``instance``, one ``estimate_edits_codes`` per pair."""
     return np.array(
         [instance.estimate_edits_codes(r, s) for r, s in zip(read, ref)], dtype=np.int32
     )
@@ -203,7 +208,7 @@ def _check_snake(read, ref, error_threshold, twin):
     """Every SneakySnake kernel against the reference; returns the estimates."""
     n_pairs, length = read.shape
     read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
-    expect = _snake_expected(read, ref, error_threshold)
+    expect = _codes_expected(SneakySnakeFilter(error_threshold), read, ref)
     kernels = [sneakysnake_kernel, resolve("sneakysnake_kernel", "native")[0]]
     if twin:
         kernels.append(native_kernels.sneakysnake_kernel)
@@ -264,3 +269,106 @@ class TestSneakySnakeAcrossBlocks:
         no_bases = np.zeros((70, 0), dtype=np.uint8)
         for error_threshold in (0, 5):
             assert not _check_snake(no_bases, no_bases, error_threshold, twin=True).any()
+
+
+def _check_shouji(read, ref, error_threshold, windows):
+    """Shouji's word path against the reference at each window width."""
+    n_pairs, length = read.shape
+    read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
+    for window in windows:
+        instance = ShoujiFilter(error_threshold, window)
+        got = instance.estimate_edits_words(read_words, ref_words, length)
+        assert got.dtype == np.int32 and got.shape == (n_pairs,)
+        expect = _codes_expected(instance, read, ref)
+        assert np.array_equal(got, expect), (length, error_threshold, window)
+
+
+def _check_magnet(read, ref, error_threshold, twin):
+    """Every MAGNET kernel against the reference."""
+    n_pairs, length = read.shape
+    read_words, ref_words = pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64)
+    expect = _codes_expected(MagnetFilter(error_threshold), read, ref)
+    kernels = [magnet_kernel, resolve("magnet_kernel", "native")[0]]
+    if twin:
+        kernels.append(native_kernels.magnet_kernel)
+    for kernel in kernels:
+        got = kernel(read_words, ref_words, length, error_threshold)
+        assert got.dtype == np.int32 and got.shape == (n_pairs,)
+        assert np.array_equal(got, expect), (kernel, length, error_threshold)
+
+
+class TestShoujiAcrossBlocks:
+    @pytest.mark.parametrize("n_pairs", BLOCK_SIZES)
+    def test_batch_sizes(self, n_pairs):
+        rng = np.random.default_rng((n_pairs, 200))
+        read, ref = _pairs(rng, n_pairs, 100)
+        # The per-pair reference is slow, so 1,000 pairs run one threshold.
+        for error_threshold in SNAKE_THRESHOLDS if n_pairs <= TWIN_MAX_PAIRS else [5]:
+            _check_shouji(read, ref, error_threshold, [4])
+
+    @pytest.mark.parametrize("length", SNAKE_LENGTHS)
+    def test_lengths_thresholds_and_windows(self, length):
+        # Every window width at one threshold, every threshold at two widths:
+        # the paper's four columns and one that does not divide 32 or 64.
+        rng = np.random.default_rng((length, 19))
+        read, ref = _pairs(rng, 65, length)
+        _check_shouji(read, ref, 5, SHOUJI_WINDOWS)
+        for error_threshold in (0, 1, 10):
+            _check_shouji(read, ref, error_threshold, [3, 4])
+
+    @pytest.mark.parametrize("length", SNAKE_LENGTHS)
+    def test_thresholds_at_and_past_the_length(self, length):
+        # Diagonals of the read length or more meet no reference base, so
+        # every window of theirs is all obstacles.  The reference scans
+        # (2e + 1) diagonals per window, so the longest reads run 3 pairs.
+        rng = np.random.default_rng((length, 23))
+        read, ref = _pairs(rng, 65 if length <= 65 else 3, length)
+        for error_threshold in sorted({max(length - 1, 0), length, length + 3}):
+            _check_shouji(read, ref, error_threshold, [1, 4])
+
+
+class TestMagnetAcrossBlocks:
+    @pytest.mark.parametrize("n_pairs", BLOCK_SIZES + [2049])
+    def test_batch_sizes(self, n_pairs):
+        # 2,049 pairs take the kernel past its 2,048-pair extraction block.
+        rng = np.random.default_rng((n_pairs, 300))
+        read, ref = _pairs(rng, n_pairs, 100)
+        small = n_pairs <= TWIN_MAX_PAIRS
+        for error_threshold in SNAKE_THRESHOLDS if small else [5]:
+            _check_magnet(read, ref, error_threshold, twin=small)
+
+    @pytest.mark.parametrize("length", SNAKE_LENGTHS)
+    def test_lengths_and_thresholds(self, length):
+        rng = np.random.default_rng((length, 29))
+        read, ref = _pairs(rng, 65, length)
+        for error_threshold in SNAKE_THRESHOLDS:
+            _check_magnet(read, ref, error_threshold, twin=length <= 100)
+
+    @pytest.mark.parametrize("length", SNAKE_LENGTHS)
+    def test_thresholds_at_and_past_the_length(self, length):
+        # Shifts of the read length or more leave every position vacant, so
+        # those masks are all mismatches.  The twin and the reference cost
+        # O(e * length) per pair, so the longest reads run one block.
+        rng = np.random.default_rng((length, 31))
+        read, ref = _pairs(rng, 65 if length <= 65 else 3, length)
+        for error_threshold in sorted({max(length - 1, 0), length, length + 3}):
+            _check_magnet(read, ref, error_threshold, twin=length <= 33)
+
+
+class TestEmptyShoujiAndMagnet:
+    @pytest.mark.parametrize("key", ["shouji", "magnet"])
+    @pytest.mark.parametrize("tier", ["numpy", "native"])
+    def test_filter_batch_of_no_pairs_and_no_bases(self, key, tier):
+        empty = EncodedPairBatch.from_lists([], [])
+        no_bases = EncodedPairBatch.from_lists([""] * 70, [""] * 70)
+        for error_threshold in (0, 5):
+            instance = get_filter(key, error_threshold)
+            for pairs, n_pairs in ((empty, 0), (no_bases, 70)):
+                estimates, accepted = instance.filter_batch(pairs, tier=tier)
+                assert estimates.dtype == np.int32 and estimates.shape == (n_pairs,)
+                assert not estimates.any() and accepted.all()
+
+    def test_kernels_of_no_pairs_and_no_bases(self):
+        for codes in (np.zeros((0, 100), np.uint8), np.zeros((70, 0), np.uint8)):
+            _check_magnet(codes, codes, 5, twin=True)
+            _check_shouji(codes, codes, 5, SHOUJI_WINDOWS)

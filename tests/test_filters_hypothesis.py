@@ -1,7 +1,7 @@
 """Property-based differential tests: packed kernels vs per-base references.
 
 Hypothesis drives random sequences, lengths and thresholds through the packed
-``uint64`` lane kernels (:mod:`repro.filters.packed`, the GateKeeper word
+bit-sliced kernels (:mod:`repro.filters.packed`, the GateKeeper word
 kernel) and asserts bit-for-bit agreement with the per-base reference
 implementations in :mod:`repro.filters.bitvector` / :mod:`repro.filters.masks`,
 through the three native kernel sources against their NumPy twins, and
@@ -99,17 +99,19 @@ class TestPackedPrimitiveProperties:
 
     @settings(max_examples=25, **COMMON)
     @given(batch=pair_batches(), threshold=st.integers(min_value=0, max_value=6))
-    def test_neighborhood_lanes_match_per_base_map(self, batch, threshold):
+    def test_chip_maze_matches_per_base_map(self, batch, threshold):
         read, ref = batch
-        length = read.shape[1]
-        lanes = packed.neighborhood_lanes(
-            packed.word_major(pack_codes_to_words(read, 64)),
-            packed.word_major(pack_codes_to_words(ref, 64)),
-            length, threshold,
+        n_pairs, length = read.shape
+        maze = packed.chip_maze(
+            *packed.bit_planes(
+                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+            ),
+            threshold,
         )
-        got = packed.unpack_lanes(lanes.transpose(1, 2, 0), length)
-        expect = neighborhood_map_batch(read, ref, threshold)
-        assert np.array_equal(got, expect)
+        got = np.stack(
+            [from_planes(maze[:, i], n_pairs) for i in range(2 * threshold + 1)], axis=1
+        )
+        assert np.array_equal(got, neighborhood_map_batch(read, ref, threshold))
 
 
 class TestGateKeeperKernelProperties:

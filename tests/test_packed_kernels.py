@@ -1,14 +1,14 @@
 """Property tests: packed-word kernels agree bit-for-bit with the per-base reference.
 
 The per-base mask helpers of ``repro.filters.bitvector`` / ``repro.filters.masks``
-are the reference implementation; every packed ``uint64`` lane kernel in
-``repro.filters.packed`` (word-major: ``(n_words, n_pairs)`` arrays) and
-every filter path built on it must reproduce them exactly across read
-lengths {1, 8, 64, 100, 251} and thresholds {0, 2, 5}, plus 10 and 33 for
-the every-filter test (a 33-base shift crosses more than one lane word and
-is wider than the 8 bp read), including ``N``-containing pairs,
-length-1 edge cases, empty batches, and one base either side of each
-code-word and lane-word boundary.
+are the reference implementation; every bit-sliced kernel in
+``repro.filters.packed`` (one bit per pair, 64 pairs per ``uint64`` word,
+``(length, n_blocks)`` planes) and every filter path built on it must
+reproduce them exactly across read lengths {1, 8, 64, 100, 251} and
+thresholds {0, 2, 5}, plus 10 and 33 for the every-filter test (a 33-base
+shift crosses more than one code word and is wider than the 8 bp read),
+including ``N``-containing pairs, length-1 edge cases, empty batches, and
+one base either side of each 32-base code word and 64-bit word boundary.
 """
 
 import numpy as np
@@ -20,12 +20,7 @@ from repro.filters.native import _kernels as native_kernels
 from repro.filters.bitvector import amend_mask, count_set_windows, shifted_mask
 from repro.filters.masks import EdgePolicy, build_mask_set
 from repro.filters.shouji import neighborhood_map_batch
-from repro.genomics.encoding import (
-    EncodedPairBatch,
-    encode_batch_codes,
-    pack_codes_to_words,
-    unpack_words_to_codes,
-)
+from repro.genomics.encoding import EncodedPairBatch, pack_codes_to_words
 from helpers import from_planes, plane_bits, to_planes
 
 #: The GateKeeper-family filter running each edge policy.
@@ -35,7 +30,7 @@ READ_LENGTHS = [8, 64, 100, 251]
 THRESHOLDS = [0, 2, 5]
 #: The every-filter test also runs above any realistic threshold.
 LARGE_THRESHOLDS = [10, 33]
-#: One base either side of the 32-base code word and the 64-base lane word.
+#: One base either side of the 32-base code word and of 64 bases.
 WORD_BOUNDARY_LENGTHS = [31, 33, 63, 65, 128, 129]
 
 
@@ -49,10 +44,6 @@ def _random_pairs(rng, n_pairs, length, mutate=0.15):
 
 def _codes_to_strings(codes):
     return ["".join("ACGT"[c] for c in row) for row in codes]
-
-
-def _word_major(codes):
-    return packed.word_major(pack_codes_to_words(codes, 64))
 
 
 @pytest.fixture(params=["numpy", "twins"])
@@ -72,52 +63,22 @@ def kernel_tier(request, monkeypatch):
 
 
 class TestPackedPrimitives:
-    @pytest.mark.parametrize("length", [1, 2, 8, 31, 32, 33, 64, 100, 251])
-    def test_pack_unpack_roundtrip(self, length):
-        rng = np.random.default_rng(length)
-        mask = (rng.random((17, length)) < 0.5).astype(np.uint8)
-        lanes = packed.pack_lanes(mask)
-        assert np.array_equal(packed.unpack_lanes(lanes, length), mask)
-        assert np.array_equal(packed.count_set_lanes(lanes), mask.sum(axis=1))
-
-    @pytest.mark.parametrize("length", [1, 8, 64, 100, 251])
-    @pytest.mark.parametrize("k", [0, 1, 2, 5, 31, 32, 40, 300])
-    def test_lane_shifts_match_array_shifts(self, length, k):
-        rng = np.random.default_rng(length * 1000 + k)
-        mask = (rng.random((9, length)) < 0.5).astype(np.uint8)
-        lanes = packed.pack_lanes(mask)
-        valid = packed.lane_span_mask(0, length, lanes.shape[0])
-        expect_right = np.zeros_like(mask)
-        expect_left = np.zeros_like(mask)
-        if k < length:
-            expect_right[:, k:] = mask[:, : length - k]
-            expect_left[:, : length - k] = mask[:, k:]
-        got_right = packed.unpack_lanes(packed.shift_lanes_right(lanes, k), length)
-        got_left = packed.unpack_lanes(packed.shift_lanes_left(lanes, k) & valid, length)
-        assert np.array_equal(got_right, expect_right)
-        assert np.array_equal(got_left, expect_left)
-
-    def test_lane_shift_carries_across_word_boundary(self):
-        # One T at the end of word 0; shifting right by one base must carry
-        # its bits into the top of word 1.
-        codes, _ = encode_batch_codes(["A" * 31 + "T" + "A" * 33])
-        shifted = packed.shift_lanes_right(_word_major(codes), 1)
-        back = unpack_words_to_codes(shifted.T, 65, word_bits=64)
-        assert back[0, 32] == 3  # the T moved into the second word
-        assert back[0, 31] == 0
-
     @pytest.mark.parametrize("length", [1, 8, 50, 100])
     @pytest.mark.parametrize("vacant_value", [0, 1])
-    def test_shifted_mismatch_lanes_match_reference(self, length, vacant_value):
+    def test_shifted_mismatch_planes_match_reference(self, length, vacant_value):
         rng = np.random.default_rng(length * 10 + vacant_value)
-        read, ref = _random_pairs(rng, 10, length)
-        read_words, ref_words = _word_major(read), _word_major(ref)
-        for shift in (-3, -1, 0, 1, 4):
-            lanes, _ = packed.shifted_mismatch_lanes(
-                read_words, ref_words, shift, length, vacant_value=vacant_value
-            )
-            got = packed.unpack_lanes(lanes, length)
-            for i in range(10):
+        read, ref = _random_pairs(rng, 70, length)
+        read_planes, ref_planes = packed.bit_planes(
+            pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+        )
+        diff = np.empty_like(read_planes)
+        for shift in (-length - 2, -length, -3, -1, 0, 1, 4, length, length + 2):
+            # The rows with no read base keep what the buffer held.
+            out = np.full((length, 2), ~np.uint64(0) if vacant_value else np.uint64(0))
+            vacated = packed.shifted_mismatch_planes(read_planes, ref_planes, shift, out, diff)
+            assert vacated.stop - vacated.start == min(abs(shift), length)
+            got = from_planes(out, 70)
+            for i in range(70):
                 expect = shifted_mask(read[i], ref[i], shift, vacant_value=vacant_value)
                 assert np.array_equal(got[i], expect), (shift, i)
 
@@ -148,30 +109,29 @@ class TestPackedPrimitives:
         assert np.array_equal(got[:70], expect)
         assert not got[70:].any()
 
-    def test_popcount_lut_fallback_matches_bitwise_count(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**63, size=(13, 5), dtype=np.int64).astype(np.uint64)
-        expect = np.array(
-            [[int(v).bit_count() for v in row] for row in words], dtype=np.uint8
-        )
-        assert np.array_equal(packed.popcount(words), expect)
-        assert np.array_equal(packed._popcount_lut(words), expect)
-        bytes_arr = rng.integers(0, 256, size=(7, 9), dtype=np.uint8)
-        assert np.array_equal(
-            packed._popcount_lut(bytes_arr), packed.popcount(bytes_arr)
-        )
-
     @pytest.mark.parametrize("length", [1, 8, 100])
     @pytest.mark.parametrize("threshold", THRESHOLDS)
-    def test_neighborhood_lanes_match_per_base_map(self, length, threshold):
+    def test_chip_maze_matches_per_base_map(self, length, threshold):
         rng = np.random.default_rng(length + threshold)
-        read, ref = _random_pairs(rng, 25, length)
-        lanes = packed.neighborhood_lanes(
-            _word_major(read), _word_major(ref), length, threshold
+        read, ref = _random_pairs(rng, 70, length)
+        maze = packed.chip_maze(
+            *packed.bit_planes(
+                pack_codes_to_words(read, 64), pack_codes_to_words(ref, 64), length
+            ),
+            threshold,
         )
-        got = packed.unpack_lanes(lanes.transpose(1, 2, 0), length)
-        expect = neighborhood_map_batch(read, ref, threshold)
-        assert np.array_equal(got, expect)
+        assert maze.shape == (length, 2 * threshold + 1, 2)
+        got = np.stack([from_planes(maze[:, i], 70) for i in range(2 * threshold + 1)], axis=1)
+        assert np.array_equal(got, neighborhood_map_batch(read, ref, threshold))
+
+    @pytest.mark.parametrize("n_rows", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n_pairs", [0, 1, 63, 64, 65, 150])
+    def test_unpack_planes_inverts_bit_slicing(self, n_rows, n_pairs):
+        rng = np.random.default_rng((n_rows, n_pairs))
+        mask = (rng.random((n_pairs, n_rows)) < 0.5).astype(np.uint8)
+        got = packed.unpack_planes(to_planes(mask), n_pairs)
+        assert got.dtype == bool and got.shape == (n_pairs, n_rows)
+        assert np.array_equal(got, mask)
 
     def test_crossing_planes_cross_at_the_farthest_next_obstacle(self):
         # A hand-built maze of three diagonals over 12 columns, pairs spread
